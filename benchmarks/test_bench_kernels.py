@@ -2,13 +2,14 @@
 
 Times one 64-pattern detect-word block over the canonical chip's full
 collapsed fault universe (the fault simulator's steady-state unit of
-work) on the interpreted ``batch`` circuit, the NumPy kernel executor,
-and — where numba is installed — the ``batch-jit`` compiled kernel,
-asserting bit-identical detect words between all of them and writing
-``BENCH_kernels.json``.
+work) on the interpreted per-gate batch loop (the differential oracle
+in ``tests/batch_oracle.py``, recorded as mode ``batch``), the NumPy
+kernel executor, and — where numba is installed — the ``batch-jit``
+compiled kernel, asserting bit-identical detect words between all of
+them and writing ``BENCH_kernels.json``.
 
 The acceptance number is the ``batch-jit`` speedup over the interpreted
-batch engine, gated at >= 3x on full runs (see
+batch loop, gated at >= 3x on full runs (see
 ``tools/check_kernels_bench.py``).  On machines without numba the module
 measures the NumPy-kernel legs anyway, writes a ``skipped`` marker
 record *only if no real snapshot exists* (a numba-less box must never
@@ -19,6 +20,8 @@ per-PR CI smoke runs, recording to ``BENCH_kernels_quick.json``.
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,8 +32,12 @@ from repro.atpg.random_gen import random_patterns
 from repro.experiments import config
 from repro.faults.collapse import collapse_equivalent
 from repro.simulator import BatchCompiledCircuit
-from repro.simulator.kernels import KernelBatchCircuit, numba_available
+from repro.simulator.kernels import numba_available
 from repro.simulator.values import pack_patterns
+
+# The interpreted loop lives with the tests it serves as an oracle for.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from batch_oracle import InterpretedBatchCircuit  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 CHIP_SCALE = 1 if QUICK else 2
@@ -73,8 +80,8 @@ def test_bench_kernel_backends(request):
     )
     cpus = available_cpus()
 
-    batch = BatchCompiledCircuit(chip)
-    kernel_numpy = KernelBatchCircuit(chip, backend="numpy")
+    batch = InterpretedBatchCircuit(chip)
+    kernel_numpy = BatchCompiledCircuit(chip, backend="numpy")
     workload = {
         "circuit": f"canonical_x{CHIP_SCALE}",
         "gates": kernel_numpy.program.num_gates,
@@ -115,7 +122,7 @@ def test_bench_kernel_backends(request):
             )
         pytest.skip("numba not installed; kernel JIT speedup unmeasurable")
 
-    kernel_jit = KernelBatchCircuit(chip, backend="jit")
+    kernel_jit = BatchCompiledCircuit(chip, backend="jit")
     jit_seconds, jit_words = _time_block(kernel_jit, words, machines)
     assert np.array_equal(batch_words, jit_words)  # bit-identical
     jit_speedup = batch_seconds / jit_seconds

@@ -62,6 +62,7 @@ class Netlist:
         self._outputs: list[str] = []
         self._order: list[str] | None = None  # cached topological order
         self._levels: dict[str, int] | None = None
+        self._sinks: dict[str, list[tuple[str, int]]] | None = None
 
     # ------------------------------------------------------------ building
 
@@ -82,6 +83,7 @@ class Netlist:
         self._gates[gate.name] = gate
         self._order = None
         self._levels = None
+        self._sinks = None
 
     def set_outputs(self, names: Iterable[str]) -> None:
         """Declare the primary outputs (replaces any previous declaration)."""
@@ -127,23 +129,28 @@ class Netlist:
         """Number of logic gates (excluding primary inputs)."""
         return len(self._gates) - len(self._inputs)
 
+    def _sink_map(self) -> dict[str, list[tuple[str, int]]]:
+        """``{source: [(sink_gate_name, pin_index), ...]}`` over every edge.
+
+        Built in one pass over the gates (declaration order, pins in
+        order) and cached until the next :meth:`add_input`/:meth:`add_gate`.
+        """
+        if self._sinks is None:
+            sinks: dict[str, list[tuple[str, int]]] = {}
+            for gate in self._gates.values():
+                for pin, src in enumerate(gate.inputs):
+                    sinks.setdefault(src, []).append((gate.name, pin))
+            self._sinks = sinks
+        return self._sinks
+
     def fanout(self, name: str) -> list[tuple[str, int]]:
         """Return ``(sink_gate_name, pin_index)`` pairs fed by ``name``."""
-        sinks = []
-        for gate in self._gates.values():
-            for pin, src in enumerate(gate.inputs):
-                if src == name:
-                    sinks.append((gate.name, pin))
-        return sinks
+        return list(self._sink_map().get(name, ()))
 
     def fanout_counts(self) -> dict[str, int]:
-        """Fanout count of every signal, computed in one pass."""
-        counts = {name: 0 for name in self._gates}
-        for gate in self._gates.values():
-            for src in gate.inputs:
-                if src in counts:
-                    counts[src] += 1
-        return counts
+        """Fanout count of every signal."""
+        sinks = self._sink_map()
+        return {name: len(sinks.get(name, ())) for name in self._gates}
 
     # ---------------------------------------------------------- validation
 

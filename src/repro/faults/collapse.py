@@ -32,85 +32,82 @@ from repro.faults.model import StuckAtFault, full_fault_universe
 __all__ = ["equivalence_classes", "collapse_equivalent"]
 
 
-class _UnionFind:
-    def __init__(self):
-        self._parent: dict[StuckAtFault, StuckAtFault] = {}
-
-    def add(self, item: StuckAtFault) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-
-    def find(self, item: StuckAtFault) -> StuckAtFault:
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:  # path compression
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: StuckAtFault, b: StuckAtFault) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Deterministic representative: the lexicographically smaller.
-            if rb.sort_key < ra.sort_key:
-                ra, rb = rb, ra
-            self._parent[rb] = ra
-
-    def classes(self) -> dict[StuckAtFault, list[StuckAtFault]]:
-        grouped: dict[StuckAtFault, list[StuckAtFault]] = {}
-        for item in self._parent:
-            grouped.setdefault(self.find(item), []).append(item)
-        return grouped
-
-
-def _input_site(
-    netlist: Netlist, fanout_counts: dict[str, int], gate_name: str, pin: int
-) -> StuckAtFault | None:
-    """The fault site feeding pin ``pin`` of ``gate_name`` (value filled later)."""
-    source = netlist.gate(gate_name).inputs[pin]
-    if fanout_counts[source] > 1:
-        return StuckAtFault(source, 0, gate=gate_name, pin=pin)
-    return StuckAtFault(source, 0)
-
-
 def equivalence_classes(
     netlist: Netlist,
 ) -> dict[StuckAtFault, list[StuckAtFault]]:
     """Partition the full fault universe into structural equivalence classes.
 
     Returns ``{representative: [members...]}``; singletons included.
+    Each class's representative is its member with the smallest
+    :attr:`~repro.faults.model.StuckAtFault.sort_key`; classes appear in
+    universe order of their first member, members in universe order.
+
+    The union-find runs on universe indices: a site's stuck-at-``v``
+    fault is the index of its stuck-at-0 entry plus ``v`` (the universe
+    lists both levels of a site consecutively), so no fault object is
+    built or hashed until the result dict.
     """
     netlist.validate()
     universe = full_fault_universe(netlist)
     fanout_counts = netlist.fanout_counts()
-    uf = _UnionFind()
-    for fault in universe:
-        uf.add(fault)
+    # Stuck-at-0 index of every stem (by signal) and branch (by sink pin).
+    stem_at: dict[str, int] = {}
+    branch_at: dict[tuple[str, int], int] = {}
+    for i in range(0, len(universe), 2):
+        fault = universe[i]
+        if fault.gate is None:
+            stem_at[fault.signal] = i
+        else:
+            branch_at[fault.gate, fault.pin] = i
+    parent = list(range(len(universe)))
 
-    def with_value(site: StuckAtFault, value: int) -> StuckAtFault:
-        return StuckAtFault(site.signal, value, gate=site.gate, pin=site.pin)
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:  # path compression
+            parent[i], i = root, parent[i]
+        return root
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            # Deterministic representative: the lexicographically smaller.
+            if universe[rb].sort_key < universe[ra].sort_key:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    def input_site(gate_name: str, pin: int, source: str) -> int:
+        """Stuck-at-0 index of the site feeding pin ``pin`` of a gate."""
+        if fanout_counts[source] > 1:
+            return branch_at[gate_name, pin]
+        return stem_at[source]
 
     for gate in netlist:
-        if gate.gate_type is GateType.INPUT:
-            continue
-        out_name = gate.name
         gtype = gate.gate_type
+        if gtype is GateType.INPUT:
+            continue
+        out_site = stem_at[gate.name]
         if gtype in (GateType.BUF, GateType.NOT):
-            site = _input_site(netlist, fanout_counts, out_name, 0)
+            site = input_site(gate.name, 0, gate.inputs[0])
             invert = gtype is GateType.NOT
             for v in (0, 1):
-                out_v = (1 - v) if invert else v
-                uf.union(with_value(site, v), StuckAtFault(out_name, out_v))
+                union(site + v, out_site + ((1 - v) if invert else v))
             continue
         ctrl = gtype.controlling_value
         if ctrl is None:  # XOR / XNOR: no structural equivalence
             continue
-        out_v = gtype.controlled_response
-        for pin in range(len(gate.inputs)):
-            site = _input_site(netlist, fanout_counts, out_name, pin)
-            uf.union(with_value(site, ctrl), StuckAtFault(out_name, out_v))
+        out_fault = out_site + gtype.controlled_response
+        for pin, source in enumerate(gate.inputs):
+            union(input_site(gate.name, pin, source) + ctrl, out_fault)
 
-    return uf.classes()
+    grouped: dict[int, list[int]] = {}
+    for i in range(len(universe)):
+        grouped.setdefault(find(i), []).append(i)
+    return {
+        universe[root]: [universe[i] for i in members]
+        for root, members in grouped.items()
+    }
 
 
 def collapse_equivalent(netlist: Netlist) -> list[StuckAtFault]:

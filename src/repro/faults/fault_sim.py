@@ -9,10 +9,12 @@ LAMP reference implemented in hardware description.
 
 The engine is selectable (see :func:`repro.simulator.make_engine`):
 
-* ``"batch"`` (default) — fault-parallel NumPy evaluation: every gate is
-  evaluated once per block for *all* remaining faults simultaneously, one
-  machine per row of a ``(num_faults + 1, num_signals)`` ``uint64``
-  matrix;
+* ``"batch"`` (default) — fault-parallel evaluation of the lowered
+  kernel IR: every gate is evaluated once per block for *all* remaining
+  faults simultaneously, one machine per row of a ``(num_faults + 1,
+  num_signals)`` ``uint64`` matrix.  Faults that belong to the
+  netlist's universe reach it as an array of universe indices, so each
+  block's injection tables are gathers, not per-fault lookups;
 * ``"compiled"`` — the classical fault-at-a-time word-level loop;
 * ``"event"`` — scalar reference, pattern at a time.
 
@@ -118,22 +120,27 @@ class FaultSimResult:
 def _scan_blocks(
     engine: Engine,
     blocks: Iterable[tuple[Mapping[str, int], int]],
-    faults: Sequence[StuckAtFault],
+    faults: Sequence[StuckAtFault] | np.ndarray,
 ) -> list[int | None]:
     """Pattern-block scan with cross-block fault dropping.
 
     The one copy of the drop loop, shared by the serial path (lazy block
     packing, early exit once every fault is detected) and the sharded
     workers (each scans its own fault shard with per-shard compaction).
+    ``faults`` is a fault list, or an integer array of universe indices
+    for a ``site_indexed`` engine.
     """
     first_detect: list[int | None] = [None] * len(faults)
     remaining = list(range(len(faults)))
+    indexed = isinstance(faults, np.ndarray)
     offset = 0
     for words, block_len in blocks:
         if not remaining:
             break
         detect_words = engine.detect_block(
-            words, block_len, [faults[fi] for fi in remaining]
+            words,
+            block_len,
+            faults[remaining] if indexed else [faults[fi] for fi in remaining],
         )
         # Compact the batch: only still-undetected faults ride into the
         # next block.
@@ -195,13 +202,16 @@ def _simulate_fault_shard(
     """Worker: scan the task's pattern blocks against its fault shard.
 
     The fault shard is either a list of :class:`StuckAtFault` objects or
-    (the SoA wire format) an ``int32`` array of fault-universe indices,
-    rehydrated here through the engine netlist's cached universe —
-    deterministic enumeration, so the decoded shard is bit-identical to
-    the encoded one.
+    (the SoA wire format) an ``int32`` array of fault-universe indices.
+    A ``site_indexed`` engine consumes the indices as they are; any
+    other engine gets them rehydrated through the netlist's cached
+    universe — deterministic enumeration, so the decoded shard is
+    bit-identical to the encoded one.
     """
     blocks, faults = task
-    if isinstance(faults, np.ndarray):
+    if isinstance(faults, np.ndarray) and not getattr(
+        context.engine, "site_indexed", False
+    ):
         universe = cached_fault_universe(context.engine.netlist)
         faults = [universe[i] for i in faults.tolist()]
     return _scan_blocks(context.engine, blocks, faults)
@@ -238,7 +248,7 @@ class FaultSimulator:
         self.workers = workers
         self.executor = executor
         # "soa" ships fault shards as int32 universe-index arrays over
-        # the pool pipe (workers rehydrate through the cached universe);
+        # the pool pipe (a batch engine consumes them as they are);
         # "objects" ships pickled StuckAtFault lists — the
         # differential-test baseline.
         self.payload_format = payload_format
@@ -300,6 +310,12 @@ class FaultSimulator:
                 self.workers if workers is None else workers
             )
         plan = ShardPlan.balanced(len(faults), num_workers)
+        site_indexed = getattr(self.engine, "site_indexed", False)
+        indices = None
+        if site_indexed or (
+            plan.num_shards > 1 and self.payload_format == "soa"
+        ):
+            indices = self._universe_indices(faults)
         if plan.num_shards > 1:
             blocks = []
             for start in range(0, len(patterns), WORD_BITS):
@@ -307,10 +323,11 @@ class FaultSimulator:
                 blocks.append((pack_patterns(input_names, block), len(block)))
             blocks = tuple(blocks)
             context = _FaultShardContext(engine=self.engine)
-            tasks = [
-                (blocks, shard)
-                for shard in self._fault_shards(plan.split(faults))
-            ]
+            if self.payload_format == "soa" and indices is not None:
+                shards = [indices[start:stop] for start, stop in plan.bounds()]
+            else:
+                shards = plan.split(faults)
+            tasks = [(blocks, shard) for shard in shards]
             if use_injected:
                 shard_detects = self.executor.map_shards(
                     _simulate_fault_shard,
@@ -331,34 +348,33 @@ class FaultSimulator:
                     block = patterns[start : start + WORD_BITS]
                     yield pack_patterns(input_names, block), len(block)
 
-            first_detect = _scan_blocks(self.engine, lazy_blocks(), faults)
+            first_detect = _scan_blocks(
+                self.engine,
+                lazy_blocks(),
+                indices if site_indexed and indices is not None else faults,
+            )
 
         return FaultSimResult(tuple(faults), tuple(first_detect), len(patterns))
 
-    def _fault_shards(self, shards: list[list[StuckAtFault]]) -> list:
-        """Encode fault shards for the pool pipe per ``payload_format``.
+    def _universe_indices(self, faults: list[StuckAtFault]) -> np.ndarray | None:
+        """``faults`` as ``int32`` fault-universe indices, or ``None``.
 
-        ``"soa"`` maps each shard to an ``int32`` array of fault-universe
-        indices; a fault outside this netlist's universe (caller-supplied
-        ad-hoc faults) falls the whole run back to object shards, so
-        results never depend on which shards were encodable.
+        The SoA form of a fault list: what ``"soa"`` shard payloads carry
+        over the pool pipe and what a ``site_indexed`` engine consumes.
+        ``None`` when any fault lies outside this netlist's universe
+        (caller-supplied ad-hoc faults); the run then keeps fault objects
+        throughout, so results never depend on which faults were
+        encodable.
         """
-        if self.payload_format != "soa":
-            return shards
         lookup = fault_site_lookup(self.netlist)
-        packed = []
-        for shard in shards:
-            try:
-                packed.append(
-                    np.fromiter(
-                        (lookup[fault] for fault in shard),
-                        dtype=np.int32,
-                        count=len(shard),
-                    )
-                )
-            except KeyError:
-                return shards
-        return packed
+        try:
+            return np.fromiter(
+                (lookup[fault] for fault in faults),
+                dtype=np.int32,
+                count=len(faults),
+            )
+        except KeyError:
+            return None
 
     def detects(
         self,

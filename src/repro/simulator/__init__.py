@@ -1,7 +1,8 @@
 """Logic simulation substrate.
 
-Three engines over the same :class:`~repro.circuit.netlist.Netlist` model,
-all exchangeable behind the :class:`Engine` protocol:
+Three simulator families over the same
+:class:`~repro.circuit.netlist.Netlist` model, all exchangeable behind
+the :class:`Engine` protocol:
 
 * :mod:`repro.simulator.event_sim` — a scalar event-driven simulator; the
   readable reference implementation, also used to cross-check the fast
@@ -10,19 +11,19 @@ all exchangeable behind the :class:`Engine` protocol:
   packs 64 test patterns per machine word, the classical parallel-pattern
   technique used by fault simulators of the paper's era, simulating one
   fault at a time (``engine="compiled"``).
-* :mod:`repro.simulator.batch_sim` — the fault-parallel batched engine: a
-  NumPy ``uint64`` value matrix of shape ``(num_faults + 1, num_signals)``
+* :mod:`repro.simulator.batch_sim` — the fault-parallel batched circuit:
+  a ``uint64`` value matrix of shape ``(num_machines + 1, num_signals)``
   whose row 0 is the good machine and whose other rows each carry one
-  injected fault set, so every gate is evaluated once per 64-pattern block
-  for *all* faults at once (``engine="batch"``, the default everywhere).
-* :mod:`repro.simulator.kernels` — the batch engine's schedule lowered to
-  a flat kernel IR and run by pluggable backends: ``engine="batch-jit"``
-  (numba, row-parallel compiled kernel), ``engine="batch-gpu"`` (CuPy,
-  one CUDA launch per block), and ``engine="auto"`` (a shape-aware
-  autotuner that calibrates once per process and picks the fastest
-  available backend per netlist fingerprint and batch size).  numba and
-  CuPy are optional; these engines degrade to a preallocated NumPy
-  kernel executor when they are missing.
+  injected fault set, so every gate is evaluated once per 64-pattern
+  block for *all* machines at once.  The netlist is lowered to the flat
+  kernel IR of :mod:`repro.simulator.kernels` and run by one of its
+  backends: the NumPy executor (``engine="batch"``, the default
+  everywhere), numba (``engine="batch-jit"``, a row-parallel compiled
+  kernel), CuPy (``engine="batch-gpu"``, one CUDA launch per block), or
+  a shape-aware autotuner that calibrates once per process and picks
+  the fastest available backend per netlist fingerprint and batch size
+  (``engine="auto"``).  numba and CuPy are optional; those engines
+  degrade to the NumPy executor when they are missing.
 
 Anything that fault-simulates (:class:`~repro.faults.fault_sim.FaultSimulator`,
 :class:`~repro.tester.tester.WaferTester`, PODEM fault dropping, the
@@ -39,12 +40,12 @@ from repro.circuit.netlist import Netlist
 from repro.simulator.values import WORD_BITS, pack_patterns, unpack_outputs
 from repro.simulator.event_sim import EventEngine, EventSimulator
 from repro.simulator.parallel_sim import CompiledCircuit, CompiledEngine
-from repro.simulator.batch_sim import BatchCompiledCircuit, BatchEngine
-from repro.simulator.kernels import (
+from repro.simulator.batch_sim import (
     AutoBatchEngine,
+    BatchCompiledCircuit,
+    BatchEngine,
     GpuBatchEngine,
     JitBatchEngine,
-    KernelBatchCircuit,
 )
 
 __all__ = [
@@ -57,7 +58,6 @@ __all__ = [
     "CompiledEngine",
     "BatchCompiledCircuit",
     "BatchEngine",
-    "KernelBatchCircuit",
     "JitBatchEngine",
     "GpuBatchEngine",
     "AutoBatchEngine",
@@ -78,6 +78,11 @@ class Engine(Protocol):
     ``netlist`` is the circuit the engine was compiled for — required so
     :func:`make_engine` can reject an engine handed to a simulator of a
     *different* circuit, which would otherwise silently corrupt coverage.
+
+    An engine that also sets ``site_indexed = True`` (the batch family)
+    accepts, in place of fault objects, an integer array of
+    :func:`~repro.faults.model.cached_fault_universe` indices; the fault
+    simulator then passes universe members that way.
     """
 
     name: str

@@ -2,27 +2,42 @@
 
 The classical parallel-pattern trick packs 64 patterns into one machine
 word; this module adds the orthogonal axis and evaluates a whole *batch of
-machines* simultaneously.  The netlist is compiled once into flat arrays
-(opcode, input indices, output index, in topological order); a batch run
-then holds signal values in a 2D array of shape ``(num_machines + 1,
-num_signals)`` where
+machines* simultaneously.  A batch run holds signal values in a 2D array
+of shape ``(num_machines + 1, num_signals)`` where
 
 * **row 0 is the good machine**, and
 * **each other row carries one machine's injected fault set** — a single
   stuck-at fault for the fault simulator, or a defective chip's whole
   multi-fault set for the wafer tester.
 
-Each gate is evaluated exactly once per 64-pattern block for *all* rows via
-vectorized bitwise ops, so the per-fault cost collapses from a full Python
-resimulation to one row of a NumPy reduction.  Fault injection follows the
-same semantics as :class:`~repro.simulator.parallel_sim.CompiledCircuit`:
+Each gate is evaluated exactly once per 64-pattern block for *all* rows,
+so the per-fault cost collapses from a full Python resimulation to one
+row of a vectorized reduction.
+
+:class:`BatchCompiledCircuit` lowers the netlist once into a flat,
+levelized :class:`~repro.simulator.kernels.ir.KernelProgram` and runs
+every block on a kernel backend (:mod:`repro.simulator.kernels`): the
+NumPy executor for ``engine="batch"``, numba for ``batch-jit``, CuPy for
+``batch-gpu``, the autotuner's pick for ``auto`` — one class, four
+backends, one set of injection tables.
+
+Fault injection follows the same semantics as
+:class:`~repro.simulator.parallel_sim.CompiledCircuit`:
 
 * **stem faults** force the signal's word *after* its driver evaluates
-  (primary-input stems are forced at load time) — implemented as a
-  post-evaluation row mask on the signal's column;
-* **pin faults** force one input pin of one sink gate only — implemented
-  as a per-gate override on the gathered operand block before reduction,
-  which is what makes fanout-branch faults distinct sites.
+  (primary-input stems are forced at load time);
+* **pin faults** force one input pin of one sink gate only, which is
+  what makes fanout-branch faults distinct sites.
+
+Injections travel as :class:`~repro.simulator.kernels.ir.InjectionTables`
+gathered from the circuit's per-site
+:class:`~repro.simulator.kernels.ir.SiteTable` — built once, indexed by
+:func:`~repro.faults.model.cached_fault_universe` position, with every
+site validated when the table is built.  Callers holding ``(row, site
+index, polarity)`` arrays (the wafer tester, the fault simulator) build
+tables with no per-fault Python work; fault-object machines resolve
+through the same table, and ad-hoc sites outside the universe through
+the same resolver.
 
 Detection is a column gather of the primary outputs: XOR every faulty row
 against row 0 and OR-reduce across outputs, yielding one 64-bit detect
@@ -35,216 +50,237 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import WORD_MASK, GateType
+from repro.circuit.gates import WORD_MASK
 from repro.circuit.netlist import Netlist
-from repro.simulator.sites import validate_fault_site
+from repro.simulator.kernels import autotune
+from repro.simulator.kernels.backends import (
+    available_backends,
+    check_backend,
+    resolve_backend,
+)
+from repro.simulator.kernels.gpu_exec import execute_gpu
+from repro.simulator.kernels.ir import (
+    InjectionTables,
+    SiteTable,
+    lower_program,
+    resolve_sites,
+)
+from repro.simulator.kernels.jit_exec import execute_jit
+from repro.simulator.kernels.numpy_exec import execute_numpy
 
-__all__ = ["BatchCompiledCircuit", "BatchEngine"]
+__all__ = [
+    "BatchCompiledCircuit",
+    "BatchEngine",
+    "JitBatchEngine",
+    "GpuBatchEngine",
+    "AutoBatchEngine",
+]
 
 _U64 = np.uint64
-_ZERO = _U64(0)
-_ONES = _U64(WORD_MASK)
-
-# Reduction kind per gate family (the invert flag is carried separately).
-_REDUCE_AND = 0
-_REDUCE_OR = 1
-_REDUCE_XOR = 2
-_REDUCE_BUF = 3
-
-_GATE_REDUCE = {
-    GateType.BUF: (_REDUCE_BUF, False),
-    GateType.NOT: (_REDUCE_BUF, True),
-    GateType.AND: (_REDUCE_AND, False),
-    GateType.NAND: (_REDUCE_AND, True),
-    GateType.OR: (_REDUCE_OR, False),
-    GateType.NOR: (_REDUCE_OR, True),
-    GateType.XOR: (_REDUCE_XOR, False),
-    GateType.XNOR: (_REDUCE_XOR, True),
-}
-
-_REDUCE_UFUNC = {
-    _REDUCE_AND: np.bitwise_and,
-    _REDUCE_OR: np.bitwise_or,
-    _REDUCE_XOR: np.bitwise_xor,
-}
 
 
 class BatchCompiledCircuit:
-    """A netlist compiled for fault-parallel, pattern-parallel evaluation.
+    """A netlist lowered for fault-parallel, pattern-parallel evaluation.
 
     One instance is reusable across blocks and machine batches; only the
-    value matrix and the injection index arrays are rebuilt per call.
+    value matrix and the injection tables are rebuilt per call.
+    ``backend`` picks the executor (see
+    :mod:`repro.simulator.kernels.backends`).
     """
 
-    def __init__(self, netlist: Netlist):
+    def __init__(self, netlist: Netlist, backend: str = "numpy"):
+        check_backend(backend)
         netlist.validate()
         self.netlist = netlist
-        order = netlist.topological_order()
-        self._index: dict[str, int] = {name: i for i, name in enumerate(order)}
-        self._num_signals = len(order)
-        self._input_names = list(netlist.inputs)
-        self._input_indices = [self._index[name] for name in self._input_names]
-        self._input_index_set = frozenset(self._input_indices)
-        self._output_indices = np.array(
-            [self._index[name] for name in netlist.outputs], dtype=np.intp
-        )
-        # (reduce_kind, invert, input_index_array, output_index) per gate.
-        self._ops: list[tuple[int, bool, np.ndarray, int]] = []
-        for name in order:
-            gate = netlist.gate(name)
-            if gate.gate_type is GateType.INPUT:
-                continue
-            kind, invert = _GATE_REDUCE[gate.gate_type]
-            in_idx = np.array(
-                [self._index[s] for s in gate.inputs], dtype=np.intp
-            )
-            out_idx = self._index[name]
-            self._ops.append((kind, invert, in_idx, out_idx))
-        self._max_fanin = max((len(op[2]) for op in self._ops), default=0)
+        self.backend = backend
+        self._index: dict[str, int] = {
+            name: i for i, name in enumerate(netlist.topological_order())
+        }
+        self.program = lower_program(netlist, self._index)
+        self._site_table: SiteTable | None = None
 
     @property
     def num_signals(self) -> int:
-        return self._num_signals
+        return self.program.num_signals
 
     def signal_index(self, name: str) -> int:
         """Index of a signal in a value matrix column."""
         return self._index[name]
 
-    # ------------------------------------------------------- fault compiling
+    # -------------------------------------------------------- fault tables
 
-    def _compile_machines(
-        self, machines: Sequence[Sequence]
-    ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]],
-               dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-        """Turn per-machine fault sets into per-signal injection arrays.
+    @property
+    def site_table(self) -> SiteTable:
+        """Injection target of every fault-universe site, built (and
+        validated) on first use."""
+        if self._site_table is None:
+            # Imported here: repro.faults imports this package.
+            from repro.faults.model import cached_fault_universe
 
-        Returns ``(stem_forces, pin_overrides)``:
-
-        * ``stem_forces[signal_idx] = (rows, words)`` — force column
-          ``signal_idx`` to ``words`` on ``rows`` after it evaluates;
-        * ``pin_overrides[gate_idx] = (rows, pins, words)`` — force operand
-          ``pins`` of gate ``gate_idx`` to ``words`` on ``rows`` before the
-          gate reduces.
-
-        Machines are any sequences of objects with the
-        :class:`~repro.faults.model.StuckAtFault` site attributes
-        (``signal``, ``value``, ``is_branch``, ``gate``, ``pin``).
-        """
-        stems: dict[int, tuple[list[int], list[int]]] = {}
-        pins: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        for row, machine in enumerate(machines, start=1):
-            for fault in machine:
-                validate_fault_site(self.netlist, fault)
-                word = _ONES if fault.value else _ZERO
-                if fault.is_branch:
-                    gate_idx = self._index[fault.gate]
-                    rows, pin_list, words = pins.setdefault(
-                        gate_idx, ([], [], [])
-                    )
-                    rows.append(row)
-                    pin_list.append(fault.pin)
-                    words.append(word)
-                else:
-                    idx = self._index[fault.signal]
-                    rows, words = stems.setdefault(idx, ([], []))
-                    rows.append(row)
-                    words.append(word)
-        stem_forces = {
-            idx: (np.array(rows, dtype=np.intp), np.array(words, dtype=_U64))
-            for idx, (rows, words) in stems.items()
-        }
-        pin_overrides = {
-            idx: (
-                np.array(rows, dtype=np.intp),
-                np.array(pin_list, dtype=np.intp),
-                np.array(words, dtype=_U64),
+            self._site_table = resolve_sites(
+                self.netlist,
+                self._index,
+                self.program,
+                cached_fault_universe(self.netlist),
             )
-            for idx, (rows, pin_list, words) in pins.items()
-        }
-        return stem_forces, pin_overrides
+        return self._site_table
+
+    def sites_of(self, faults: Sequence) -> tuple[np.ndarray, SiteTable]:
+        """``(site indices, table)`` for fault objects.
+
+        Universe members map to their universe index; any other site (an
+        ad-hoc fault such as a fanout-1 branch) is resolved and validated
+        by :func:`~repro.simulator.kernels.ir.resolve_sites` and appended
+        to a copy of the table, so both kinds gather from one table.
+        """
+        from repro.faults.model import fault_site_lookup
+
+        lookup = fault_site_lookup(self.netlist)
+        table = self.site_table
+        base = len(table)
+        extra: list = []
+        sites = np.empty(len(faults), dtype=np.intp)
+        for k, fault in enumerate(faults):
+            index = lookup.get(fault)
+            if index is None:
+                index = base + len(extra)
+                extra.append(fault)
+            sites[k] = index
+        if extra:
+            table = table.extended(
+                resolve_sites(self.netlist, self._index, self.program, extra)
+            )
+        return sites, table
+
+    def machine_tables(self, machines: Sequence[Sequence]) -> InjectionTables:
+        """Injection tables for fault-object machines (one row each)."""
+        counts = [len(machine) for machine in machines]
+        faults = [fault for machine in machines for fault in machine]
+        sites, table = self.sites_of(faults)
+        return InjectionTables.from_sites(
+            len(machines) + 1,
+            np.repeat(np.arange(1, len(machines) + 1), counts),
+            sites,
+            [fault.value for fault in faults],
+            table,
+        )
+
+    def single_fault_tables(self, sites: np.ndarray) -> InjectionTables:
+        """One single-fault machine per universe index in ``sites``, each
+        stuck at its universe entry's own level."""
+        table = self.site_table
+        return InjectionTables.from_sites(
+            len(sites) + 1,
+            np.arange(1, len(sites) + 1),
+            sites,
+            table.value[sites],
+            table,
+        )
 
     # ------------------------------------------------------------ evaluation
 
-    def run_batch(
+    def _prefill(
         self,
         input_words: Mapping[str, int],
-        machines: Sequence[Sequence],
+        tables: InjectionTables,
+        transposed: bool,
     ) -> np.ndarray:
-        """Evaluate row 0 (good) plus one row per machine in ``machines``.
+        """A fresh value matrix with inputs and PI stems loaded.
 
-        ``input_words`` is one packed 64-pattern word per primary input, as
-        produced by :func:`~repro.simulator.values.pack_patterns`.  Each
-        machine is a sequence of stuck-at faults injected *simultaneously*
-        into that machine's row.  Returns the full ``(len(machines) + 1,
-        num_signals)`` value matrix.
+        ``np.empty`` is safe: every column is either an input (filled
+        here) or a gate output (written by its gate in schedule order).
+        Transposed is ``(num_signals, num_rows)``, for the column-major
+        executors.
         """
-        stem_forces, pin_overrides = self._compile_machines(machines)
-        num_rows = len(machines) + 1
-        # Every column is either an input (filled below) or a gate output
-        # (written by its gate in topological order), so empty is safe.
-        values = np.empty((num_rows, self._num_signals), dtype=_U64)
-        # One reduction accumulator and one operand-gather scratch are
-        # reused by every gate via ``out=`` — the block loop allocates no
-        # per-gate temporaries.
-        acc = np.empty(num_rows, dtype=_U64)
-        gather = (
-            np.empty((num_rows, self._max_fanin), dtype=_U64)
-            if pin_overrides
-            else None
-        )
-
-        for name, idx in zip(self._input_names, self._input_indices):
+        if transposed:
+            values = np.empty((self.num_signals, tables.num_rows), dtype=_U64)
+            view = values
+        else:
+            values = np.empty((tables.num_rows, self.num_signals), dtype=_U64)
+            view = values.T
+        for name, col in zip(
+            self.program.input_names, self.program.input_cols.tolist()
+        ):
             try:
                 word = input_words[name]
             except KeyError:
                 raise ValueError(f"missing input word for {name!r}") from None
-            values[:, idx] = _U64(word & WORD_MASK)
-        # Primary-input stems have no driving gate; force them at load time.
-        for idx, (rows, words) in stem_forces.items():
-            if idx in self._input_index_set:
-                values[rows, idx] = words
+            view[col] = _U64(word & WORD_MASK)
+        if tables.pi_row.size:
+            view[tables.pi_col, tables.pi_row] = tables.pi_word
+        return values
 
-        for kind, invert, in_idx, out_idx in self._ops:
-            override = pin_overrides.get(out_idx)
-            if override is not None:
-                rows, pin_list, words = override
-                operands = gather[:, : len(in_idx)]
-                np.take(values, in_idx, axis=1, out=operands)
-                operands[rows, pin_list] = words
-                if kind == _REDUCE_BUF:
-                    word = operands[:, 0]
-                else:
-                    word = _REDUCE_UFUNC[kind].reduce(
-                        operands, axis=1, out=acc
+    def _execute(
+        self,
+        backend: str,
+        input_words: Mapping[str, int],
+        tables: InjectionTables,
+    ) -> np.ndarray:
+        """Run one block on a concrete backend; returns the value matrix
+        in the canonical ``(num_rows, num_signals)`` orientation (a
+        transposed view for the column-major executors)."""
+        if backend == "jit":
+            values = self._prefill(input_words, tables, False)
+            execute_jit(self.program, values, tables)
+            return values
+        values_t = self._prefill(input_words, tables, True)
+        if backend == "gpu":
+            execute_gpu(self.program, values_t, tables)
+        else:
+            execute_numpy(self.program, values_t, tables)
+        return values_t.T
+
+    def run_batch(
+        self,
+        input_words: Mapping[str, int],
+        machines: Sequence[Sequence] | InjectionTables,
+    ) -> np.ndarray:
+        """Evaluate row 0 (good) plus one row per machine.
+
+        ``input_words`` is one packed 64-pattern word per primary input, as
+        produced by :func:`~repro.simulator.values.pack_patterns`.
+        ``machines`` is either prebuilt :class:`InjectionTables` or a
+        sequence of fault sets, each injected *simultaneously* into its
+        own row.  Returns the full ``(num_rows, num_signals)`` value
+        matrix.
+        """
+        if isinstance(machines, InjectionTables):
+            tables = machines
+        else:
+            tables = self.machine_tables(machines)
+        backend = resolve_backend(self.backend)
+        if backend == "auto":
+            fingerprint = self.program.fingerprint
+            backend = autotune.cached_decision(fingerprint, tables.num_rows)
+            if backend is None:
+                candidates = [
+                    (
+                        name,
+                        lambda name=name: self._execute(
+                            name, input_words, tables
+                        ),
                     )
-            elif kind == _REDUCE_BUF:
-                word = values[:, in_idx[0]]
-            else:
-                # Column-view accumulation avoids the gather on the (vastly
-                # more common) gates with no pin override.
-                ufunc = _REDUCE_UFUNC[kind]
-                word = ufunc(values[:, in_idx[0]], values[:, in_idx[1]], out=acc)
-                for j in range(2, len(in_idx)):
-                    word = ufunc(word, values[:, in_idx[j]], out=acc)
-            if invert:
-                word = np.bitwise_not(word, out=acc)
-            values[:, out_idx] = word
-            force = stem_forces.get(out_idx)
-            if force is not None:
-                rows, words = force
-                values[rows, out_idx] = words
+                    for name in available_backends()
+                ]
+                backend, values = autotune.calibrate(
+                    fingerprint, tables.num_rows, candidates
+                )
+                autotune.note_block(backend)
+                return values
+        values = self._execute(backend, input_words, tables)
+        autotune.note_block(backend)
         return values
 
     def detect_words(
         self,
         input_words: Mapping[str, int],
-        machines: Sequence[Sequence],
+        machines: Sequence[Sequence] | InjectionTables,
     ) -> np.ndarray:
         """One 64-bit detect word per machine: bit ``k`` set iff pattern
         ``k`` of the block distinguishes that machine from the good one at
         some primary output."""
         values = self.run_batch(input_words, machines)
-        outputs = values[:, self._output_indices]  # (rows, num_outputs)
+        outputs = values[:, self.program.output_cols]  # (rows, num_outputs)
         diff = outputs[1:] ^ outputs[0]
         return np.bitwise_or.reduce(diff, axis=1)
 
@@ -252,8 +288,16 @@ class BatchCompiledCircuit:
         """Extract ``{output_name: word}`` for one row of a value matrix."""
         return {
             name: int(values[row, idx])
-            for name, idx in zip(self.netlist.outputs, self._output_indices)
+            for name, idx in zip(self.netlist.outputs, self.program.output_cols)
         }
+
+    def __getstate__(self):
+        # Ship the IR, not the site table: it rebuilds (and revalidates)
+        # in the receiving process on first use; numba/CuPy state is
+        # module-global and recreated per process.
+        state = self.__dict__.copy()
+        state["_site_table"] = None
+        return state
 
 
 class BatchEngine:
@@ -261,14 +305,19 @@ class BatchEngine:
 
     Satisfies the :class:`~repro.simulator.Engine` protocol; each fault
     becomes one single-fault machine row of a
-    :class:`BatchCompiledCircuit` batch.
+    :class:`BatchCompiledCircuit` batch.  ``faults`` may be fault objects
+    or (``site_indexed``) an integer array of
+    :func:`~repro.faults.model.cached_fault_universe` indices, which
+    skips every per-fault lookup.
     """
 
     name = "batch"
+    backend = "numpy"
+    site_indexed = True
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self.batch = BatchCompiledCircuit(netlist)
+        self.batch = BatchCompiledCircuit(netlist, backend=self.backend)
 
     def detect_block(
         self,
@@ -276,9 +325,31 @@ class BatchEngine:
         num_patterns: int,
         faults: Sequence,
     ) -> list[int]:
-        if not faults:
+        if len(faults) == 0:
             return []
-        words = self.batch.detect_words(
-            input_words, [(fault,) for fault in faults]
-        )
-        return [int(w) for w in words]
+        if isinstance(faults, np.ndarray):
+            tables = self.batch.single_fault_tables(faults)
+        else:
+            tables = self.batch.machine_tables([(fault,) for fault in faults])
+        return self.batch.detect_words(input_words, tables).tolist()
+
+
+class JitBatchEngine(BatchEngine):
+    """``batch-jit``: the numba row-parallel kernel (NumPy fallback)."""
+
+    name = "batch-jit"
+    backend = "jit"
+
+
+class GpuBatchEngine(BatchEngine):
+    """``batch-gpu``: the CuPy CUDA kernel (NumPy fallback)."""
+
+    name = "batch-gpu"
+    backend = "gpu"
+
+
+class AutoBatchEngine(BatchEngine):
+    """``auto``: calibrated per-shape choice among available backends."""
+
+    name = "auto"
+    backend = "auto"

@@ -1,9 +1,8 @@
 """Kernel IR: a netlist lowered to flat, levelized arrays.
 
-The batch engine's inner loop interprets a Python list of per-gate
-tuples.  This module lowers that schedule once into a
-:class:`KernelProgram` — pure ``ndarray`` state that any executor
-(NumPy reference, numba JIT, CuPy) can run without touching Python
+:class:`~repro.simulator.batch_sim.BatchCompiledCircuit` lowers its
+netlist once into a :class:`KernelProgram` — pure ``ndarray`` state that
+any executor (NumPy, numba JIT, CuPy) can run without touching Python
 objects per gate:
 
 * ``opcodes`` / ``invert`` — one reduction kind per gate (AND/OR/XOR/
@@ -19,13 +18,16 @@ objects per gate:
   level at a time.
 
 Fault injection is *not* part of the program — it varies per block as
-the fault simulator compacts its batch.  :class:`InjectionTables`
-carries one call's stem forces and pin overrides as flat arrays in two
-layouts: grouped by row (the per-machine walk a row-parallel JIT kernel
-wants) and grouped by gate (the scatter a vectorized NumPy/GPU executor
-wants).  Both layouts preserve insertion order among duplicates, so a
-doubly-forced site resolves last-wins exactly like the NumPy fancy
-assignment in :class:`~repro.simulator.batch_sim.BatchCompiledCircuit`.
+the fault simulator compacts its batch.  A :class:`SiteTable` gives the
+injection target of every fault site once per circuit (PI column, stem
+``(gate position, column)`` or pin ``(gate position, pin)``), resolved
+and validated by :func:`resolve_sites`; :class:`InjectionTables` carries
+one call's stem forces and pin overrides, gathered from it, as flat
+arrays in two layouts: grouped by row (the per-machine walk a
+row-parallel JIT kernel wants) and grouped by gate (the scatter a
+vectorized NumPy/GPU executor wants).  Both layouts preserve insertion
+order among duplicates, so a doubly-forced site resolves last-wins,
+as in the word-level reference engine.
 
 The program's :attr:`~KernelProgram.fingerprint` is a content hash of
 the lowered arrays.  JIT compilation caches and the autotuner's
@@ -42,26 +44,33 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.circuit.gates import WORD_MASK, GateType
 from repro.circuit.netlist import Netlist
+from repro.simulator.sites import validate_fault_site
 
 __all__ = [
     "KernelProgram",
     "InjectionTables",
+    "SiteTable",
     "lower_program",
+    "resolve_sites",
+    "SITE_PI",
+    "SITE_STEM",
+    "SITE_PIN",
     "OP_AND",
     "OP_OR",
     "OP_XOR",
     "OP_BUF",
 ]
 
-# Opcode values match batch_sim's reduction kinds so the lowering is a
-# relabeling, not a translation.
 OP_AND = 0
 OP_OR = 1
 OP_XOR = 2
 OP_BUF = 3
 
 _U64 = np.uint64
+_ZERO = _U64(0)
+_ONES = _U64(WORD_MASK)
 
 
 @dataclass(frozen=True)
@@ -118,47 +127,53 @@ class KernelProgram:
         return self._fingerprint[0]
 
 
-def lower_program(
-    netlist: Netlist,
-    index: dict[str, int],
-    ops: Sequence[tuple[int, bool, np.ndarray, int]],
-) -> KernelProgram:
-    """Lower a compiled op list (``BatchCompiledCircuit._ops``) to IR.
+# Reduction kind and invert flag per gate family.
+_GATE_OPS = {
+    GateType.BUF: (OP_BUF, False),
+    GateType.NOT: (OP_BUF, True),
+    GateType.AND: (OP_AND, False),
+    GateType.NAND: (OP_AND, True),
+    GateType.OR: (OP_OR, False),
+    GateType.NOR: (OP_OR, True),
+    GateType.XOR: (OP_XOR, False),
+    GateType.XNOR: (OP_XOR, True),
+}
 
-    ``index`` maps signal names to value-matrix columns; ``ops`` is the
-    per-gate ``(kind, invert, input_cols, out_col)`` schedule in plain
-    topological order.  Gates are re-sorted by ``(level, kind, invert)``
-    — stable, so the result is still topological — and flattened into
-    the CSR arrays of a :class:`KernelProgram`.
+
+def lower_program(netlist: Netlist, index: dict[str, int]) -> KernelProgram:
+    """Lower ``netlist`` to IR over the value-matrix columns ``index``.
+
+    ``index`` maps signal names to columns (the circuit numbers them in
+    topological order).  Gates are sorted by ``(level, kind, invert)``
+    — stable over topological order, so the result is still
+    topological — and flattened into the CSR arrays of a
+    :class:`KernelProgram`.
     """
     levels = netlist.levels()
-    col_level = {index[name]: level for name, level in levels.items()}
-    order = sorted(
-        range(len(ops)),
-        key=lambda i: (col_level[ops[i][3]], ops[i][0], ops[i][1]),
-    )
+    ops = []
+    for name in netlist.topological_order():
+        gate = netlist.gate(name)
+        if gate.gate_type is GateType.INPUT:
+            continue
+        kind, inv = _GATE_OPS[gate.gate_type]
+        ops.append((levels[name], kind, inv, gate.inputs, index[name]))
+    ops.sort(key=lambda op: op[:3])
 
     num_gates = len(ops)
     opcodes = np.empty(num_gates, dtype=np.int8)
     invert = np.empty(num_gates, dtype=np.uint8)
     out_cols = np.empty(num_gates, dtype=np.int64)
     op_ptr = np.zeros(num_gates + 1, dtype=np.int64)
-    op_chunks: list[np.ndarray] = []
+    op_idx: list[int] = []
     level_bounds: list[int] = [0]
-    last_level = None
-    for pos, i in enumerate(order):
-        kind, inv, in_cols, out_col = ops[i]
+    for pos, (level, kind, inv, inputs, out_col) in enumerate(ops):
         opcodes[pos] = kind
         invert[pos] = 1 if inv else 0
         out_cols[pos] = out_col
-        op_chunks.append(in_cols.astype(np.int64, copy=False))
-        op_ptr[pos + 1] = op_ptr[pos] + len(in_cols)
-        level = col_level[out_col]
-        if last_level is None:
-            last_level = level
-        elif level != last_level:
+        op_idx.extend(index[src] for src in inputs)
+        op_ptr[pos + 1] = len(op_idx)
+        if pos and level != ops[pos - 1][0]:
             level_bounds.append(pos)
-            last_level = level
     level_bounds.append(num_gates)
 
     num_signals = len(index)
@@ -176,19 +191,97 @@ def lower_program(
         ),
         opcodes=opcodes,
         invert=invert,
-        op_idx=(
-            np.concatenate(op_chunks)
-            if op_chunks
-            else np.empty(0, dtype=np.int64)
-        ),
+        op_idx=np.array(op_idx, dtype=np.int64),
         op_ptr=op_ptr,
         out_cols=out_cols,
         level_ptr=np.array(level_bounds, dtype=np.int64),
         gate_pos=gate_pos,
-        max_fanin=(
-            max((len(chunk) for chunk in op_chunks), default=0)
-        ),
+        max_fanin=max((len(op[3]) for op in ops), default=0),
     )
+
+
+# Site kinds: where a stuck-at site's force lands in the schedule.
+SITE_PI = 0  # primary-input stem: forced when the value matrix loads
+SITE_STEM = 1  # gate-output stem: forced after its gate evaluates
+SITE_PIN = 2  # fanout branch: one operand of one gate, before it reduces
+
+
+@dataclass(frozen=True)
+class SiteTable:
+    """The injection target of every fault site, as flat arrays.
+
+    Entry ``i`` describes site ``i`` of a fault list (for a circuit's
+    own table, :func:`~repro.faults.model.cached_fault_universe` order):
+
+    * ``kind[i]`` — :data:`SITE_PI`, :data:`SITE_STEM` or :data:`SITE_PIN`;
+    * ``a[i]`` — the PI's column, or the schedule position of the gate
+      that is forced (stem) or whose operand is forced (pin);
+    * ``b[i]`` — the stem's column, or the pin index (0 for a PI);
+    * ``value[i]`` — the listed fault's stuck level.
+
+    A force's polarity is supplied per injection, so one entry serves
+    both stuck levels of its site.
+    """
+
+    kind: np.ndarray  # int8
+    a: np.ndarray  # int64
+    b: np.ndarray  # int64
+    value: np.ndarray  # uint8
+
+    def __len__(self) -> int:
+        return int(self.kind.shape[0])
+
+    def extended(self, other: "SiteTable") -> "SiteTable":
+        """This table with ``other``'s entries appended (indices shift by
+        ``len(self)``) — how ad-hoc sites join one call's gathers."""
+        return SiteTable(
+            *(
+                np.concatenate((mine, theirs))
+                for mine, theirs in (
+                    (self.kind, other.kind),
+                    (self.a, other.a),
+                    (self.b, other.b),
+                    (self.value, other.value),
+                )
+            )
+        )
+
+
+def resolve_sites(
+    netlist: Netlist,
+    index: dict[str, int],
+    program: KernelProgram,
+    faults: Sequence,
+) -> SiteTable:
+    """Validate and resolve ``faults`` into a :class:`SiteTable`.
+
+    The one per-site resolver: a circuit runs it once over its fault
+    universe, and over any ad-hoc fault outside it (a fanout-1 branch,
+    say) when a caller passes one.  ``faults`` are objects with the
+    :class:`~repro.faults.model.StuckAtFault` site attributes; a bogus
+    site raises the same ``ValueError`` as every other engine.
+    """
+    n = len(faults)
+    kind = np.empty(n, dtype=np.int8)
+    a = np.empty(n, dtype=np.int64)
+    b = np.empty(n, dtype=np.int64)
+    value = np.empty(n, dtype=np.uint8)
+    gate_pos = program.gate_pos
+    for i, fault in enumerate(faults):
+        validate_fault_site(netlist, fault)
+        value[i] = fault.value
+        if fault.is_branch:
+            kind[i] = SITE_PIN
+            a[i] = gate_pos[index[fault.gate]]
+            b[i] = fault.pin
+            continue
+        col = index[fault.signal]
+        pos = gate_pos[col]
+        if pos < 0:
+            kind[i], a[i], b[i] = SITE_PI, col, 0
+        else:
+            kind[i], a[i], b[i] = SITE_STEM, pos, col
+    return SiteTable(kind, a, b, value)
 
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
@@ -198,10 +291,9 @@ _EMPTY_U64 = np.empty(0, dtype=_U64)
 class InjectionTables:
     """One ``run_batch`` call's fault injections as flat arrays.
 
-    Built by the engine from its per-fault record cache (see
-    :class:`~repro.simulator.kernels.engine.KernelBatchCircuit`); rows
-    are appended in machine order, so the raw arrays are sorted by row
-    with insertion order preserved within a row.
+    Built by :meth:`from_sites` — vectorized gathers from a
+    :class:`SiteTable` — with rows in machine order, so the raw arrays
+    are sorted by row with insertion order preserved within a row.
 
     ``pi_*`` — primary-input stems, applied when the value matrix loads.
     ``stem_*`` — gate-output stems: after gate ``stem_gate[k]`` (a
@@ -220,30 +312,55 @@ class InjectionTables:
         "_row_views", "_gate_views",
     )
 
-    def __init__(
-        self,
-        num_rows: int,
-        pi: tuple[list, list, list],
-        stems: tuple[list, list, list, list],
-        pins: tuple[list, list, list, list],
-    ):
+    def __init__(self, num_rows: int, pi, stems, pins):
         self.num_rows = num_rows
         pi_row, pi_col, pi_word = pi
-        self.pi_row = np.array(pi_row, dtype=np.int64)
-        self.pi_col = np.array(pi_col, dtype=np.int64)
-        self.pi_word = np.array(pi_word, dtype=_U64)
+        self.pi_row = np.asarray(pi_row, dtype=np.int64)
+        self.pi_col = np.asarray(pi_col, dtype=np.int64)
+        self.pi_word = np.asarray(pi_word, dtype=_U64)
         stem_row, stem_gate, stem_col, stem_word = stems
-        self.stem_row = np.array(stem_row, dtype=np.int64)
-        self.stem_gate = np.array(stem_gate, dtype=np.int64)
-        self.stem_col = np.array(stem_col, dtype=np.int64)
-        self.stem_word = np.array(stem_word, dtype=_U64)
+        self.stem_row = np.asarray(stem_row, dtype=np.int64)
+        self.stem_gate = np.asarray(stem_gate, dtype=np.int64)
+        self.stem_col = np.asarray(stem_col, dtype=np.int64)
+        self.stem_word = np.asarray(stem_word, dtype=_U64)
         pin_row, pin_gate, pin_pin, pin_word = pins
-        self.pin_row = np.array(pin_row, dtype=np.int64)
-        self.pin_gate = np.array(pin_gate, dtype=np.int64)
-        self.pin_pin = np.array(pin_pin, dtype=np.int64)
-        self.pin_word = np.array(pin_word, dtype=_U64)
+        self.pin_row = np.asarray(pin_row, dtype=np.int64)
+        self.pin_gate = np.asarray(pin_gate, dtype=np.int64)
+        self.pin_pin = np.asarray(pin_pin, dtype=np.int64)
+        self.pin_word = np.asarray(pin_word, dtype=_U64)
         self._row_views = None
         self._gate_views = None
+
+    @classmethod
+    def from_sites(
+        cls,
+        num_rows: int,
+        rows,
+        sites,
+        polarities,
+        table: SiteTable,
+    ) -> "InjectionTables":
+        """Tables for aligned ``(row, site index, polarity)`` arrays.
+
+        ``rows`` must be non-decreasing (machine order); ``sites`` index
+        ``table``; ``polarities`` are the stuck levels.  No Python work
+        per fault: every field is a gather from ``table`` split by kind.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        sites = np.asarray(sites, dtype=np.intp)
+        kind = table.kind[sites]
+        a = table.a[sites]
+        b = table.b[sites]
+        words = np.where(np.asarray(polarities) != 0, _ONES, _ZERO)
+        pi = kind == SITE_PI
+        stem = kind == SITE_STEM
+        pin = kind == SITE_PIN
+        return cls(
+            num_rows,
+            (rows[pi], a[pi], words[pi]),
+            (rows[stem], a[stem], b[stem], words[stem]),
+            (rows[pin], a[pin], b[pin], words[pin]),
+        )
 
     # ------------------------------------------------------------- layouts
 

@@ -3,7 +3,7 @@
 The kernel is row-parallel: a ``prange`` over machine rows, each row
 evaluating the full level-grouped schedule sequentially in machine
 code — zero Python dispatch inside the block loop, which is where the
-interpreted engines spend most of their time at these circuit sizes.
+NumPy executor spends most of its time at these circuit sizes.
 Per-row injection state (this row's stem forces and pin overrides,
 sorted by gate position) is walked with two pointers, so applying a
 fault costs O(1) amortized and fault-free rows pay nothing.

@@ -1,10 +1,9 @@
-"""NumPy reference executor for the kernel IR.
+"""NumPy executor for the kernel IR — the ``batch`` engine's backend.
 
-Semantics-identical to
-:meth:`repro.simulator.batch_sim.BatchCompiledCircuit.run_batch` — same
-uint64 bitwise reductions, same injection resolution order — but run
-over the lowered :class:`~repro.simulator.kernels.ir.KernelProgram`
-with two mechanical advantages over the interpreted engine:
+Runs the lowered :class:`~repro.simulator.kernels.ir.KernelProgram` one
+gate at a time with vectorized uint64 bitwise reductions over all
+machine rows, with two mechanical advantages over a plain per-gate loop
+on a row-major matrix:
 
 * the value matrix is held **transposed** — shape ``(num_signals,
   num_rows)``, one *contiguous* row per signal — so every gate's
@@ -14,8 +13,9 @@ with two mechanical advantages over the interpreted engine:
   once per call** and reused by every gate via ``out=``, so the block
   loop allocates nothing per gate.
 
-This is both the fallback backend when numba/CuPy are absent and the
-baseline the autotuner calibrates the accelerated backends against.
+This is the default backend, the fallback when numba/CuPy are absent,
+and the baseline the autotuner calibrates the accelerated backends
+against.
 """
 
 from __future__ import annotations

@@ -9,8 +9,12 @@ Lot testing is chip-parallel by default (``engine="batch"``): every
 still-passing defective chip is one row of a
 :class:`~repro.simulator.batch_sim.BatchCompiledCircuit` batch, so one
 vectorized pass per 64-pattern block tests the whole lot at once, and
-chips drop out of the batch as soon as they fail.  ``engine="compiled"``
-keeps the serial chip-at-a-time loop as the word-level reference.
+chips drop out of the batch as soon as they fail.  The lot enters as a
+``(site index, polarity)`` CSR — array-backed chips as they are, eager
+chips mapped through the fault-universe lookup once per lot — and each
+block's injection tables are gathered from it, so no fault object is
+built on the test path.  ``engine="compiled"`` keeps the serial
+chip-at-a-time loop as the word-level reference.
 
 Above the engine sits the process axis: ``workers > 1`` cuts the chip
 list into contiguous shards and tests each shard in a worker process
@@ -32,7 +36,7 @@ from repro.faults.model import (
     fault_site_lookup,
     materialize_site_faults,
 )
-from repro.manufacturing.wafer import FabricatedChip
+from repro.manufacturing.wafer import FabricatedChip, _concat
 from repro.runtime import (
     ParallelExecutor,
     ShardPlan,
@@ -41,6 +45,7 @@ from repro.runtime import (
 )
 from repro.simulator import ENGINES, make_engine
 from repro.simulator.batch_sim import BatchCompiledCircuit
+from repro.simulator.kernels.ir import InjectionTables, SiteTable
 from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
 from repro.tester.program import TestProgram
@@ -70,66 +75,158 @@ class ChipTestRecord:
         return self.passed and not self.is_good
 
 
-def _batched_first_fail(
+def _chip_sites(
+    netlist, chips: Sequence[FabricatedChip], sites_of
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(offsets, site indices, polarities)`` CSR of a chip list.
+
+    Array-backed chips laid out against ``netlist`` contribute their
+    arrays as they are; the faults of eager (or unpickled) chips are
+    mapped by one ``sites_of(faults)`` call per lot.
+    """
+    site_chunks: list = []
+    pol_chunks: list = []
+    eager: list[tuple[int, tuple[StuckAtFault, ...]]] = []
+    for k, chip in enumerate(chips):
+        arrays = chip.fault_site_arrays(netlist)
+        if arrays is None:
+            eager.append((k, chip.faults))
+            arrays = (None, None)  # filled in below
+        site_chunks.append(arrays[0])
+        pol_chunks.append(arrays[1])
+    if eager:
+        faults = [fault for _, chip_faults in eager for fault in chip_faults]
+        sites = sites_of(faults)
+        polarities = np.fromiter(
+            (fault.value for fault in faults), dtype=np.uint8, count=len(faults)
+        )
+        start = 0
+        for k, chip_faults in eager:
+            stop = start + len(chip_faults)
+            site_chunks[k] = sites[start:stop]
+            pol_chunks[k] = polarities[start:stop]
+            start = stop
+    offsets = np.zeros(len(chips) + 1, dtype=np.int64)
+    np.cumsum([chunk.size for chunk in site_chunks], out=offsets[1:])
+    return (
+        offsets,
+        _concat(site_chunks, np.intp),
+        _concat(pol_chunks, np.uint8),
+    )
+
+
+@dataclass(frozen=True)
+class _LotSites:
+    """A chip list as a ``(site index, polarity)`` CSR against one circuit.
+
+    Chip ``k``'s faults are ``sites[offsets[k]:offsets[k + 1]]`` (with
+    the matching ``polarities``), indexing ``table`` — the circuit's
+    site table, extended with any ad-hoc sites the lot carries.
+    """
+
+    offsets: np.ndarray
+    sites: np.ndarray
+    polarities: np.ndarray
+    table: SiteTable
+
+    @classmethod
+    def of_chips(
+        cls, batch: BatchCompiledCircuit, chips: Sequence[FabricatedChip]
+    ) -> "_LotSites":
+        """Gather a chip list against ``batch``'s site table; ad-hoc
+        sites of eager chips extend a copy of the table."""
+        table = batch.site_table
+
+        def sites_of(faults):
+            nonlocal table
+            sites, table = batch.sites_of(faults)
+            return sites
+
+        offsets, sites, polarities = _chip_sites(batch.netlist, chips, sites_of)
+        return cls(offsets, sites, polarities, table)
+
+    @classmethod
+    def of_shard(
+        cls, batch: BatchCompiledCircuit, shard: "_SoAChipShard"
+    ) -> "_LotSites":
+        """Decode a shard payload's coded sites (no fault objects)."""
+        return cls(
+            offsets=shard.fault_offsets,
+            sites=shard.coded_sites >> 1,
+            polarities=shard.coded_sites & 1,
+            table=batch.site_table,
+        )
+
+
+def _first_fail_codes(
     batch: BatchCompiledCircuit,
     blocks: Sequence[tuple[dict[str, int], int]],
-    chip_ids: Sequence[int],
-    fault_lists: Sequence[Sequence[StuckAtFault]],
-) -> list[ChipTestRecord]:
+    lot: _LotSites,
+) -> np.ndarray:
     """Chip-parallel first-fail scan: one batch row per still-passing chip.
 
     The core lot-test loop, shared by the in-process path and the shard
-    workers (each worker runs it over its own chip shard).  Chips are
-    given as aligned ``(chip_ids, fault_lists)`` so the caller can feed
-    either materialized :class:`FabricatedChip` objects or faults
-    rehydrated from an SoA wire payload.
+    workers (each worker runs it over its own chip shard).  Each block's
+    injection tables are gathered from the lot's CSR for the chips still
+    passing — rows compact as chips fail, and no fault object is touched.
+    Returns each chip's first failing pattern, ``-1`` for a pass.
     """
-    records: dict[int, ChipTestRecord] = {}
-    remaining: list[int] = []
-    for i, faults in enumerate(fault_lists):
-        if faults:
-            remaining.append(i)
-        else:
-            records[i] = ChipTestRecord(
-                chip_ids[i], is_good=True, first_fail=None
-            )
-
+    counts = np.diff(lot.offsets)
+    first_fail = np.full(counts.size, -1, dtype=np.int64)
+    remaining = np.flatnonzero(counts)
     offset = 0
     for words, block_len in blocks:
-        if not remaining:
+        if not remaining.size:
             break
-        fail_words = batch.detect_words(
-            words, [fault_lists[i] for i in remaining]
+        row_counts = counts[remaining]
+        ends = np.cumsum(row_counts)
+        # Positions of the remaining chips' entries in the lot CSR.
+        entries = np.arange(ends[-1]) + np.repeat(
+            lot.offsets[remaining] - (ends - row_counts), row_counts
         )
-        still_remaining: list[int] = []
+        tables = InjectionTables.from_sites(
+            remaining.size + 1,
+            np.repeat(np.arange(1, remaining.size + 1), row_counts),
+            lot.sites[entries],
+            lot.polarities[entries],
+            lot.table,
+        )
+        fail_words = batch.detect_words(words, tables)
+        passing: list[int] = []
         for i, first_bit in zip(
-            remaining, first_detecting_bits(fail_words, block_len)
+            remaining.tolist(), first_detecting_bits(fail_words, block_len)
         ):
-            if first_bit is not None:
-                records[i] = ChipTestRecord(
-                    chip_ids[i],
-                    is_good=False,
-                    first_fail=offset + first_bit,
-                )
+            if first_bit is None:
+                passing.append(i)
             else:
-                still_remaining.append(i)
-        remaining = still_remaining
+                first_fail[i] = offset + first_bit
+        remaining = np.array(passing, dtype=np.intp)
         offset += block_len
-    for i in remaining:
-        records[i] = ChipTestRecord(
-            chip_ids[i], is_good=False, first_fail=None
+    return first_fail
+
+
+def _records(
+    chips: Sequence[FabricatedChip], first_fail: np.ndarray
+) -> list[ChipTestRecord]:
+    """Records from per-chip first-fail codes (``-1`` = passed)."""
+    return [
+        ChipTestRecord(
+            chip.chip_id,
+            is_good=chip.is_good,
+            first_fail=None if code < 0 else code,
         )
-    return [records[i] for i in range(len(chip_ids))]
+        for chip, code in zip(chips, first_fail.tolist())
+    ]
 
 
 def _word_level_first_fail(
     compiled: CompiledCircuit,
     blocks: Sequence[tuple[dict[str, int], int]],
     good: Sequence[dict[str, int]],
-    chip_id: int,
     faults: Sequence[StuckAtFault],
-) -> ChipTestRecord:
-    """Serial word-level first-fail scan of one chip's multi-fault machine."""
+) -> int | None:
+    """Serial word-level first-fail scan of one chip's multi-fault machine:
+    the first failing pattern, or ``None`` if the chip passes."""
     stems = []
     pins = []
     for fault in faults:
@@ -138,7 +235,7 @@ def _word_level_first_fail(
         else:
             stems.append((fault.signal, fault.value))
     if not stems and not pins:
-        return ChipTestRecord(chip_id, is_good=True, first_fail=None)
+        return None
 
     offset = 0
     for (words, block_len), good_words in zip(blocks, good):
@@ -148,11 +245,9 @@ def _word_level_first_fail(
             fail_word |= good_word ^ observed[name]
         (first_bit,) = first_detecting_bits([fail_word], block_len)
         if first_bit is not None:
-            return ChipTestRecord(
-                chip_id, is_good=False, first_fail=offset + first_bit
-            )
+            return offset + first_bit
         offset += block_len
-    return ChipTestRecord(chip_id, is_good=False, first_fail=None)
+    return None
 
 
 @dataclass(frozen=True)
@@ -172,78 +267,68 @@ class _LotShardContext:
 
 @dataclass(frozen=True)
 class _SoAChipShard:
-    """One chip shard as three flat arrays — the SoA wire payload.
+    """One chip shard as two flat arrays — the SoA wire payload.
 
     ``coded_sites`` packs one fault per element as
     ``(universe_index << 1) | polarity`` (``int32``, ~4 bytes per fault
     vs ~hundreds for a pickled :class:`StuckAtFault`); ``fault_offsets``
     is the per-chip CSR into it.  A site index is meaningful only
-    relative to the shard context's netlist, whose fault universe the
-    worker rehydrates from (deterministic enumeration, so the decoded
-    faults are bit-identical to the encoded ones).
+    relative to the shard context's netlist, whose fault universe is a
+    deterministic enumeration in every process; a batch worker gathers
+    its injection tables straight from these arrays.
     """
 
-    chip_ids: np.ndarray
     fault_offsets: np.ndarray
     coded_sites: np.ndarray
 
 
-def _pack_soa_shard(netlist, lookup, chips) -> _SoAChipShard | None:
-    """Encode one chip shard as a :class:`_SoAChipShard`.
+def _pack_soa_shards(
+    netlist, chips: Sequence[FabricatedChip], bounds
+) -> list[_SoAChipShard] | None:
+    """Encode a lot as one :class:`_SoAChipShard` per ``(start, stop)``.
 
-    Array-backed chips laid out against ``netlist`` contribute their
-    ``(site, polarity)`` arrays directly; eager chips go fault-by-fault
-    through ``lookup`` (:func:`fault_site_lookup`).  Returns ``None``
-    when any fault does not belong to ``netlist``'s universe — the
-    caller then ships the legacy object payload for the whole lot.
+    Eager chips' faults go through :func:`fault_site_lookup`; the lot is
+    encoded in one pass and cut into shards by slicing.  Returns
+    ``None`` when any fault does not belong to ``netlist``'s universe —
+    the caller then ships the object payload for the whole lot.
     """
-    coded: list[np.ndarray] = []
-    counts = np.empty(len(chips) + 1, dtype=np.int64)
-    counts[0] = 0
-    for k, chip in enumerate(chips):
-        arrays = chip.fault_site_arrays(netlist)
-        if arrays is not None:
-            sites, polarities = arrays
-            chip_codes = (
-                (sites.astype(np.int32) << np.int32(1))
-                | polarities.astype(np.int32)
-            ).astype(np.int32)
+    lookup = fault_site_lookup(netlist)
+
+    def sites_of(faults):
+        return np.fromiter(
+            (lookup[fault] for fault in faults), dtype=np.int32, count=len(faults)
+        )
+
+    try:
+        offsets, sites, polarities = _chip_sites(netlist, chips, sites_of)
+    except KeyError:
+        return None
+    coded = (sites.astype(np.int32) << np.int32(1)) | polarities.astype(np.int32)
+    return [
+        _SoAChipShard(
+            fault_offsets=offsets[start : stop + 1] - offsets[start],
+            coded_sites=coded[offsets[start] : offsets[stop]],
+        )
+        for start, stop in bounds
+    ]
+
+
+def _test_lot_shard(context: _LotShardContext, shard) -> np.ndarray:
+    """Worker: first-fail test one chip shard with the shipped circuit.
+
+    The shard is an :class:`_SoAChipShard` or a list of
+    :class:`FabricatedChip` objects.  Returns the shard's first-fail
+    codes (``-1`` = passed) — one small array back over the pipe.
+    """
+    if context.batch is not None:
+        if isinstance(shard, _SoAChipShard):
+            lot = _LotSites.of_shard(context.batch, shard)
         else:
-            try:
-                chip_codes = np.fromiter(
-                    (
-                        (lookup[fault] << 1) | fault.value
-                        for fault in chip.faults
-                    ),
-                    dtype=np.int32,
-                    count=len(chip.faults),
-                )
-            except KeyError:
-                return None
-        coded.append(chip_codes)
-        counts[k + 1] = chip_codes.size
-    return _SoAChipShard(
-        chip_ids=np.array([chip.chip_id for chip in chips], dtype=np.int64),
-        fault_offsets=np.cumsum(counts),
-        coded_sites=(
-            np.concatenate(coded) if coded else np.empty(0, dtype=np.int32)
-        ),
-    )
-
-
-def _shard_chip_faults(
-    context: _LotShardContext, shard
-) -> tuple[list[int], list]:
-    """Normalize a shard task to aligned ``(chip_ids, fault_lists)``.
-
-    Accepts either the legacy list of :class:`FabricatedChip` objects or
-    an :class:`_SoAChipShard`, whose faults are rehydrated through the
-    context circuit's cached fault universe.
-    """
+            lot = _LotSites.of_chips(context.batch, shard)
+        return _first_fail_codes(context.batch, context.blocks, lot)
     if isinstance(shard, _SoAChipShard):
-        circuit = context.batch if context.batch is not None else context.compiled
-        universe = cached_fault_universe(circuit.netlist)
-        offsets = shard.fault_offsets
+        universe = cached_fault_universe(context.compiled.netlist)
+        offsets = shard.fault_offsets.tolist()
         site_indices = (shard.coded_sites >> 1).tolist()
         polarities = (shard.coded_sites & 1).tolist()
         fault_lists = [
@@ -252,25 +337,19 @@ def _shard_chip_faults(
                 site_indices[offsets[k] : offsets[k + 1]],
                 polarities[offsets[k] : offsets[k + 1]],
             )
-            for k in range(shard.chip_ids.size)
+            for k in range(len(offsets) - 1)
         ]
-        return shard.chip_ids.tolist(), fault_lists
-    return [chip.chip_id for chip in shard], [chip.faults for chip in shard]
-
-
-def _test_lot_shard(context: _LotShardContext, shard) -> list[ChipTestRecord]:
-    """Worker: first-fail test one chip shard with the shipped circuit."""
-    chip_ids, fault_lists = _shard_chip_faults(context, shard)
-    if context.batch is not None:
-        return _batched_first_fail(
-            context.batch, context.blocks, chip_ids, fault_lists
-        )
-    return [
+    else:
+        fault_lists = [chip.faults for chip in shard]
+    first_fails = [
         _word_level_first_fail(
-            context.compiled, context.blocks, context.good, chip_id, faults
+            context.compiled, context.blocks, context.good, faults
         )
-        for chip_id, faults in zip(chip_ids, fault_lists)
+        for faults in fault_lists
     ]
+    return np.array(
+        [-1 if fail is None else fail for fail in first_fails], dtype=np.int64
+    )
 
 
 class WaferTester:
@@ -300,8 +379,9 @@ class WaferTester:
         already compiled for this netlist (a session engine cache),
         skipping re-levelization.  ``payload_format`` selects what shard
         tasks carry over the pool pipe: ``"soa"`` (default) ships chips
-        as packed ``(site index, polarity)`` arrays rehydrated in the
-        worker — bit-identical results, a fraction of the bytes;
+        as packed ``(site index, polarity)`` arrays the worker tests
+        without building fault objects — bit-identical results, a
+        fraction of the bytes;
         ``"objects"`` ships pickled chip objects (the differential-test
         baseline)."""
         if engine not in ENGINES:
@@ -358,12 +438,11 @@ class WaferTester:
 
     def test_chip(self, chip: FabricatedChip) -> ChipTestRecord:
         """Test one chip, stopping at its first failing pattern."""
-        return _word_level_first_fail(
-            self._compiled,
-            self._blocks,
-            self._good_responses(),
-            chip.chip_id,
-            chip.faults,
+        first_fail = _word_level_first_fail(
+            self._compiled, self._blocks, self._good_responses(), chip.faults
+        )
+        return ChipTestRecord(
+            chip.chip_id, is_good=chip.is_good, first_fail=first_fail
         )
 
     def test_lot(
@@ -396,30 +475,31 @@ class WaferTester:
         plan = ShardPlan.balanced(len(chips), num_workers)
         if plan.num_shards > 1:
             context = self._lot_shard_context()
-            tasks = self._shard_tasks(plan.split(chips))
+            tasks = self._shard_tasks(chips, plan)
             if use_injected:
-                return plan.merge(
-                    self.executor.map_shards(
-                        _test_lot_shard,
-                        context,
-                        tasks,
-                        token=self._context_token,
-                    )
+                codes = self.executor.map_shards(
+                    _test_lot_shard,
+                    context,
+                    tasks,
+                    token=self._context_token,
                 )
-            with ParallelExecutor(num_workers) as executor:
-                return plan.merge(
-                    executor.map_shards(_test_lot_shard, context, tasks)
-                )
+            else:
+                with ParallelExecutor(num_workers) as executor:
+                    codes = executor.map_shards(_test_lot_shard, context, tasks)
+            return _records(chips, np.concatenate(codes))
         if self.engine in ("compiled", "event"):
             return [self.test_chip(chip) for chip in chips]
-        return _batched_first_fail(
-            self._batch_circuit,
-            self._blocks,
-            [chip.chip_id for chip in chips],
-            [chip.faults for chip in chips],
+        batch = self._batch_circuit
+        return _records(
+            chips,
+            _first_fail_codes(
+                batch, self._blocks, _LotSites.of_chips(batch, chips)
+            ),
         )
 
-    def _shard_tasks(self, chip_shards: list[list[FabricatedChip]]) -> list:
+    def _shard_tasks(
+        self, chips: list[FabricatedChip], plan: ShardPlan
+    ) -> list:
         """Encode chip shards for the pool pipe per ``payload_format``.
 
         ``"soa"`` packs every shard as a :class:`_SoAChipShard`; if any
@@ -427,17 +507,13 @@ class WaferTester:
         universe, the whole lot falls back to object shards so results
         never depend on which chips were encodable.
         """
-        if self.payload_format != "soa":
-            return chip_shards
-        netlist = self.program.netlist
-        lookup = fault_site_lookup(netlist)
-        packed = []
-        for shard in chip_shards:
-            soa = _pack_soa_shard(netlist, lookup, shard)
-            if soa is None:
-                return chip_shards
-            packed.append(soa)
-        return packed
+        if self.payload_format == "soa":
+            packed = _pack_soa_shards(
+                self.program.netlist, chips, plan.bounds()
+            )
+            if packed is not None:
+                return packed
+        return plan.split(chips)
 
     def _lot_shard_context(self) -> _LotShardContext:
         """The tester's shard context, built once and token-stable.
@@ -462,11 +538,7 @@ class WaferTester:
     @property
     def _batch_circuit(self) -> BatchCompiledCircuit:
         if self._batch is None:
-            if self.engine == "batch":
-                self._batch = BatchCompiledCircuit(self.program.netlist)
-            else:
-                # Kernel-backed engine names ("batch-jit", "batch-gpu",
-                # "auto"): reuse the engine's own backend-bound circuit so
-                # lot testing runs through the same executor.
-                self._batch = make_engine(self.program.netlist, self.engine).batch
+            # The engine's own backend-bound circuit, so lot testing runs
+            # through the same executor as fault simulation.
+            self._batch = make_engine(self.program.netlist, self.engine).batch
         return self._batch

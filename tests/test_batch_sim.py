@@ -36,6 +36,8 @@ from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import pack_patterns
 from repro.tester.tester import WaferTester
 
+from batch_oracle import InterpretedBatchCircuit
+
 
 def fanout_net():
     """a drives both z1 and z2 — the minimal branch-fault circuit."""
@@ -133,6 +135,28 @@ class TestBatchCompiledCircuit:
         assert batch.detect_words(words, []).shape == (0,)
 
 
+class TestInterpretedOracle:
+    """Full value matrices against the interpreted per-gate loop: any
+    divergence shows at the first differing signal of any row."""
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=6, deadline=None)
+    def test_value_matrix_matches_oracle(self, seed):
+        import random as _random
+
+        net = random_circuit(5, 20, 3, seed=seed)
+        faults = full_fault_universe(net)
+        rng = _random.Random(seed)
+        machines = [(f,) for f in faults] + [
+            tuple(rng.sample(faults, k)) for k in (2, 3, 5) for _ in range(6)
+        ]
+        words = pack_patterns(net.inputs, random_patterns(net, 64, seed=seed))
+        assert np.array_equal(
+            InterpretedBatchCircuit(net).run_batch(words, machines),
+            BatchCompiledCircuit(net).run_batch(words, machines),
+        )
+
+
 class TestEngineSelection:
     def test_factory_names(self):
         net = c17()
@@ -172,9 +196,9 @@ class TestEngineSelection:
 
 
 # Kernel-backed engines join the differential suite unconditionally:
-# without numba they exercise the NumPy kernel executor (a distinct code
-# path from the interpreted batch loop), with numba the compiled kernel.
-# batch-gpu only differs from that fallback where a device exists.
+# without numba batch-jit runs the NumPy kernel executor like batch, with
+# numba the compiled kernel; auto calibrates between them.  batch-gpu
+# only differs from that fallback where a device exists.
 _DIFFERENTIAL_ENGINES = ("batch", "compiled", "event", "batch-jit", "auto") + (
     ("batch-gpu",) if cupy_available() else ()
 )

@@ -148,6 +148,63 @@ class TestCollapse:
         net.set_outputs(["z"])
         assert len(collapse_equivalent(net)) == len(full_fault_universe(net))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            c17,
+            lambda: ripple_carry_adder(4),
+            lambda: random_circuit(6, 40, 3, seed=2),
+            lambda: random_circuit(5, 30, 4, seed=9),
+        ],
+    )
+    def test_classes_match_object_union_find(self, make):
+        """The index-based union-find gives the same classes, in the same
+        order, as a union-find over fault objects applying the same
+        rules with the same smallest-``sort_key`` representative."""
+        net = make()
+        universe = full_fault_universe(net)
+        parent = {fault: fault for fault in universe}
+
+        def find(fault):
+            while parent[fault] != fault:
+                fault = parent[fault]
+            return fault
+
+        def union(a, b):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                if rb.sort_key < ra.sort_key:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+
+        counts = net.fanout_counts()
+
+        def site(gate, pin, value):
+            source = gate.inputs[pin]
+            if counts[source] > 1:
+                return StuckAtFault(source, value, gate=gate.name, pin=pin)
+            return StuckAtFault(source, value)
+
+        for gate in net:
+            gtype = gate.gate_type
+            if gtype in (GateType.BUF, GateType.NOT):
+                for v in (0, 1):
+                    out_v = 1 - v if gtype is GateType.NOT else v
+                    union(site(gate, 0, v), StuckAtFault(gate.name, out_v))
+            elif gtype is not GateType.INPUT and gtype.controlling_value is not None:
+                out = StuckAtFault(gate.name, gtype.controlled_response)
+                for pin in range(len(gate.inputs)):
+                    union(site(gate, pin, gtype.controlling_value), out)
+        expected: dict = {}
+        for fault in universe:
+            expected.setdefault(find(fault), []).append(fault)
+
+        classes = equivalence_classes(net)
+        assert list(classes.items()) == list(expected.items())
+        assert collapse_equivalent(net) == sorted(
+            expected, key=lambda f: f.sort_key
+        )
+
     def test_equivalent_faults_detected_by_same_patterns(self):
         """Soundness: members of one class have identical detection sets."""
         net = c17()

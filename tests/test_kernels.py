@@ -2,10 +2,10 @@
 
 The contract under test: every backend — NumPy reference, numba JIT
 (pure-Python fallback included), CuPy, and the autotuned ``auto`` — is
-**bit-identical** to the interpreted batch engine on full value
-matrices, detect words, fault-simulator results, and wafer-tester
-records, across worker counts (which exercises the IR-only pickling
-path).  numba- and CuPy-specific tests skip cleanly where those
+**bit-identical** to the interpreted batch loop (the oracle in
+``batch_oracle.py``) on full value matrices, and to each other on detect
+words, fault-simulator results, and wafer-tester records, across worker
+counts (which exercises the IR-only pickling path).  numba- and CuPy-specific tests skip cleanly where those
 packages are absent; everything else runs everywhere because the JIT
 kernel body is plain Python under a ``prange = range`` fallback.
 """
@@ -31,19 +31,19 @@ from repro.simulator import (
     ENGINES,
     GpuBatchEngine,
     JitBatchEngine,
-    KernelBatchCircuit,
     make_engine,
 )
 from repro.simulator.kernels import (
+    BACKENDS,
     autotune,
     cupy_available,
-    lower_program,
     numba_available,
     reset_fallback_warnings,
 )
-from repro.simulator.kernels.engine import BACKENDS
 from repro.simulator.kernels.jit_exec import eval_rows, get_kernel
 from repro.simulator.values import pack_patterns
+
+from batch_oracle import InterpretedBatchCircuit
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba is not installed"
@@ -80,7 +80,7 @@ class TestLowering:
     def test_schedule_is_topological(self):
         """Every operand column is produced strictly before its gate."""
         net = c17()
-        circuit = KernelBatchCircuit(net)
+        circuit = BatchCompiledCircuit(net)
         program = circuit.program
         produced_at = {int(c): g for g, c in enumerate(program.out_cols)}
         for g in range(program.num_gates):
@@ -90,7 +90,7 @@ class TestLowering:
 
     def test_levels_are_grouped_and_monotone(self):
         net = random_circuit(5, 25, 3, seed=3)
-        circuit = KernelBatchCircuit(net)
+        circuit = BatchCompiledCircuit(net)
         program = circuit.program
         levels = net.levels()
         out_level = [
@@ -111,7 +111,7 @@ class TestLowering:
 
     def test_gate_pos_maps_outputs_and_pis(self):
         net = fanout_net()
-        circuit = KernelBatchCircuit(net)
+        circuit = BatchCompiledCircuit(net)
         program = circuit.program
         for name in ("a", "b", "c"):
             assert program.gate_pos[circuit._index[name]] == -1
@@ -121,9 +121,9 @@ class TestLowering:
 
     def test_fingerprint_stable_and_discriminating(self):
         net = c17()
-        a = KernelBatchCircuit(net).program.fingerprint
-        b = KernelBatchCircuit(c17()).program.fingerprint
-        other = KernelBatchCircuit(fanout_net()).program.fingerprint
+        a = BatchCompiledCircuit(net).program.fingerprint
+        b = BatchCompiledCircuit(c17()).program.fingerprint
+        other = BatchCompiledCircuit(fanout_net()).program.fingerprint
         assert a == b
         assert a != other
 
@@ -132,7 +132,7 @@ class TestLowering:
         net.add_input("a")
         net.add_gate("z", GateType.BUF, ["a"])
         net.set_outputs(["z"])
-        program = KernelBatchCircuit(net).program
+        program = BatchCompiledCircuit(net).program
         assert program.num_gates == 1
         assert program.max_fanin == 1
 
@@ -146,8 +146,8 @@ class TestKernelCircuitIdentity:
         for net in (c17(), fanout_net(), random_circuit(5, 20, 3, seed=9)):
             faults = full_fault_universe(net)
             words = _words(net, seed=4)
-            ref = BatchCompiledCircuit(net)
-            kern = KernelBatchCircuit(net, backend=backend)
+            ref = InterpretedBatchCircuit(net)
+            kern = BatchCompiledCircuit(net, backend=backend)
             machines = [(f,) for f in faults]
             assert np.array_equal(
                 ref.run_batch(words, machines),
@@ -169,8 +169,8 @@ class TestKernelCircuitIdentity:
         ]
         words = _words(net, seed=5)
         assert np.array_equal(
-            BatchCompiledCircuit(net).run_batch(words, machines),
-            KernelBatchCircuit(net, backend=backend).run_batch(
+            InterpretedBatchCircuit(net).run_batch(words, machines),
+            BatchCompiledCircuit(net, backend=backend).run_batch(
                 words, machines
             ),
         )
@@ -179,9 +179,9 @@ class TestKernelCircuitIdentity:
         net = fanout_net()
         words = pack_patterns(net.inputs, [{"a": 0, "b": 1, "c": 1}])
         machine = (StuckAtFault("a", 1), StuckAtFault("a", 0))
-        ref = BatchCompiledCircuit(net).run_batch(words, [machine])
+        ref = InterpretedBatchCircuit(net).run_batch(words, [machine])
         for backend in ("numpy", "jit"):
-            got = KernelBatchCircuit(net, backend=backend).run_batch(
+            got = BatchCompiledCircuit(net, backend=backend).run_batch(
                 words, [machine]
             )
             assert np.array_equal(ref, got), backend
@@ -190,7 +190,7 @@ class TestKernelCircuitIdentity:
         net = fanout_net()
         words = pack_patterns(net.inputs, [{"a": 0, "b": 1, "c": 1}])
         for backend in ("numpy", "jit"):
-            circuit = KernelBatchCircuit(net, backend=backend)
+            circuit = BatchCompiledCircuit(net, backend=backend)
             values = circuit.run_batch(
                 words, [(StuckAtFault("a", 1, gate="z1", pin=0),)]
             )
@@ -199,7 +199,7 @@ class TestKernelCircuitIdentity:
             assert out["z2"] & 1 == 0, backend
 
     def test_error_paths_match_reference(self):
-        circuit = KernelBatchCircuit(fanout_net())
+        circuit = BatchCompiledCircuit(fanout_net())
         words = pack_patterns(["a", "b", "c"], [(0, 0, 0)])
         with pytest.raises(ValueError, match="missing input"):
             circuit.run_batch({"a": 1}, [])
@@ -212,7 +212,7 @@ class TestKernelCircuitIdentity:
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            KernelBatchCircuit(c17(), backend="warp")
+            BatchCompiledCircuit(c17(), backend="warp")
         assert BACKENDS == ("numpy", "jit", "gpu", "auto")
 
 
@@ -223,13 +223,12 @@ class TestPurePythonKernelBody:
     def test_eval_rows_matches_numpy_executor(self):
         net = random_circuit(5, 22, 3, seed=21)
         faults = full_fault_universe(net)
-        circuit = KernelBatchCircuit(net)
+        circuit = BatchCompiledCircuit(net)
         words = _words(net, seed=6)
         machines = [(f,) for f in faults[:40]]
-        tables = circuit._build_tables(machines)
-        num_rows = len(machines) + 1
-        via_numpy = circuit._execute("numpy", words, tables, num_rows)
-        values = circuit._prefill(words, tables, num_rows, False)
+        tables = circuit.machine_tables(machines)
+        via_numpy = circuit._execute("numpy", words, tables)
+        values = circuit._prefill(words, tables, False)
         from repro.simulator.kernels.jit_exec import execute_jit
 
         execute_jit(circuit.program, values, tables, kernel=eval_rows)
@@ -253,7 +252,7 @@ class TestEngineRegistry:
 
     def test_engine_exposes_kernel_circuit(self):
         engine = make_engine(c17(), "batch-jit")
-        assert isinstance(engine.batch, KernelBatchCircuit)
+        assert isinstance(engine.batch, BatchCompiledCircuit)
         assert engine.batch.backend == "jit"
 
 
@@ -384,14 +383,15 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(engine))
         assert clone.detect_block(words, 64, faults) == base
 
-    def test_record_cache_not_shipped(self):
+    def test_site_table_not_shipped(self):
         net = c17()
-        circuit = KernelBatchCircuit(net, backend="jit")
+        circuit = BatchCompiledCircuit(net, backend="jit")
         circuit.detect_words(_words(net), [(f,) for f in full_fault_universe(net)])
-        assert circuit._records  # warm
+        assert circuit._site_table is not None  # warm
         clone = pickle.loads(pickle.dumps(circuit))
-        assert clone._records == {}
+        assert clone._site_table is None
         assert clone.program.fingerprint == circuit.program.fingerprint
+        assert np.array_equal(clone.site_table.kind, circuit.site_table.kind)
 
 
 def _available_engine_names():
@@ -435,16 +435,15 @@ class TestCompiledKernel:
     def test_compiled_kernel_matches_pure_python(self):
         net = random_circuit(5, 22, 3, seed=41)
         faults = full_fault_universe(net)
-        circuit = KernelBatchCircuit(net, backend="jit")
+        circuit = BatchCompiledCircuit(net, backend="jit")
         words = _words(net, seed=9)
         machines = [(f,) for f in faults]
-        tables = circuit._build_tables(machines)
-        num_rows = len(machines) + 1
+        tables = circuit.machine_tables(machines)
         from repro.simulator.kernels.jit_exec import execute_jit
 
-        compiled = circuit._prefill(words, tables, num_rows, False)
+        compiled = circuit._prefill(words, tables, False)
         execute_jit(circuit.program, compiled, tables, kernel=get_kernel())
-        pure = circuit._prefill(words, tables, num_rows, False)
+        pure = circuit._prefill(words, tables, False)
         execute_jit(circuit.program, pure, tables, kernel=eval_rows)
         assert np.array_equal(compiled, pure)
 
@@ -462,8 +461,8 @@ class TestGpuKernel:
     def test_gpu_matches_numpy(self):
         net = random_circuit(5, 22, 3, seed=51)
         faults = full_fault_universe(net)
-        circuit = KernelBatchCircuit(net, backend="gpu")
+        circuit = BatchCompiledCircuit(net, backend="gpu")
         words = _words(net, seed=10)
         machines = [(f,) for f in faults]
-        ref = BatchCompiledCircuit(net).run_batch(words, machines)
+        ref = InterpretedBatchCircuit(net).run_batch(words, machines)
         assert np.array_equal(ref, circuit.run_batch(words, machines))
