@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.runner import _parse_workers
 from repro.gateway.gateway import Gateway
-from repro.server.__main__ import _positive_float, _positive_int
-from repro.simulator import ENGINES
+from repro.server.core import (
+    add_listen_flags,
+    add_session_flags,
+    positive_int,
+    session_kwargs,
+)
 
 __all__ = ["main"]
 
@@ -35,87 +38,15 @@ def main(argv: list[str] | None = None) -> int:
             "group, Prometheus /metrics (see docs/server.md)."
         ),
     )
-    parser.add_argument("--host", default="127.0.0.1", help="bind host (default: %(default)s)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8642,
-        help="TCP port; 0 binds an ephemeral port (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="batch",
-        help="fault-simulation engine of every session (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="pool processes per session: an integer or 'auto' (default: %(default)s)",
-    )
+    add_listen_flags(parser, port=8642)
+    add_session_flags(parser)
     parser.add_argument(
         "--max-sessions",
-        type=_positive_int,
+        type=positive_int,
         default=4,
         help=(
             "concurrently open sessions (one per netlist group, LRU-idle "
             "evicted) (default: %(default)s)"
-        ),
-    )
-    parser.add_argument(
-        "--max-contexts",
-        type=_positive_int,
-        default=None,
-        help="per-session LRU bound on resident compiled contexts (default: unbounded)",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=_positive_int,
-        default=None,
-        help="per-session LRU bound on resident context bytes (default: unbounded)",
-    )
-    parser.add_argument(
-        "--max-handles",
-        type=_positive_int,
-        default=256,
-        help="retained lot/program handles per kind (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-queue-depth",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "per-netlist backpressure high-water mark: requests past N "
-            "pending answer 429 with a Retry-After hint (default: unbounded)"
-        ),
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request deadline; a request past it answers 504 (default: none)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "graceful-shutdown window for in-flight requests "
-            "(default: $REPRO_DRAIN_TIMEOUT or 10)"
-        ),
-    )
-    parser.add_argument(
-        "--dispatch-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "pool watchdog deadline against hung workers "
-            "(default: $REPRO_DISPATCH_TIMEOUT or off)"
         ),
     )
     parser.add_argument(
@@ -144,50 +75,21 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="allow binding a non-loopback host without --token",
     )
-    parser.add_argument(
-        "--debug",
-        action="store_true",
-        help="log every request (method, path, status, payload bytes)",
-    )
     args = parser.parse_args(argv)
-    if args.debug:
-        import logging
-
-        logging.basicConfig(
-            level=logging.DEBUG,
-            format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        )
     try:
         gateway = Gateway(
             host=args.host,
             port=args.port,
-            engine=args.engine,
-            workers=args.workers,
             max_sessions=args.max_sessions,
-            max_contexts=args.max_contexts,
-            max_bytes=args.max_bytes,
-            max_handles=args.max_handles,
-            max_queue_depth=args.max_queue_depth,
-            request_timeout=args.request_timeout,
-            drain_timeout=args.drain_timeout,
-            dispatch_timeout=args.dispatch_timeout,
             tls_cert=args.tls_cert,
             tls_key=args.tls_key,
             auth_token=args.token,
             allow_insecure=args.insecure,
+            **session_kwargs(args),
         )
     except ValueError as exc:
         parser.error(str(exc))
-    try:
-        gateway.run(verbose=True)
-    except KeyboardInterrupt:
-        pass
-    print(
-        f"repro-gateway: drained {gateway.drained_requests} in-flight "
-        f"request(s)",
-        flush=True,
-    )
-    return 0
+    return gateway.run_cli(debug=args.debug)
 
 
 if __name__ == "__main__":

@@ -10,15 +10,13 @@ One slow fabricate therefore no longer blocks the *submission* of ten
 more — they queue server-side across scheduler sessions instead of
 client-side.
 
-Failure semantics mirror the TCP client (PR 7): a client id plus a
-per-call request id form the idempotency key; connection losses
-reconnect with exponential backoff ±50% deterministic jitter and replay
-the same id, so the gateway's replay cache answers retried requests
-whose first reply died on the wire without re-running pipeline work;
-``429 overloaded`` responses honor the server's ``retry_after`` hint;
-``unknown-netlist`` / ``unknown-handle`` responses re-register /
-re-upload from local objects once.  Everything is counted in
-:attr:`AsyncClient.counters`.
+Failure semantics are the TCP client's — both drive the one
+:class:`~repro.server.core.RetryPolicy`: a client id plus a per-call
+request id form the idempotency key, so a retry after a connection
+loss is answered from the gateway's replay cache; ``429 overloaded``
+responses honor the server's ``retry_after`` hint; ``unknown-netlist``
+/ ``unknown-handle`` responses re-register / re-upload from local
+objects once.  Everything is counted in :attr:`AsyncClient.counters`.
 
 :class:`GatewayClient` wraps an :class:`AsyncClient` in a background
 event-loop thread and exposes the blocking ``Session``-shaped surface
@@ -30,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import random
 import ssl as ssl_module
 import threading
 import uuid
@@ -42,8 +39,8 @@ from repro.circuit.netlist import Netlist
 from repro.gateway import codec, http
 from repro.manufacturing.lot import FabricatedLot
 from repro.manufacturing.process import ProcessRecipe
+from repro.server.core import IdentityMap, RetryPolicy, reply_result
 from repro.server.protocol import (
-    ERR_OVERLOADED,
     ERR_UNKNOWN_HANDLE,
     ERR_UNKNOWN_NETLIST,
     ConnectionLost,
@@ -64,6 +61,20 @@ def parse_url(url: str) -> tuple[str, str, int]:
         raise ValueError(f"gateway URL has no host: {url!r}")
     port = parts.port or (443 if parts.scheme == "https" else 80)
     return parts.scheme, parts.hostname, port
+
+
+def _json_result(response: http.HttpResponse) -> dict:
+    """A JSON envelope's result; an error envelope raises :class:`RemoteError`."""
+    try:
+        envelope = json.loads(response.body)
+        if not isinstance(envelope, dict):
+            raise ValueError("not an object")
+    except (ValueError, UnicodeDecodeError):
+        raise RemoteError(
+            "internal",
+            f"undecodable {response.status} response ({response.body[:120]!r})",
+        )
+    return reply_result(envelope)
 
 
 class AsyncClient:
@@ -101,8 +112,6 @@ class AsyncClient:
         backoff_max: float = 2.0,
         ssl_context: ssl_module.SSLContext | None = None,
     ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.url = url.rstrip("/")
         self._scheme, self._host, self._port = parse_url(url)
         self._ssl = ssl_context
@@ -110,19 +119,10 @@ class AsyncClient:
             self._ssl = ssl_module.create_default_context()
         self._token = token
         self._timeout = timeout
-        self._retries = int(retries)
-        self._backoff = float(backoff)
-        self._backoff_max = float(backoff_max)
         self._cid = uuid.uuid4().hex
-        self._rng = random.Random(self._cid)
-        self.counters = {
-            "retries": 0,
-            "reconnects": 0,
-            "timeouts": 0,
-            "overload_rejections": 0,
-            "connection_losses": 0,
-            "pipelined_max": 0,
-        }
+        self._retry = RetryPolicy(self._cid, retries, backoff, backoff_max)
+        self.counters = self._retry.counters
+        self.counters["pipelined_max"] = 0
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._reader_task: asyncio.Task | None = None
@@ -134,10 +134,8 @@ class AsyncClient:
         self._connected_once = False
         self._next_id = 0
         self._closed = False
-        # Local-object -> server-identity maps (pin objects so id()
-        # keys stay unambiguous).
-        self._netlist_ids: dict[int, tuple[Netlist, str]] = {}
-        self._handles: dict[int, tuple[Any, str]] = {}
+        self._netlist_ids = IdentityMap()
+        self._handles = IdentityMap()
 
     # ----------------------------------------------------------- lifecycle
 
@@ -229,11 +227,6 @@ class AsyncClient:
         except Exception as exc:
             self._drop_connection(ConnectionLost(str(exc)), generation)
 
-    async def _sleep_backoff(self, attempt: int, hint: float | None = None) -> None:
-        delay = hint if hint is not None else self._backoff * (2 ** max(0, attempt - 1))
-        delay = min(delay, self._backoff_max)
-        await asyncio.sleep(delay * (0.5 + self._rng.random()))
-
     async def _send_once(
         self, method: str, path: str, body: bytes, rid: str
     ) -> http.HttpResponse:
@@ -268,21 +261,17 @@ class AsyncClient:
             self.counters["timeouts"] += 1
             # The stream still owes us this response: it is
             # desynchronized for every later request too.
-            self._drop_connection(
-                ConnectionLost(
-                    f"no reply within {self._timeout:g}s; dropping the "
-                    f"desynchronized connection"
-                )
-            )
-            raise ConnectionLost(
+            lost = ConnectionLost(
                 f"no reply within {self._timeout:g}s; dropping the "
                 f"desynchronized connection"
-            ) from None
+            )
+            self._drop_connection(lost)
+            raise lost from None
 
     # ------------------------------------------------------------- request
 
-    async def request(self, method: str, path: str, payload: dict | None = None) -> dict:
-        """One JSON API call with retry/replay (low-level surface).
+    async def _call(self, method: str, path: str, body: bytes, decode: Callable) -> Any:
+        """One logical call with retry/replay: ``decode(response)``.
 
         The request id is allocated once per logical call; retries after
         a connection loss resend the same ``(cid, rid)`` so the
@@ -292,54 +281,22 @@ class AsyncClient:
             raise RuntimeError("client is closed")
         self._next_id += 1
         rid = f"{self._next_id}"
+
+        async def once() -> Any:
+            return decode(await self._send_once(method, path, body, rid))
+
+        return await self._retry.acall(once)
+
+    async def request(self, method: str, path: str, payload: dict | None = None) -> dict:
+        """One JSON API call with retry/replay (low-level surface)."""
         body = json.dumps(payload).encode() if payload is not None else b""
-        attempts = 0
-        while True:
-            try:
-                response = await self._send_once(method, path, body, rid)
-            except ConnectionLost:
-                self.counters["connection_losses"] += 1
-                attempts += 1
-                if attempts > self._retries:
-                    raise
-                self.counters["retries"] += 1
-                await self._sleep_backoff(attempts)
-                continue
-            try:
-                envelope = json.loads(response.body)
-                if not isinstance(envelope, dict):
-                    raise ValueError("not an object")
-            except (ValueError, UnicodeDecodeError):
-                raise RemoteError(
-                    "internal",
-                    f"undecodable {response.status} response "
-                    f"({response.body[:120]!r})",
-                )
-            if not envelope.get("ok"):
-                error = envelope.get("error") or {}
-                code = error.get("code", "internal")
-                if code == ERR_OVERLOADED:
-                    self.counters["overload_rejections"] += 1
-                    attempts += 1
-                    if attempts <= self._retries:
-                        self.counters["retries"] += 1
-                        await self._sleep_backoff(
-                            attempts, hint=error.get("retry_after")
-                        )
-                        continue
-                raise RemoteError(
-                    code,
-                    error.get("message", "unknown error"),
-                    retry_after=error.get("retry_after"),
-                )
-            result = envelope.get("result")
-            return result if isinstance(result, dict) else {}
+        return await self._call(method, path, body, _json_result)
 
     async def request_text(self, method: str, path: str) -> str:
-        """A non-JSON endpoint (``/metrics``) as text."""
-        self._next_id += 1
-        response = await self._send_once(method, path, b"", f"{self._next_id}")
-        return response.body.decode("utf-8", errors="replace")
+        """A non-JSON endpoint (``/metrics``) as text, with retry/replay."""
+        return await self._call(
+            method, path, b"", lambda r: r.body.decode("utf-8", errors="replace")
+        )
 
     async def _with_reupload(
         self, attempt: Callable[[], Awaitable[dict]]
@@ -356,15 +313,6 @@ class AsyncClient:
 
     # ------------------------------------------------------------ pipeline
 
-    def _remember(self, obj: Any, handle: str) -> None:
-        self._handles[id(obj)] = (obj, handle)
-
-    def _handle_for(self, obj: Any) -> str | None:
-        cached = self._handles.get(id(obj))
-        if cached is not None and cached[0] is obj:
-            return cached[1]
-        return None
-
     async def healthz(self) -> dict:
         return await self.request("GET", "/healthz")
 
@@ -373,14 +321,14 @@ class AsyncClient:
 
     async def register(self, netlist: Netlist) -> str:
         """Ensure ``netlist`` is registered; return its fingerprint id."""
-        cached = self._netlist_ids.get(id(netlist))
-        if cached is not None and cached[0] is netlist:
-            return cached[1]
+        cached = self._netlist_ids.get(netlist)
+        if cached is not None:
+            return cached
         result = await self.request(
             "POST", "/v1/netlists", {"netlist": codec.netlist_to_json(netlist)}
         )
         netlist_id = result["netlist_id"]
-        self._netlist_ids[id(netlist)] = (netlist, netlist_id)
+        self._netlist_ids.put(netlist, netlist_id)
         return netlist_id
 
     async def fabricate(
@@ -408,7 +356,7 @@ class AsyncClient:
 
         result = await self._with_reupload(attempt)
         lot = codec.lot_from_json(netlist, result["lot"])
-        self._remember(lot, result["lot_id"])
+        self._handles.put(lot, result["lot_id"])
         return lot
 
     async def build_program(
@@ -432,7 +380,7 @@ class AsyncClient:
 
         result = await self._with_reupload(attempt)
         program = codec.program_from_json(netlist, result["program"])
-        self._remember(program, result["program_id"])
+        self._handles.put(program, result["program_id"])
         return program
 
     async def test(self, lot: FabricatedLot, program: TestProgram) -> LotTestResult:
@@ -444,7 +392,7 @@ class AsyncClient:
 
         async def attempt() -> dict:
             netlist_id = await self.register(program.netlist)
-            lot_handle = self._handle_for(lot)
+            lot_handle = self._handles.get(lot)
             if lot_handle is None:
                 uploaded = await self.request(
                     "POST",
@@ -455,8 +403,8 @@ class AsyncClient:
                     },
                 )
                 lot_handle = uploaded["lot_id"]
-                self._remember(lot, lot_handle)
-            program_handle = self._handle_for(program)
+                self._handles.put(lot, lot_handle)
+            program_handle = self._handles.get(program)
             if program_handle is None:
                 uploaded = await self.request(
                     "POST",
@@ -467,7 +415,7 @@ class AsyncClient:
                     },
                 )
                 program_handle = uploaded["program_id"]
-                self._remember(program, program_handle)
+                self._handles.put(program, program_handle)
             return await self.request(
                 "POST",
                 f"/v1/lots/{lot_handle}/test",

@@ -46,27 +46,25 @@ import asyncio
 import hmac
 import json
 import logging
-import os
 import re
-import signal
 import ssl
-import sys
-import threading
-import traceback
-from collections import Counter
-from typing import Any, Awaitable, Callable
 
 from repro.api import Session
 from repro.circuit.netlist import Netlist
 from repro.gateway import codec, http
 from repro.gateway.metrics import render_metrics
 from repro.gateway.scheduler import SessionScheduler
-from repro.runtime import PoisonShardError, WorkerCrashError
+from repro.server.app import ServingApp
 from repro.server.core import (
+    EXPERIMENT_QUEUE,
     HandleRegistry,
     ReplayCache,
     RequestError,
+    error_body,
+    experiment_job,
+    lot_summary,
     param,
+    program_summary,
 )
 from repro.server.protocol import (
     ERR_BAD_REQUEST,
@@ -85,17 +83,9 @@ from repro.server.protocol import (
 
 __all__ = ["Gateway"]
 
-_log = logging.getLogger("repro.gateway")
-
-# Queue key for experiment runs (they build their own circuits).
-_EXPERIMENT_QUEUE = "__experiments__"
-
 # Gateway-specific error code: the protocol vocabulary has no auth
 # concept (the TCP server trusts its network); HTTP does.
 ERR_UNAUTHORIZED = "unauthorized"
-
-_DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT"
-_DEFAULT_DRAIN_TIMEOUT = 10.0
 
 # In-order responses awaiting their turn on one connection.  Bounds how
 # far ahead a pipelining client can run before reads stop draining.
@@ -120,6 +110,11 @@ _STATUS_BY_CODE = {
 }
 
 
+def _refusal(status: int, code: str, message: str) -> tuple[int, dict, bool]:
+    """A request turned away before it runs."""
+    return status, {"ok": False, "error": error_body(code, message)}, False
+
+
 class _Route:
     __slots__ = ("method", "pattern", "handler", "name", "auth_exempt", "replayable")
 
@@ -132,7 +127,7 @@ class _Route:
         self.replayable = replayable
 
 
-class Gateway:
+class Gateway(ServingApp):
     """Serve the lot-testing pipeline over HTTP/JSON.
 
     Parameters
@@ -163,6 +158,9 @@ class Gateway:
         Permit binding a non-loopback host without ``auth_token``.
     """
 
+    _kind = "gateway"
+    _log = logging.getLogger("repro.gateway")
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -189,16 +187,12 @@ class Gateway:
                 f"refusing to bind non-loopback host {host!r} without "
                 f"auth_token (pass allow_insecure=True to override)"
             )
-        if drain_timeout is None:
-            env = os.environ.get(_DRAIN_TIMEOUT_ENV)
-            drain_timeout = float(env) if env else _DEFAULT_DRAIN_TIMEOUT
+        super().__init__(drain_timeout, request_timeout, ReplayCache())
         self._host = host
         self._port = port
         self._tls_cert = tls_cert
         self._tls_key = tls_key
         self._auth_token = auth_token
-        self._request_timeout = request_timeout
-        self._drain_timeout = max(0.0, float(drain_timeout))
         self._scheduler = SessionScheduler(
             max_sessions=max_sessions,
             max_queue_depth=max_queue_depth,
@@ -212,22 +206,9 @@ class Gateway:
         handle_counter = [0]
         self._lots = HandleRegistry("lot", max_handles, handle_counter)
         self._programs = HandleRegistry("prog", max_handles, handle_counter)
-        self._replay = ReplayCache()
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._requests_by_route: Counter[str] = Counter()
-        self._connections_open = 0
-        self._connections_total = 0
         self._requests_total = 0
         self._auth_failures = 0
         self._bad_requests = 0
-        self._deadline_expirations = 0
-        self.drained_requests = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._stopping = False
-        self._started = threading.Event()
-        self._finished = threading.Event()
-        self.address: str | None = None
         self._routes = [
             _Route("GET", r"^/healthz$", self._r_healthz, "healthz", auth_exempt=True),
             _Route("GET", r"^/metrics$", self._r_metrics, "metrics"),
@@ -246,145 +227,66 @@ class Gateway:
 
     # ----------------------------------------------------------- lifecycle
 
-    def run(self, verbose: bool = False) -> None:
-        """Bind, announce (``verbose``), and serve until shutdown (blocking)."""
-        try:
-            asyncio.run(self._main(verbose))
-        finally:
-            self._finished.set()
-            self._started.set()  # unblock waiters even on startup failure
-
-    def wait_started(self, timeout: float = 30.0) -> None:
-        """Block until the gateway is listening (for run-in-a-thread users)."""
-        if not self._started.wait(timeout):
-            raise TimeoutError("gateway did not start listening in time")
-        if self.address is None:
-            raise RuntimeError("gateway failed during startup")
-
-    def request_shutdown(self) -> None:
-        """Ask the gateway to stop, from any thread (idempotent)."""
-        loop, stop = self._loop, self._stop_event
-        if loop is None or stop is None:
-            self._stopping = True
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:
-            pass  # loop already closed — the gateway is already down
-
-    def _ssl_context(self) -> ssl.SSLContext | None:
-        if self._tls_cert is None:
-            return None
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(self._tls_cert, self._tls_key)
-        return context
-
-    async def _main(self, verbose: bool) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        if self._stopping:  # shutdown requested before startup
-            self._stop_event.set()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._loop.add_signal_handler(signum, self._stop_event.set)
-            except (ValueError, NotImplementedError, OSError, RuntimeError):
-                pass
+    async def _listen(self) -> list:
+        context = None
+        if self._tls_cert is not None:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(self._tls_cert, self._tls_key)
         server = await asyncio.start_server(
-            self._handle_connection,
-            host=self._host,
-            port=self._port,
-            ssl=self._ssl_context(),
+            self._handle_connection, host=self._host, port=self._port, ssl=context
         )
         bound = server.sockets[0].getsockname()
         scheme = "https" if self._tls_cert is not None else "http"
         self.address = f"{scheme}://{bound[0]}:{bound[1]}"
-        if verbose:
-            print(f"repro-gateway listening on {self.address}", flush=True)
-        self._started.set()
-        try:
-            await self._stop_event.wait()
-            self._stopping = True
-        finally:
-            # Graceful drain, mirroring the TCP server: stop accepting,
-            # let in-flight requests finish, then close everything.
-            self._stopping = True
-            server.close()
-            in_flight = self._scheduler.total_pending()
-            if in_flight and self._drain_timeout > 0:
-                deadline = self._loop.time() + self._drain_timeout
-                while (
-                    self._scheduler.total_pending()
-                    and self._loop.time() < deadline
-                ):
-                    await asyncio.sleep(0.05)
-            self.drained_requests = in_flight - self._scheduler.total_pending()
-            # Give the just-finished responses one tick to flush, then
-            # cancel live connection handlers (wait_closed would block
-            # on idle keep-alive clients since Python 3.12.1).
-            await asyncio.sleep(0.05)
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
-            await self._scheduler.aclose()
+        return [server]
+
+    def _pending(self) -> int:
+        return self._scheduler.total_pending()
+
+    async def _close(self) -> None:
+        await self._scheduler.aclose()
 
     # --------------------------------------------------------- connections
 
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._connections_open += 1
-        self._connections_total += 1
-        # Responses are queued (as tasks) in request order; the writer
-        # coroutine drains them in that order while handlers overlap.
-        queue: asyncio.Queue = asyncio.Queue(maxsize=_MAX_PIPELINE)
-        writer_task = asyncio.ensure_future(self._write_responses(queue, writer))
-        try:
-            while True:
-                try:
-                    request = await http.read_request(reader)
-                except http.HttpError as exc:
-                    # Framing failure: the stream may be desynchronized —
-                    # answer once and close.
-                    self._bad_requests += 1
-                    payload = self._error_body(ERR_BAD_REQUEST, str(exc))
-                    response = http.encode_response(
-                        exc.status, payload, keep_alive=False
-                    )
-                    future = self._loop.create_future()  # type: ignore[union-attr]
-                    future.set_result((response, True, False))
-                    await queue.put(future)
-                    break
-                if request is None:
-                    break
-                await queue.put(asyncio.ensure_future(self._respond(request)))
-                if not request.keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if not writer_task.done():
-                try:
-                    queue.put_nowait(None)
-                except asyncio.QueueFull:
-                    writer_task.cancel()
+        async with self._connection(writer):
+            # Responses are queued (as tasks) in request order; the writer
+            # coroutine drains them in that order while handlers overlap.
+            queue: asyncio.Queue = asyncio.Queue(maxsize=_MAX_PIPELINE)
+            writer_task = asyncio.ensure_future(self._write_responses(queue, writer))
             try:
-                await writer_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._connections_open -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
+                while True:
+                    try:
+                        request = await http.read_request(reader)
+                    except http.HttpError as exc:
+                        # Framing failure: the stream may be desynchronized —
+                        # answer once and close.
+                        self._bad_requests += 1
+                        payload = json.dumps(
+                            {"ok": False, "error": error_body(ERR_BAD_REQUEST, str(exc))}
+                        ).encode()
+                        response = http.encode_response(
+                            exc.status, payload, keep_alive=False
+                        )
+                        future = self._loop.create_future()  # type: ignore[union-attr]
+                        future.set_result((response, True, False))
+                        await queue.put(future)
+                        break
+                    if request is None:
+                        break
+                    await queue.put(asyncio.ensure_future(self._respond(request)))
+                    if not request.keep_alive:
+                        break
+            finally:
+                if not writer_task.done():
+                    try:
+                        queue.put_nowait(None)
+                    except asyncio.QueueFull:
+                        writer_task.cancel()
+                try:
+                    await writer_task
+                except (asyncio.CancelledError, Exception):
+                    pass
 
     async def _write_responses(self, queue: asyncio.Queue, writer) -> None:
         """Drain queued responses strictly in request order."""
@@ -413,14 +315,6 @@ class Gateway:
                     item.cancel()
 
     # ------------------------------------------------------------ dispatch
-
-    def _error_body(
-        self, code: str, message: str, retry_after: float | None = None
-    ) -> bytes:
-        error: dict[str, Any] = {"code": code, "message": message}
-        if retry_after is not None:
-            error["retry_after"] = retry_after
-        return json.dumps({"ok": False, "error": error}).encode()
 
     def _authorized(self, request: http.HttpRequest) -> bool:
         if self._auth_token is None:
@@ -455,8 +349,8 @@ class Gateway:
             headers=headers,
             keep_alive=request.keep_alive,
         )
-        if _log.isEnabledFor(logging.DEBUG):
-            _log.debug(
+        if self._log.isEnabledFor(logging.DEBUG):
+            self._log.debug(
                 "%s %s -> %d bytes_in=%d bytes_out=%d",
                 request.method, request.path, status,
                 len(request.body), len(response),
@@ -464,7 +358,7 @@ class Gateway:
         return response, not request.keep_alive, stop_after
 
     async def _dispatch(self, request: http.HttpRequest):
-        """Route + auth + replay + deadline + error mapping."""
+        """Route + auth, then the shared request path."""
         route = None
         path_known = False
         for candidate in self._routes:
@@ -473,86 +367,33 @@ class Gateway:
                 if candidate.method == request.method:
                     route = candidate
                     break
-        name = route.name if route is not None else "unmatched"
-        self._requests_by_route[name] += 1
+        self._counters[route.name if route is not None else "unmatched"] += 1
         if route is None:
             if path_known:
-                return 405, {"ok": False, "error": {
-                    "code": ERR_BAD_REQUEST,
-                    "message": f"method {request.method} not allowed on {request.path}",
-                }}, False
-            return 404, {"ok": False, "error": {
-                "code": ERR_UNKNOWN_OP,
-                "message": f"no route for {request.method} {request.path}",
-            }}, False
+                return _refusal(
+                    405, ERR_BAD_REQUEST,
+                    f"method {request.method} not allowed on {request.path}",
+                )
+            return _refusal(
+                404, ERR_UNKNOWN_OP, f"no route for {request.method} {request.path}"
+            )
         if not route.auth_exempt and not self._authorized(request):
             self._auth_failures += 1
-            return 401, {"ok": False, "error": {
-                "code": ERR_UNAUTHORIZED,
-                "message": "missing or invalid bearer token",
-            }}, False
+            return _refusal(401, ERR_UNAUTHORIZED, "missing or invalid bearer token")
         cid = request.headers.get("x-repro-client-id")
         rid = request.headers.get("x-repro-request-id")
         replayable = route.replayable and cid is not None and rid is not None
-        if replayable:
-            cached = self._replay.lookup(cid, rid)
-            if cached is not None:
-                status, payload = cached
-                return status, payload, False
         args = route.pattern.match(request.path).groups()
-        try:
-            if self._stopping:
-                raise RequestError(ERR_SHUTTING_DOWN, "gateway is shutting down")
-            params = self._json_params(request)
-            coro = route.handler(params, *args)
-            if self._request_timeout is not None and route.name != "shutdown":
-                try:
-                    result = await asyncio.wait_for(coro, self._request_timeout)
-                except asyncio.TimeoutError:
-                    self._deadline_expirations += 1
-                    raise RequestError(
-                        ERR_DEADLINE,
-                        f"request exceeded the {self._request_timeout:g}s "
-                        f"gateway deadline",
-                    ) from None
-            else:
-                result = await coro
-            if isinstance(result, (bytes, str)):
-                return 200, result if isinstance(result, bytes) else result.encode(), False
-            payload = {"ok": True, "result": result}
-            if replayable:
-                self._replay.store(cid, rid, (200, payload))
-            return 200, payload, route.name == "shutdown"
-        except RequestError as exc:
-            status = _STATUS_BY_CODE.get(exc.code, 500)
-            error: dict[str, Any] = {"code": exc.code, "message": str(exc)}
-            if exc.retry_after is not None:
-                error["retry_after"] = exc.retry_after
-            return status, {"ok": False, "error": error}, False
-        except asyncio.CancelledError:
-            raise
-        except PoisonShardError as exc:
-            return 500, {"ok": False, "error": {
-                "code": ERR_POISON_SHARD,
-                "message": f"quarantined poison shard: {exc} "
-                           f"(fingerprint={exc.fingerprint!r}, "
-                           f"shard_index={exc.shard_index!r})",
-            }}, False
-        except WorkerCrashError as exc:
-            return 500, {"ok": False, "error": {
-                "code": ERR_WORKER_CRASH,
-                "message": f"pool worker crash recovery exhausted: {exc} "
-                           f"(token={exc.token!r}, shard_index={exc.shard_index!r})",
-            }}, False
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            return 400, {"ok": False, "error": {
-                "code": ERR_USER, "message": f"{type(exc).__name__}: {exc}",
-            }}, False
-        except Exception as exc:  # pragma: no cover - defensive
-            traceback.print_exc(file=sys.stderr)
-            return 500, {"ok": False, "error": {
-                "code": ERR_INTERNAL, "message": f"{type(exc).__name__}: {exc}",
-            }}, False
+        result, error = await self._execute(
+            route.name,
+            lambda: route.handler(self._json_params(request), *args),
+            (cid, rid) if replayable else None,
+        )
+        if error is not None:
+            return _STATUS_BY_CODE.get(error["code"], 500), {"ok": False, "error": error}, False
+        if isinstance(result, str):  # /metrics text exposition
+            return 200, result.encode(), False
+        return 200, {"ok": True, "result": result}, route.name == "shutdown"
 
     @staticmethod
     def _json_params(request: http.HttpRequest) -> dict:
@@ -589,7 +430,7 @@ class Gateway:
         return render_metrics(
             self._scheduler.stats(),
             self._http_stats(),
-            dict(self._requests_by_route),
+            dict(self._counters),
         )
 
     def _http_stats(self) -> dict:
@@ -604,7 +445,7 @@ class Gateway:
             "registered_netlists": len(self._netlists),
             "lots_retained": len(self._lots),
             "programs_retained": len(self._programs),
-            "requests_by_route": dict(self._requests_by_route),
+            "requests_by_route": dict(self._counters),
             "draining": self._stopping,
         }
 
@@ -624,12 +465,7 @@ class Gateway:
         if "lot" in params:
             # Upload: register a client-built lot under a handle.
             lot = codec.lot_from_json(netlist, param(params, "lot", dict))
-            handle = self._lots.add((netlist_id, lot))
-            return {
-                "lot_id": handle,
-                "num_chips": len(lot),
-                "empirical_yield": lot.empirical_yield(),
-            }
+            return lot_summary(self._lots.add((netlist_id, lot)), lot)
         recipe = codec.recipe_from_json(param(params, "recipe", dict))
         num_chips = param(params, "num_chips", int)
         dies_per_wafer = param(params, "dies_per_wafer", int, default=100)
@@ -641,12 +477,7 @@ class Gateway:
                 netlist, recipe, num_chips,
                 dies_per_wafer=dies_per_wafer, seed=seed,
             )
-            handle = self._lots.add((netlist_id, lot))
-            result = {
-                "lot_id": handle,
-                "num_chips": len(lot),
-                "empirical_yield": lot.empirical_yield(),
-            }
+            result = lot_summary(self._lots.add((netlist_id, lot)), lot)
             if return_lot:
                 result["lot"] = codec.lot_to_json(netlist, lot)
             return result
@@ -660,24 +491,14 @@ class Gateway:
             program = codec.program_from_json(
                 netlist, param(params, "program", dict)
             )
-            handle = self._programs.add((netlist_id, program))
-            return {
-                "program_id": handle,
-                "num_patterns": len(program),
-                "final_coverage": program.final_coverage,
-            }
+            return program_summary(self._programs.add((netlist_id, program)), program)
         patterns = codec.patterns_from_json(param(params, "patterns", list))
         collapse = param(params, "collapse", bool, default=True)
         return_program = param(params, "return_program", bool, default=True)
 
         def job(session: Session) -> dict:
             program = session.build_program(netlist, patterns, collapse=collapse)
-            handle = self._programs.add((netlist_id, program))
-            result = {
-                "program_id": handle,
-                "num_patterns": len(program),
-                "final_coverage": program.final_coverage,
-            }
+            result = program_summary(self._programs.add((netlist_id, program)), program)
             if return_program:
                 result["program"] = codec.program_to_json(program)
             return result
@@ -706,18 +527,7 @@ class Gateway:
         return await self._scheduler.submit(netlist_id, job)
 
     async def _r_experiment(self, params: dict, name: str) -> dict:
-        from repro.experiments.runner import EXPERIMENTS
-
-        if name not in EXPERIMENTS:
-            raise RequestError(
-                ERR_USER,
-                f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}",
-            )
-
-        def job(session: Session) -> dict:
-            return {"report": session.run_experiment(name)}
-
-        return await self._scheduler.submit(_EXPERIMENT_QUEUE, job)
+        return await self._scheduler.submit(EXPERIMENT_QUEUE, experiment_job(name))
 
     async def _r_shutdown(self, params: dict) -> dict:
         return {"stopping": True}

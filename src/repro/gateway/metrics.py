@@ -6,10 +6,13 @@ sessions, per-queue depths, and the gateway's own HTTP counters — in
 the Prometheus text format (version 0.0.4): ``# HELP`` / ``# TYPE``
 comment pairs followed by ``name{labels} value`` samples.  No client
 library, no registry: the source of truth stays the existing stats
-dicts, and this module is a pure formatter over them.
+dicts, and this module is a table over them for the shared renderer
+(:func:`repro.server.core.render_metrics`).
 """
 
 from __future__ import annotations
+
+from repro.server.core import render_metrics as _render
 
 __all__ = ["render_metrics"]
 
@@ -82,48 +85,28 @@ _HTTP_METRICS = [
 ]
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _emit(lines: list[str], name: str, mtype: str, help_text: str, value) -> None:
-    lines.append(f"# HELP {name} {help_text}")
-    lines.append(f"# TYPE {name} {mtype}")
-    lines.append(f"{name} {value}")
-
-
 def render_metrics(
     scheduler_stats: dict,
     http_stats: dict,
     requests_by_route: dict[str, int] | None = None,
 ) -> str:
     """The ``/metrics`` payload from the gateway's stats dicts."""
-    lines: list[str] = []
     session = scheduler_stats.get("session", {})
-    for key, name, mtype, help_text in _SESSION_METRICS:
-        _emit(lines, name, mtype, help_text, session.get(key, 0))
-    for key, name, mtype, help_text in _SCHEDULER_METRICS:
-        _emit(lines, name, mtype, help_text, scheduler_stats.get(key, 0))
-    for key, name, mtype, help_text in _HTTP_METRICS:
-        _emit(lines, name, mtype, help_text, http_stats.get(key, 0))
-    lines.append(
-        "# HELP repro_queue_depth Queued plus in-flight requests per "
-        "session-group/netlist queue."
-    )
-    lines.append("# TYPE repro_queue_depth gauge")
     pending = scheduler_stats.get("pending_by_queue", {})
-    for queue in sorted(pending):
-        lines.append(
-            f'repro_queue_depth{{queue="{_escape_label(queue)}"}} {pending[queue]}'
-        )
+    families = [
+        *((name, mtype, help_text, session.get(key, 0))
+          for key, name, mtype, help_text in _SESSION_METRICS),
+        *((name, mtype, help_text, scheduler_stats.get(key, 0))
+          for key, name, mtype, help_text in _SCHEDULER_METRICS),
+        *((name, mtype, help_text, http_stats.get(key, 0))
+          for key, name, mtype, help_text in _HTTP_METRICS),
+        ("repro_queue_depth", "gauge",
+         "Queued plus in-flight requests per session-group/netlist queue.",
+         ("queue", [(queue, pending[queue]) for queue in sorted(pending)])),
+    ]
     if requests_by_route:
-        lines.append(
-            "# HELP repro_http_route_requests_total HTTP requests per route."
-        )
-        lines.append("# TYPE repro_http_route_requests_total counter")
-        for route in sorted(requests_by_route):
-            lines.append(
-                f'repro_http_route_requests_total{{route="{_escape_label(route)}"}} '
-                f"{requests_by_route[route]}"
-            )
-    return "\n".join(lines) + "\n"
+        families.append((
+            "repro_http_route_requests_total", "counter", "HTTP requests per route.",
+            ("route", [(route, requests_by_route[route]) for route in sorted(requests_by_route)]),
+        ))
+    return _render(families)

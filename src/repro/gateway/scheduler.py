@@ -41,9 +41,6 @@ from repro.server.core import JobQueues
 
 __all__ = ["SessionScheduler"]
 
-# Scheduler-owned stats keys that must not be key-wise summed across
-# lanes: the chaos schedule is process-global, so every lane reports the
-# same total and summing would multiply it by the lane count.
 # Session.stats() keys that report process-global counters: every lane
 # sees the same value, so summing across lanes would multiply them by
 # the lane count.  The scheduler reports them once instead.
@@ -118,13 +115,10 @@ class SessionScheduler:
 
     # -------------------------------------------------------------- routing
 
-    def _lane_idle(self, lane: _Lane) -> bool:
-        return lane.pending == 0
-
     def _evict_lru_idle(self) -> bool:
         """Close the least-recently-used idle lane; False if all busy."""
         for group, lane in self._lanes.items():
-            if self._lane_idle(lane):
+            if lane.pending == 0:
                 self._retire(lane)
                 del self._lanes[group]
                 self._routes = {

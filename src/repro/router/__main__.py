@@ -22,18 +22,9 @@ import argparse
 import json
 
 from repro.router.router import Router
+from repro.server.core import add_listen_flags, positive_float
 
 __all__ = ["main"]
-
-
-def _positive_float(value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {number}")
-    return number
 
 
 def _admin(address: str, add: list[str], remove: list[str]) -> int:
@@ -58,13 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             "(see docs/federation.md)."
         ),
     )
-    parser.add_argument("--host", default="127.0.0.1", help="TCP bind host (default: %(default)s)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=7641,
-        help="TCP port; 0 binds an ephemeral port (default: %(default)s)",
-    )
+    add_listen_flags(parser, port=7641)
     parser.add_argument(
         "--backend",
         action="append",
@@ -87,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--load-factor",
-        type=_positive_float,
+        type=positive_float,
         default=1.25,
         metavar="F",
         help=(
@@ -97,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--health-interval",
-        type=_positive_float,
+        type=positive_float,
         default=0.5,
         metavar="SECONDS",
         help="backend liveness probe cadence (default: %(default)s)",
@@ -118,16 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         default=3,
         metavar="N",
         help="distinct backends to try per request (default: 1+%(default)s)",
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "in-flight wait bound for shutdown and --remove "
-            "(default: $REPRO_DRAIN_TIMEOUT or 10)"
-        ),
     )
     parser.add_argument(
         "--admin",
@@ -170,16 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         retries=args.retries,
         drain_timeout=args.drain_timeout,
     )
-    try:
-        router.run(verbose=True)
-    except KeyboardInterrupt:
-        pass
-    print(
-        f"repro-router: {router.backend_deaths} backend death(s), "
-        f"{router.reroutes} reroute(s)",
-        flush=True,
-    )
-    return 0
+    return router.run_cli()
 
 
 if __name__ == "__main__":

@@ -46,27 +46,25 @@ observability surface.  See ``docs/federation.md``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
-import os
-import signal
-import threading
+import logging
 import uuid
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from typing import Any, Iterable
 
 from repro import chaos
 from repro.chaos import InjectedFault
 from repro.router.ring import HashRing, bounded_choice
+from repro.server.app import ServingApp
 from repro.server.client import parse_address
+from repro.server.core import RequestError, render_metrics
 from repro.server.protocol import (
-    ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
-    ERR_SHUTTING_DOWN,
+    ERR_INTERNAL,
     ERR_UNAVAILABLE,
     ERR_UNKNOWN_NETLIST,
-    ERR_UNKNOWN_OP,
     PROTOCOL_VERSION,
-    FrameDecodeError,
     LotArrays,
     ProtocolError,
     WireObj,
@@ -78,32 +76,14 @@ from repro.server.protocol import (
 
 __all__ = ["BackendDown", "Router"]
 
-# Graceful-drain window (seconds), shared with the server tier.
-_DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT"
-_DEFAULT_DRAIN_TIMEOUT = 10.0
-
 # Bound on the handle -> (backend, fingerprint) routing map; backends
 # themselves retain at most max_handles handles, so this only needs to
 # cover the live window across the fleet.
 _MAX_TRACKED_HANDLES = 4096
 
-# Ops the router answers itself; everything else is forwarded.
-_LOCAL_OPS = frozenset({"ping", "stats", "shutdown", "router_add", "router_remove"})
-
 
 class BackendDown(Exception):
     """A backend connection died or desynchronized mid-call (internal)."""
-
-
-def _jsonable(value: Any) -> bool:
-    """Can ``value`` ride a JSON envelope without object encoding?"""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return True
-    if isinstance(value, dict):
-        return all(isinstance(k, str) and _jsonable(v) for k, v in value.items())
-    if isinstance(value, list):
-        return all(_jsonable(v) for v in value)
-    return False
 
 
 def _wire_wrap(value: Any) -> Any:
@@ -115,15 +95,36 @@ def _wire_wrap(value: Any) -> Any:
     other format — every non-JSON value must be wrapped back into
     :class:`WireObj` so :func:`encode_frame` routes it to the right
     wire form (raw pickle-5 buffers on binary links, base64 pickle on
-    JSON links).  Idempotent; JSON-clean containers pass through.
+    JSON links).  Idempotent; JSON scalars pass through.
     """
-    if isinstance(value, WireObj) or _jsonable(value):
+    if value is None or isinstance(value, (WireObj, bool, int, float, str)):
         return value
     if isinstance(value, dict):
         return {k: _wire_wrap(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_wire_wrap(v) for v in value]
     return WireObj(value)
+
+
+async def _handshake(address: str, timeout: float):
+    """Connect to a backend and ping it: ``(reader, writer, pong frame)``.
+
+    The pong is ``None`` if the backend closed instead of answering.
+    Each step is bounded by ``timeout``.
+    """
+    kind, target = parse_address(address)
+    if kind == "unix":
+        connect = asyncio.open_unix_connection(target)
+    else:
+        connect = asyncio.open_connection(target[0], target[1])
+    reader, writer = await asyncio.wait_for(connect, timeout)
+    try:
+        writer.write(encode_frame({"id": 0, "op": "ping", "params": {}}))
+        await writer.drain()
+        return reader, writer, await asyncio.wait_for(read_frame_info(reader), timeout)
+    except BaseException:
+        writer.close()
+        raise
 
 
 class _BackendLink:
@@ -147,18 +148,10 @@ class _BackendLink:
         self._closed = False
 
     async def open(self, timeout: float) -> None:
-        kind, target = parse_address(self.address)
         try:
-            if kind == "unix":
-                connect = asyncio.open_unix_connection(target)
-            else:
-                connect = asyncio.open_connection(target[0], target[1])
-            self._reader, self._writer = await asyncio.wait_for(connect, timeout)
             # Format handshake, exactly like the sync client: a JSON
             # ping; protocol >= 2 switches the link to binary frames.
-            self._writer.write(encode_frame({"id": 0, "op": "ping", "params": {}}))
-            await self._writer.drain()
-            info = await asyncio.wait_for(read_frame_info(self._reader), timeout)
+            self._reader, self._writer, info = await _handshake(self.address, timeout)
         except (OSError, ProtocolError, asyncio.TimeoutError) as exc:
             await self.close()
             raise BackendDown(f"{self.address}: {exc or type(exc).__name__}") from exc
@@ -237,32 +230,29 @@ class _BackendLink:
         self._fail_pending(BackendDown(f"{self.address}: link is closed"))
 
 
+@dataclasses.dataclass(eq=False)
 class _Backend:
     """Router-side state of one backend node."""
 
-    def __init__(self, address: str, index: int):
-        self.address = address
-        self.index = index
-        self.state = "up"  # up | down | draining
-        self.consecutive_failures = 0
-        self.in_flight = 0
-        self.forwarded = 0
-        self.deaths = 0
-        self.link: _BackendLink | None = None
+    address: str
+    index: int
+    state: str = "up"  # up | down | draining
+    in_flight: int = 0
+    forwarded: int = 0
+    deaths: int = 0
+    consecutive_failures: int = 0
+    link: _BackendLink | None = None
 
     def snapshot(self) -> dict:
-        return {
-            "address": self.address,
-            "index": self.index,
-            "state": self.state,
-            "in_flight": self.in_flight,
-            "forwarded": self.forwarded,
-            "deaths": self.deaths,
-            "consecutive_failures": self.consecutive_failures,
-        }
+        return {k: v for k, v in vars(self).items() if k != "link"}
+
+    async def drop_link(self) -> None:
+        link, self.link = self.link, None
+        if link is not None:
+            await link.close()
 
 
-class Router:
+class Router(ServingApp):
     """Consistent-hash request router over N ``LotServer`` backends.
 
     Parameters
@@ -297,6 +287,9 @@ class Router:
         ``REPRO_DRAIN_TIMEOUT``, else 10 s.
     """
 
+    _kind = "router"
+    _log = logging.getLogger("repro.router")
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -316,9 +309,7 @@ class Router:
             raise ValueError(f"eject_failures must be >= 1, got {eject_failures}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if drain_timeout is None:
-            env = os.environ.get(_DRAIN_TIMEOUT_ENV)
-            drain_timeout = float(env) if env else _DEFAULT_DRAIN_TIMEOUT
+        super().__init__(drain_timeout)
         self._host = host
         self._port = port
         self._http_port = http_port
@@ -328,7 +319,6 @@ class Router:
         self._eject_failures = int(eject_failures)
         self._retries = int(retries)
         self._connect_timeout = float(connect_timeout)
-        self._drain_timeout = max(0.0, float(drain_timeout))
         self._ring = HashRing(replicas=replicas)
         self._backends: dict[str, _Backend] = {}
         self._next_index = 0
@@ -340,22 +330,11 @@ class Router:
         self._handles: OrderedDict[str, tuple[str, str]] = OrderedDict()
         self._cid = f"router-{uuid.uuid4().hex}"
         self._next_rid = 0
-        self._counters: Counter[str] = Counter()
         self.backend_deaths = 0
         self.reroutes = 0
         self.netlist_reuploads = 0
         self.ejections = 0
         self.readmissions = 0
-        self._bad_frames = 0
-        self._connections_open = 0
-        self._connections_total = 0
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._stopping = False
-        self._started = threading.Event()
-        self._finished = threading.Event()
-        self.address: str | None = None
         self.http_address: str | None = None
 
     # ----------------------------------------------------------- membership
@@ -389,6 +368,10 @@ class Router:
         return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout)
 
     async def _admin_add(self, address: str) -> dict:
+        try:
+            parse_address(address)
+        except ValueError as exc:
+            raise RequestError(ERR_BAD_REQUEST, str(exc)) from None
         known = address in self._backends
         backend = self._admit(address)
         if backend.state != "up":
@@ -401,18 +384,14 @@ class Router:
     async def _admin_remove(self, address: str) -> dict:
         backend = self._backends.get(address)
         if backend is None:
-            raise _RouterError(ERR_BAD_REQUEST, f"unknown backend {address!r}")
+            raise RequestError(ERR_BAD_REQUEST, f"unknown backend {address!r}")
         # Out of the ring first: no new request routes here, in-flight
         # ones finish inside the drain window.
         self._ring.remove(address)
         backend.state = "draining"
-        deadline = asyncio.get_running_loop().time() + self._drain_timeout
-        while backend.in_flight and asyncio.get_running_loop().time() < deadline:
-            await asyncio.sleep(0.02)
+        await self._drain(lambda: backend.in_flight)
         drained = backend.in_flight == 0
-        if backend.link is not None:
-            await backend.link.close()
-            backend.link = None
+        await backend.drop_link()
         del self._backends[address]
         self._handles = OrderedDict(
             (handle, entry)
@@ -423,90 +402,43 @@ class Router:
 
     # ----------------------------------------------------------- lifecycle
 
-    def run(self, verbose: bool = False) -> None:
-        """Bind, announce (``verbose``), and serve until shutdown (blocking)."""
-        try:
-            asyncio.run(self._main(verbose))
-        finally:
-            self._finished.set()
-            self._started.set()  # unblock waiters even on startup failure
-
-    def wait_started(self, timeout: float = 30.0) -> None:
-        if not self._started.wait(timeout):
-            raise TimeoutError("router did not start listening in time")
-        if self.address is None:
-            raise RuntimeError("router failed during startup")
-
-    def request_shutdown(self) -> None:
-        loop, stop = self._loop, self._stop_event
-        if loop is None or stop is None:
-            self._stopping = True
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:
-            pass  # loop already closed
-
-    async def _main(self, verbose: bool) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        if self._stopping:
-            self._stop_event.set()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._loop.add_signal_handler(signum, self._stop_event.set)
-            except (ValueError, NotImplementedError, OSError, RuntimeError):
-                pass
-        server = await asyncio.start_server(
-            self._handle_connection, host=self._host, port=self._port
-        )
-        bound = server.sockets[0].getsockname()
-        self.address = f"{bound[0]}:{bound[1]}"
-        http_server = None
-        if self._http_port is not None:
-            http_server = await asyncio.start_server(
-                self._handle_http_connection, host=self._host, port=self._http_port
+    async def _listen(self) -> list:
+        listeners = [
+            await asyncio.start_server(
+                self._serve_frames, host=self._host, port=self._port
             )
-            http_bound = http_server.sockets[0].getsockname()
+        ]
+        bound = listeners[0].sockets[0].getsockname()
+        self.address = f"{bound[0]}:{bound[1]}"
+        if self._http_port is not None:
+            listeners.append(
+                await asyncio.start_server(
+                    self._handle_http_connection, host=self._host, port=self._http_port
+                )
+            )
+            http_bound = listeners[1].sockets[0].getsockname()
             self.http_address = f"http://{http_bound[0]}:{http_bound[1]}"
-        if verbose:
-            print(f"repro-router listening on {self.address}", flush=True)
-            if self.http_address:
-                print(f"repro-router http on {self.http_address}", flush=True)
-        health_task = asyncio.ensure_future(self._health_loop())
-        self._started.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            self._stopping = True
-            server.close()
-            if http_server is not None:
-                http_server.close()
-            in_flight = sum(b.in_flight for b in self._backends.values())
-            if in_flight and self._drain_timeout > 0:
-                deadline = self._loop.time() + self._drain_timeout
-                while (
-                    sum(b.in_flight for b in self._backends.values())
-                    and self._loop.time() < deadline
-                ):
-                    await asyncio.sleep(0.05)
-            health_task.cancel()
-            for task in list(self._conn_tasks):
-                task.cancel()
-            pending = [health_task, *self._conn_tasks]
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            for backend in self._backends.values():
-                if backend.link is not None:
-                    await backend.link.close()
-                    backend.link = None
-            for srv in (server, http_server):
-                if srv is None:
-                    continue
-                try:
-                    await srv.wait_closed()
-                except Exception:
-                    pass
+        self._tasks.add(asyncio.ensure_future(self._health_loop()))
+        return listeners
+
+    def _announce(self) -> list[str]:
+        lines = super()._announce()
+        if self.http_address:
+            lines.append(f"repro-router http on {self.http_address}")
+        return lines
+
+    def _pending(self) -> int:
+        return sum(b.in_flight for b in self._backends.values())
+
+    async def _close(self) -> None:
+        for backend in self._backends.values():
+            await backend.drop_link()
+
+    def summary(self) -> str:
+        return (
+            f"repro-router: {self.backend_deaths} backend death(s), "
+            f"{self.reroutes} reroute(s)"
+        )
 
     # --------------------------------------------------------------- health
 
@@ -532,29 +464,15 @@ class Router:
         slow must not look like dead.
         """
         try:
-            kind, target = parse_address(backend.address)
-            if kind == "unix":
-                connect = asyncio.open_unix_connection(target)
-            else:
-                connect = asyncio.open_connection(target[0], target[1])
-            reader, writer = await asyncio.wait_for(connect, self._health_timeout)
-        except (OSError, asyncio.TimeoutError):
-            return False
-        try:
-            writer.write(encode_frame({"id": 0, "op": "ping", "params": {}}))
-            await writer.drain()
-            info = await asyncio.wait_for(
-                read_frame_info(reader), self._health_timeout
-            )
-            return info is not None and info.message.get("ok") is True
+            _, writer, info = await _handshake(backend.address, self._health_timeout)
         except (OSError, ProtocolError, asyncio.TimeoutError):
             return False
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except Exception:
+            pass
+        return info is not None and info.message.get("ok") is True
 
     def _note_failure(self, backend: _Backend) -> None:
         backend.consecutive_failures += 1
@@ -567,95 +485,9 @@ class Router:
             backend.state = "down"
             self.ejections += 1
 
-    # --------------------------------------------------------- connections
+    # ------------------------------------------------------------------ ops
 
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._connections_open += 1
-        self._connections_total += 1
-        try:
-            while True:
-                try:
-                    frame = await read_frame_info(reader)
-                except FrameDecodeError as exc:
-                    self._bad_frames += 1
-                    writer.write(
-                        encode_frame(
-                            _error_response(None, ERR_BAD_FRAME, str(exc))
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                except ProtocolError:
-                    break  # desynchronized; drop the connection
-                if frame is None:
-                    break
-                response, stop_after = await self._handle_request(frame.message)
-                writer.write(encode_frame(_wire_wrap(response), binary=frame.binary))
-                await writer.drain()
-                if stop_after:
-                    self._stop_event.set()  # type: ignore[union-attr]
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._connections_open -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _handle_request(self, request: dict) -> tuple[dict, bool]:
-        rid = request.get("id")
-        if not isinstance(rid, int) or isinstance(rid, bool):
-            return (
-                _error_response(None, ERR_BAD_REQUEST, "request id must be an integer"),
-                False,
-            )
-        op = request.get("op")
-        params = request.get("params", {})
-        try:
-            if not isinstance(op, str):
-                raise _RouterError(ERR_BAD_REQUEST, "request op must be a string")
-            if not isinstance(params, dict):
-                raise _RouterError(ERR_BAD_REQUEST, "request params must be an object")
-            if self._stopping:
-                raise _RouterError(ERR_SHUTTING_DOWN, "router is shutting down")
-            self._counters[op] += 1
-            if op == "ping":
-                return {"id": rid, "ok": True, "result": self._banner()}, False
-            if op == "shutdown":
-                return {"id": rid, "ok": True, "result": {"stopping": True}}, True
-            if op == "stats":
-                return {"id": rid, "ok": True, "result": await self._stats()}, False
-            if op == "router_add":
-                address = params.get("address")
-                if not isinstance(address, str):
-                    raise _RouterError(ERR_BAD_REQUEST, "router_add needs an address")
-                return {"id": rid, "ok": True, "result": await self._admin_add(address)}, False
-            if op == "router_remove":
-                address = params.get("address")
-                if not isinstance(address, str):
-                    raise _RouterError(ERR_BAD_REQUEST, "router_remove needs an address")
-                return {
-                    "id": rid,
-                    "ok": True,
-                    "result": await self._admin_remove(address),
-                }, False
-            return await self._route(request, op, params), False
-        except _RouterError as exc:
-            return _error_response(rid, exc.code, str(exc)), False
-        except asyncio.CancelledError:
-            raise
-        except ProtocolError as exc:
-            return _error_response(rid, ERR_BAD_REQUEST, str(exc)), False
-
-    def _banner(self) -> dict:
+    async def _op_ping(self, params: dict, binary: bool) -> dict:
         return {
             "pong": True,
             "server": "repro-router",
@@ -663,6 +495,44 @@ class Router:
             "backends_up": len(self._up_backends()),
             "backends": len(self._backends),
         }
+
+    async def _op_stats(self, params: dict, binary: bool) -> dict:
+        return _wire_wrap(await self._stats())
+
+    @staticmethod
+    def _address(params: dict, op: str) -> str:
+        address = params.get("address")
+        if not isinstance(address, str):
+            raise RequestError(ERR_BAD_REQUEST, f"{op} needs an address")
+        return address
+
+    async def _op_router_add(self, params: dict, binary: bool) -> dict:
+        return await self._admin_add(self._address(params, "router_add"))
+
+    async def _op_router_remove(self, params: dict, binary: bool) -> dict:
+        return await self._admin_remove(self._address(params, "router_remove"))
+
+    # Ops the router answers itself; everything else is forwarded.
+    _OPS = {
+        "ping": _op_ping,
+        "stats": _op_stats,
+        "shutdown": ServingApp._op_shutdown,
+        "router_add": _op_router_add,
+        "router_remove": _op_router_remove,
+    }
+
+    async def _unknown_op(self, op: str, params: dict, request: dict) -> Any:
+        """Forward a non-local op; relay the backend's reply."""
+        self._counters[op] += 1
+        response = await self._route(request, op, params)
+        if response.get("ok"):
+            return _wire_wrap(response.get("result"))
+        error = response.get("error") or {}
+        raise RequestError(
+            error.get("code", ERR_INTERNAL),
+            error.get("message", "unknown error"),
+            error.get("retry_after"),
+        )
 
     # -------------------------------------------------------------- routing
 
@@ -760,17 +630,15 @@ class Router:
                     "router.forward", index=backend.index, defer=("delay",)
                 )
             except InjectedFault as exc:
-                self._note_backend_death(backend, str(exc))
+                self._note_backend_death(backend)
                 last_failure = str(exc)
                 continue
             if fault is not None and fault.action == "delay":
                 await asyncio.sleep(fault.value if fault.value is not None else 0.1)
             if fault is not None and fault.action == "reset":
                 # Injected: the backend link dies before the forward.
-                if backend.link is not None:
-                    await backend.link.close()
-                    backend.link = None
-                self._note_backend_death(backend, "injected backend reset")
+                await backend.drop_link()
+                self._note_backend_death(backend)
                 last_failure = "injected backend reset"
                 continue
             backend.in_flight += 1
@@ -779,21 +647,20 @@ class Router:
                 response = await self._call_backend(backend, message)
                 response = await self._maybe_reupload(backend, message, params, response)
             except BackendDown as exc:
-                self._note_backend_death(backend, str(exc))
+                self._note_backend_death(backend)
                 last_failure = str(exc)
                 continue
             finally:
                 backend.in_flight -= 1
             self._track_handles(backend, op, key, response)
             return response
-        return _error_response(
-            request.get("id"),
+        raise RequestError(
             ERR_UNAVAILABLE,
             f"no live backend could serve this request "
             f"(tried {sorted(tried) or 'none'}: {last_failure})",
         )
 
-    def _note_backend_death(self, backend: _Backend, reason: str) -> None:
+    def _note_backend_death(self, backend: _Backend) -> None:
         backend.deaths += 1
         self.backend_deaths += 1
         self._note_failure(backend)
@@ -811,6 +678,12 @@ class Router:
                 backend.link = None
             await link.close()
             raise
+
+    async def _call_own(self, backend: _Backend, op: str, params: dict) -> dict:
+        """A request of the router's own (client id ``router-...``)."""
+        self._next_rid += 1
+        message = {"id": self._next_rid, "cid": self._cid, "op": op, "params": params}
+        return await self._call_backend(backend, message)
 
     async def _maybe_reupload(
         self, backend: _Backend, message: dict, params: dict, response: dict
@@ -840,14 +713,9 @@ class Router:
             netlist = self._netlists.get(fingerprint)
             if netlist is None:
                 continue
-            self._next_rid += 1
-            register = {
-                "id": self._next_rid,
-                "cid": self._cid,
-                "op": "register_netlist",
-                "params": {"netlist": WireObj(netlist)},
-            }
-            reply = await self._call_backend(backend, register)
+            reply = await self._call_own(
+                backend, "register_netlist", {"netlist": WireObj(netlist)}
+            )
             if reply.get("ok"):
                 shipped = True
                 self.netlist_reuploads += 1
@@ -899,17 +767,10 @@ class Router:
     async def _stats(self) -> dict:
         backends: dict[str, Any] = {}
         for backend in self._up_backends():
-            self._next_rid += 1
-            message = {
-                "id": self._next_rid,
-                "cid": self._cid,
-                "op": "stats",
-                "params": {},
-            }
             try:
-                reply = await self._call_backend(backend, message)
+                reply = await self._call_own(backend, "stats", {})
             except BackendDown as exc:
-                self._note_backend_death(backend, str(exc))
+                self._note_backend_death(backend)
                 continue
             if reply.get("ok"):
                 backends[backend.address] = reply.get("result")
@@ -920,10 +781,7 @@ class Router:
     async def _handle_http_connection(self, reader, writer) -> None:
         from repro.gateway.http import HttpError, encode_response, read_request
 
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
+        async with self._connection(writer, count=False):
             while True:
                 try:
                     request = await read_request(reader)
@@ -945,16 +803,6 @@ class Router:
                 await writer.drain()
                 if not request.keep_alive:
                     break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
 
     async def _http_route(self, request) -> tuple[int, bytes, str]:
         def reply(status: int, payload: dict) -> tuple[int, bytes, str]:
@@ -969,7 +817,7 @@ class Router:
                 {"status": status, "backends_up": up, "backends": len(self._backends)},
             )
         if path == "/metrics" and method == "GET":
-            return 200, self._render_metrics().encode(), "text/plain; version=0.0.4"
+            return 200, self._metrics().encode(), "text/plain; version=0.0.4"
         if path == "/v1/stats" and method == "GET":
             return reply(200, await self._stats())
         if path == "/v1/backends" and method == "GET":
@@ -979,98 +827,50 @@ class Router:
         if path == "/v1/backends" and method == "POST":
             try:
                 payload = json.loads(request.body or b"{}")
-                address = payload["address"]
-                result = await self._admin_add(address)
-            except (ValueError, KeyError, _RouterError) as exc:
+                result = await self._admin_add(payload["address"])
+            except (ValueError, KeyError, TypeError, RequestError) as exc:
                 return reply(400, {"ok": False, "error": str(exc)})
             return reply(200, result)
         if path.startswith("/v1/backends/") and method == "DELETE":
             address = path[len("/v1/backends/"):]
             try:
                 result = await self._admin_remove(address)
-            except _RouterError as exc:
+            except RequestError as exc:
                 return reply(400, {"ok": False, "error": str(exc)})
             return reply(200, result)
         return reply(404, {"ok": False, "error": f"no route {method} {path}"})
 
-    def _render_metrics(self) -> str:
+    def _metrics(self) -> str:
         """Prometheus text exposition of the router's counters."""
         stats = self.router_stats()
-        lines: list[str] = []
-
-        def emit(name: str, mtype: str, help_text: str, value) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} {mtype}")
-            lines.append(f"{name} {value}")
-
-        emit(
-            "repro_router_backends_up", "gauge",
-            "Backends currently routable.", stats["backends_up"],
-        )
-        emit(
-            "repro_router_backends", "gauge",
-            "Backends known to the router.", len(stats["backends"]),
-        )
-        emit(
-            "repro_router_backend_deaths_total", "counter",
-            "Backend connection failures observed while forwarding.",
-            stats["backend_deaths"],
-        )
-        emit(
-            "repro_router_reroutes_total", "counter",
-            "Requests retried on another backend after a failure.",
-            stats["reroutes"],
-        )
-        emit(
-            "repro_router_netlist_reuploads_total", "counter",
-            "Netlists lazily re-registered to a new owner.",
-            stats["netlist_reuploads"],
-        )
-        emit(
-            "repro_router_ejections_total", "counter",
-            "Backends ejected after consecutive health failures.",
-            stats["ejections"],
-        )
-        emit(
-            "repro_router_readmissions_total", "counter",
-            "Ejected backends re-admitted after a successful probe.",
-            stats["readmissions"],
-        )
-        emit(
-            "repro_router_requests_total", "counter",
-            "Requests accepted on the protocol front end.",
-            sum(stats["requests_by_op"].values()),
-        )
-        lines.append(
-            "# HELP repro_router_backend_in_flight In-flight requests per backend."
-        )
-        lines.append("# TYPE repro_router_backend_in_flight gauge")
-        for snapshot in stats["backends"]:
-            label = snapshot["address"].replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(
-                f'repro_router_backend_in_flight{{backend="{label}"}} '
-                f"{snapshot['in_flight']}"
-            )
-        lines.append(
-            "# HELP repro_router_backend_forwarded_total Requests forwarded per backend."
-        )
-        lines.append("# TYPE repro_router_backend_forwarded_total counter")
-        for snapshot in stats["backends"]:
-            label = snapshot["address"].replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(
-                f'repro_router_backend_forwarded_total{{backend="{label}"}} '
-                f"{snapshot['forwarded']}"
-            )
-        return "\n".join(lines) + "\n"
-
-
-class _RouterError(Exception):
-    """A router-local request error carrying a protocol error code."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-
-
-def _error_response(rid, code: str, message: str) -> dict:
-    return {"id": rid, "ok": False, "error": {"code": code, "message": message}}
+        backends = stats["backends"]
+        return render_metrics([
+            ("repro_router_backends_up", "gauge",
+             "Backends currently routable.", stats["backends_up"]),
+            ("repro_router_backends", "gauge",
+             "Backends known to the router.", len(backends)),
+            ("repro_router_backend_deaths_total", "counter",
+             "Backend connection failures observed while forwarding.",
+             stats["backend_deaths"]),
+            ("repro_router_reroutes_total", "counter",
+             "Requests retried on another backend after a failure.",
+             stats["reroutes"]),
+            ("repro_router_netlist_reuploads_total", "counter",
+             "Netlists lazily re-registered to a new owner.",
+             stats["netlist_reuploads"]),
+            ("repro_router_ejections_total", "counter",
+             "Backends ejected after consecutive health failures.",
+             stats["ejections"]),
+            ("repro_router_readmissions_total", "counter",
+             "Ejected backends re-admitted after a successful probe.",
+             stats["readmissions"]),
+            ("repro_router_requests_total", "counter",
+             "Requests accepted on the protocol front end.",
+             sum(stats["requests_by_op"].values())),
+            ("repro_router_backend_in_flight", "gauge",
+             "In-flight requests per backend.",
+             ("backend", [(b["address"], b["in_flight"]) for b in backends])),
+            ("repro_router_backend_forwarded_total", "counter",
+             "Requests forwarded per backend.",
+             ("backend", [(b["address"], b["forwarded"]) for b in backends])),
+        ])

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import AbstractContextManager
 
 from repro.router.router import Router
 from repro.testing import running_app
@@ -11,8 +10,7 @@ from repro.testing import running_app
 __all__ = ["running_router"]
 
 
-@contextmanager
-def running_router(timeout: float = 60.0, **router_kwargs) -> Iterator[Router]:
+def running_router(timeout: float = 60.0, **router_kwargs) -> AbstractContextManager[Router]:
     """A listening :class:`Router` on its own thread; stops on exit.
 
     Keyword arguments go to the :class:`Router` constructor — most
@@ -20,7 +18,4 @@ def running_router(timeout: float = 60.0, **router_kwargs) -> Iterator[Router]:
     accepting connections; read ``router.address`` to connect (and
     ``router.http_address`` when ``http_port`` was given).
     """
-    with running_app(
-        Router(**router_kwargs), name="repro-router", timeout=timeout
-    ) as router:
-        yield router
+    return running_app(Router(**router_kwargs), name="repro-router", timeout=timeout)

@@ -17,31 +17,10 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.runner import _parse_workers
+from repro.server.core import add_listen_flags, add_session_flags, session_kwargs
 from repro.server.server import LotServer
-from repro.simulator import ENGINES
 
 __all__ = ["main"]
-
-
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {number}")
-    return number
-
-
-def _positive_float(value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {number}")
-    return number
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,90 +33,14 @@ def main(argv: list[str] | None = None) -> int:
             "shared compile-once session (see docs/server.md)."
         ),
     )
-    parser.add_argument("--host", default="127.0.0.1", help="TCP bind host (default: %(default)s)")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=7642,
-        help="TCP port; 0 binds an ephemeral port (default: %(default)s)",
-    )
+    add_listen_flags(parser, port=7642)
     parser.add_argument(
         "--socket",
         default=None,
         metavar="PATH",
         help="listen on a Unix-domain socket instead of TCP",
     )
-    parser.add_argument(
-        "--engine",
-        choices=sorted(ENGINES),
-        default="batch",
-        help="fault-simulation engine of the shared session (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=_parse_workers,
-        default=1,
-        help="session pool processes: an integer or 'auto' (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-contexts",
-        type=_positive_int,
-        default=None,
-        help="LRU bound on resident compiled contexts (default: unbounded)",
-    )
-    parser.add_argument(
-        "--max-bytes",
-        type=_positive_int,
-        default=None,
-        help="LRU bound on resident context bytes (default: unbounded)",
-    )
-    parser.add_argument(
-        "--max-handles",
-        type=_positive_int,
-        default=256,
-        help="retained lot/program handles per kind (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--max-queue-depth",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help=(
-            "per-netlist backpressure high-water mark: requests past N "
-            "pending answer 'overloaded' with a retry_after hint "
-            "(default: unbounded)"
-        ),
-    )
-    parser.add_argument(
-        "--request-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "per-request server deadline; a request past it answers "
-            "'deadline-exceeded' (default: none)"
-        ),
-    )
-    parser.add_argument(
-        "--drain-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "graceful-shutdown window for in-flight requests "
-            "(default: $REPRO_DRAIN_TIMEOUT or 10)"
-        ),
-    )
-    parser.add_argument(
-        "--dispatch-timeout",
-        type=_positive_float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "pool watchdog deadline against hung workers "
-            "(default: $REPRO_DISPATCH_TIMEOUT or off)"
-        ),
-    )
+    add_session_flags(parser)
     parser.add_argument(
         "--backend-id",
         type=int,
@@ -149,47 +52,15 @@ def main(argv: list[str] | None = None) -> int:
             "chaos seam)"
         ),
     )
-    parser.add_argument(
-        "--debug",
-        action="store_true",
-        help="log every request (op, frame format, payload bytes in/out)",
-    )
     args = parser.parse_args(argv)
-    if args.debug:
-        import logging
-
-        logging.basicConfig(
-            level=logging.DEBUG,
-            format="%(asctime)s %(name)s %(levelname)s %(message)s",
-        )
     server = LotServer(
         host=args.host,
         port=0 if args.socket else args.port,
         socket_path=args.socket,
-        engine=args.engine,
-        workers=args.workers,
-        max_contexts=args.max_contexts,
-        max_bytes=args.max_bytes,
-        max_handles=args.max_handles,
-        max_queue_depth=args.max_queue_depth,
-        request_timeout=args.request_timeout,
-        drain_timeout=args.drain_timeout,
-        dispatch_timeout=args.dispatch_timeout,
         backend_id=args.backend_id,
+        **session_kwargs(args),
     )
-    try:
-        # SIGINT/SIGTERM are handled inside the event loop (graceful
-        # drain); the KeyboardInterrupt fallback only fires on platforms
-        # where the loop could not register signal handlers.
-        server.run(verbose=True)
-    except KeyboardInterrupt:
-        pass
-    print(
-        f"repro-server: drained {server.drained_requests} in-flight "
-        f"request(s)",
-        flush=True,
-    )
-    return 0
+    return server.run_cli(debug=args.debug)
 
 
 if __name__ == "__main__":

@@ -32,13 +32,13 @@ durable unit:
   decodes, or a ``socket.timeout`` **mid-frame** (after which leftover
   reply bytes would corrupt the next request: the socket is
   desynchronized, not slow) — marks the connection dead and raises the
-  typed :class:`~repro.server.protocol.ConnectionLost`.  With
-  ``reconnect=True`` (default) the client transparently reconnects with
-  exponential backoff + jitter, re-handshakes, and replays the request;
-  callers see ``ConnectionLost`` only once the retry budget is spent.
+  typed :class:`~repro.server.protocol.ConnectionLost`; the client
+  reconnects, re-handshakes, and replays the request.
 * ``ERR_OVERLOADED`` replies are retried after the server's
-  ``retry_after`` hint (jittered); every other server error raises
-  :class:`~repro.server.protocol.RemoteError` immediately.
+  ``retry_after`` hint; every other server error raises
+  :class:`~repro.server.protocol.RemoteError` immediately.  The retry
+  budget, backoff and jitter are the
+  :class:`~repro.server.core.RetryPolicy` the gateway client shares.
 * After a *server restart*, cached netlist ids and handles are stale;
   pipeline calls catch ``unknown-netlist`` / ``unknown-handle``, drop
   the caches, re-register / re-upload from the local objects, and retry
@@ -51,9 +51,7 @@ Everything the resilience layer does is visible in
 
 from __future__ import annotations
 
-import random
 import socket
-import time
 import uuid
 from typing import Any, Callable, Mapping, Sequence
 
@@ -62,8 +60,8 @@ from repro.circuit.netlist import Netlist
 from repro.manufacturing.lot import FabricatedLot
 from repro.manufacturing.process import ProcessRecipe
 from repro.manufacturing.wafer import FabricatedChip
+from repro.server.core import IdentityMap, RetryPolicy, reply_result
 from repro.server.protocol import (
-    ERR_OVERLOADED,
     ERR_UNKNOWN_HANDLE,
     ERR_UNKNOWN_NETLIST,
     ConnectionLost,
@@ -89,8 +87,15 @@ def parse_address(address: str) -> tuple[str, Any]:
     """Parse a server address into ``("tcp", (host, port))`` or ``("unix", path)``.
 
     Accepted forms: ``"host:port"`` (TCP) and ``"unix:/path/to.sock"``
-    (Unix-domain socket).
+    (Unix-domain socket).  Anything else — a non-string, or an address
+    containing whitespace or control characters — is a ``ValueError``.
     """
+    if not isinstance(address, str):
+        raise ValueError(f"address must be a string, got {type(address).__name__}")
+    if any(ch.isspace() or not ch.isprintable() for ch in address):
+        raise ValueError(
+            f"address must not contain whitespace or control characters: {address!r}"
+        )
     if address.startswith("unix:"):
         path = address[len("unix:"):]
         if not path:
@@ -131,11 +136,8 @@ class Client:
         Exponential reconnect/retry backoff: the first retry waits
         ~``backoff`` seconds, doubling per attempt up to
         ``backoff_max``, with ±50% deterministic jitter (seeded by the
-        client id) so a herd of clients doesn't reconnect in lockstep.
-    reconnect:
-        Reconnect-and-replay on connection loss (default).  ``False``
-        turns any transport failure into an immediate
-        :class:`~repro.server.protocol.ConnectionLost`.
+        client id) so a herd of clients doesn't reconnect in lockstep
+        (see :class:`~repro.server.core.RetryPolicy`).
 
     Clients are context managers; they are not thread-safe (use one
     client per thread — the server multiplexes them).
@@ -148,10 +150,7 @@ class Client:
         retries: int = 3,
         backoff: float = 0.05,
         backoff_max: float = 2.0,
-        reconnect: bool = True,
     ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         self.address = address
         self._addresses = [
             part.strip() for part in address.split(",") if part.strip()
@@ -162,44 +161,28 @@ class Client:
             parse_address(endpoint)  # validate the whole list up front
         self._address_index = 0
         self._timeout = timeout
-        self._retries = int(retries)
-        self._backoff = float(backoff)
-        self._backoff_max = float(backoff_max)
-        self._reconnect = bool(reconnect)
         # The idempotency key: (cid, request id) names one logical
         # request across however many sockets it takes to deliver it.
         self._cid = uuid.uuid4().hex
-        self._rng = random.Random(self._cid)
-        self.counters = {
-            "retries": 0,
-            "reconnects": 0,
-            "timeouts": 0,
-            "overload_rejections": 0,
-            "connection_losses": 0,
-        }
+        self._retry = RetryPolicy(self._cid, retries, backoff, backoff_max)
+        self.counters = self._retry.counters
         self._sock: socket.socket | None = None
         self._next_id = 0
         self._closed = False
-        # Local-object -> server-identity maps.  Values pin the objects
-        # so the id() keys stay unambiguous for the client's lifetime.
-        self._netlist_ids: dict[int, tuple[Netlist, str]] = {}
+        self._netlist_ids = IdentityMap()
         self._netlists_by_fid: dict[str, Netlist] = {}
-        self._handles: dict[int, tuple[Any, str]] = {}
+        self._handles = IdentityMap()
         self._binary = False
-        last: Exception | None = None
+        # Try each failover endpoint once, in order.
         for _ in range(len(self._addresses)):
             try:
                 self._connect()
                 break
-            except (ConnectionLost, OSError) as exc:
-                if len(self._addresses) == 1:
-                    raise
+            except ConnectionLost as exc:
                 last = exc
-                self._drop_socket()
-                self._address_index = (
-                    self._address_index + 1
-                ) % len(self._addresses)
         else:
+            if len(self._addresses) == 1:
+                raise last
             raise ConnectionLost(
                 f"could not connect to any of {self._addresses}: {last}"
             )
@@ -234,62 +217,32 @@ class Client:
                 pass
 
     def _connect(self) -> None:
-        """Open a fresh socket and run the format handshake."""
-        kind, target = parse_address(self._addresses[self._address_index])
-        if kind == "unix":
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self._timeout)
-            sock.connect(target)
-        else:
-            sock = socket.create_connection(target, timeout=self._timeout)
-        self._sock = sock
-        # Handshake: a protocol-2 server gets binary frames (raw array
-        # payloads); anything older falls back to base64-in-JSON.
-        self._binary = False
-        self._next_id += 1
-        pong = self._request_once(self._next_id, "ping", {})
-        self._binary = pong.get("protocol", 1) >= 2
+        """Open a fresh socket and run the format handshake.
 
-    def _sleep_backoff(self, attempt: int, hint: float | None = None) -> None:
-        """Wait before a retry: server hint or exponential, ±50% jitter."""
-        if hint is not None:
-            delay = hint
-        else:
-            delay = self._backoff * (2 ** max(0, attempt - 1))
-        delay = min(delay, self._backoff_max)
-        time.sleep(delay * (0.5 + self._rng.random()))
-
-    def _reestablish(self) -> None:
-        """Reconnect with exponential backoff; raises when exhausted.
-
-        A successful reconnect forgets the cached netlist ids (one cheap
-        idempotent ``register_netlist`` per circuit re-proves them on
-        whatever server is now answering); handles are kept — if the
-        server really restarted, the pipeline helpers fall back to
-        re-upload on ``unknown-handle``.
+        A failure raises :class:`ConnectionLost` and rotates to the next
+        failover endpoint, so the next attempt tries the next front end.
         """
-        last: Exception | None = None
-        for attempt in range(self._retries + 1):
-            if attempt:
-                self._sleep_backoff(attempt)
-            try:
-                self._connect()
-            except (ConnectionLost, OSError) as exc:
-                last = exc
-                self._drop_socket()
-                # Rotate through the failover endpoints: the next
-                # attempt tries the next front end in the list.
-                self._address_index = (
-                    self._address_index + 1
-                ) % len(self._addresses)
-                continue
-            self.counters["reconnects"] += 1
-            self._netlist_ids.clear()
-            return
-        raise ConnectionLost(
-            f"could not reconnect to {self.address} after "
-            f"{self._retries + 1} attempts: {last}"
-        )
+        try:
+            kind, target = parse_address(self._addresses[self._address_index])
+            if kind == "unix":
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                sock.settimeout(self._timeout)
+                sock.connect(target)
+            else:
+                sock = socket.create_connection(target, timeout=self._timeout)
+            self._sock = sock
+            # Handshake: a protocol-2 server gets binary frames (raw
+            # array payloads); anything older falls back to base64-in-JSON.
+            self._binary = False
+            self._next_id += 1
+            pong = self._request_once(self._next_id, "ping", {})
+        except OSError as exc:
+            self._drop_socket()
+            self._address_index = (self._address_index + 1) % len(self._addresses)
+            if isinstance(exc, ConnectionLost):
+                raise
+            raise ConnectionLost(str(exc)) from exc
+        self._binary = pong.get("protocol", 1) >= 2
 
     def _request_once(self, rid: int, op: str, params: dict) -> dict:
         """One request/response round trip on the current socket.
@@ -343,15 +296,7 @@ class Client:
                 f"response id {response.get('id')!r} does not match request "
                 f"id {rid}; dropping the desynchronized connection"
             )
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise RemoteError(
-                error.get("code", "internal"),
-                error.get("message", "unknown error"),
-                retry_after=error.get("retry_after"),
-            )
-        result = response.get("result")
-        return result if isinstance(result, dict) else {}
+        return reply_result(response)
 
     # ------------------------------------------------------------- request
 
@@ -362,32 +307,26 @@ class Client:
         and *replay* it (the server's idempotent cache recognizes the
         retry), and ``overloaded`` rejections back off per the server's
         ``retry_after`` hint — up to the ``retries`` budget.
+
+        A successful reconnect forgets the cached netlist ids (one cheap
+        idempotent ``register_netlist`` per circuit re-proves them on
+        whatever server is now answering); handles are kept — if the
+        server really restarted, the pipeline helpers fall back to
+        re-upload on ``unknown-handle``.
         """
         if self._closed:
             raise RuntimeError("client is closed")
         self._next_id += 1
         rid = self._next_id
-        attempts = 0
-        while True:
+
+        def once() -> dict:
             if self._sock is None:
-                self._reestablish()
-            try:
-                return self._request_once(rid, op, params)
-            except ConnectionLost:
-                self.counters["connection_losses"] += 1
-                attempts += 1
-                if not self._reconnect or attempts > self._retries:
-                    raise
-                self.counters["retries"] += 1
-            except RemoteError as exc:
-                if exc.code != ERR_OVERLOADED:
-                    raise
-                self.counters["overload_rejections"] += 1
-                attempts += 1
-                if attempts > self._retries:
-                    raise
-                self.counters["retries"] += 1
-                self._sleep_backoff(attempts, hint=exc.retry_after)
+                self._connect()
+                self.counters["reconnects"] += 1
+                self._netlist_ids.clear()
+            return self._request_once(rid, op, params)
+
+        return self._retry.call(once)
 
     def _pipeline_request(self, op: str, build_params: Callable[[], dict]) -> dict:
         """A pipeline request that survives server-side state loss.
@@ -429,24 +368,15 @@ class Client:
         Idempotent and cached per client — later pipeline calls on the
         same object send only the id.
         """
-        cached = self._netlist_ids.get(id(netlist))
-        if cached is not None and cached[0] is netlist:
-            return cached[1]
+        cached = self._netlist_ids.get(netlist)
+        if cached is not None:
+            return cached
         result = self.request("register_netlist", netlist=self._pack(netlist))
         netlist_id = result["netlist_id"]
         assert netlist_id == netlist_fingerprint(netlist)
-        self._netlist_ids[id(netlist)] = (netlist, netlist_id)
+        self._netlist_ids.put(netlist, netlist_id)
         self._netlists_by_fid[netlist_id] = netlist
         return netlist_id
-
-    def _remember(self, obj: Any, handle: str) -> None:
-        self._handles[id(obj)] = (obj, handle)
-
-    def _handle_for(self, obj: Any) -> str | None:
-        cached = self._handles.get(id(obj))
-        if cached is not None and cached[0] is obj:
-            return cached[1]
-        return None
 
     def fabricate(
         self,
@@ -474,7 +404,7 @@ class Client:
             lot = lot_from_arrays(
                 self._netlists_by_fid.get(lot.fingerprint, netlist), lot
             )
-        self._remember(lot, result["lot_id"])
+        self._handles.put(lot, result["lot_id"])
         return lot
 
     def build_program(
@@ -493,7 +423,7 @@ class Client:
             },
         )
         program = self._unpack(result["program"])
-        self._remember(program, result["program_id"])
+        self._handles.put(program, result["program_id"])
         return program
 
     def test(
@@ -510,12 +440,12 @@ class Client:
 
         def build_params() -> dict:
             params: dict[str, Any] = {}
-            program_handle = self._handle_for(program)
+            program_handle = self._handles.get(program)
             if program_handle is not None:
                 params["program_id"] = program_handle
             else:
                 params["program"] = self._pack(program)
-            lot_handle = self._handle_for(lot)
+            lot_handle = self._handles.get(lot)
             if lot_handle is not None:
                 params["lot_id"] = lot_handle
             else:

@@ -84,10 +84,8 @@ __all__ = [
     "FrameInfo",
     "LotArrays",
     "encode_frame",
-    "read_frame",
     "read_frame_info",
     "recv_frame",
-    "recv_frame_info",
     "send_frame",
     "pack_obj",
     "unpack_obj",
@@ -409,12 +407,6 @@ async def read_frame_info(reader) -> FrameInfo | None:
     return FrameInfo(message, binary, _HEADER.size + body_len)
 
 
-async def read_frame(reader) -> dict | None:
-    """Async side: read one envelope, or ``None`` on a clean EOF."""
-    info = await read_frame_info(reader)
-    return None if info is None else info.message
-
-
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
     chunks = []
     remaining = count
@@ -429,8 +421,8 @@ def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:
     return b"".join(chunks)
 
 
-def recv_frame_info(sock: socket.socket) -> FrameInfo | None:
-    """Sync side: read one frame, or ``None`` on a clean EOF."""
+def recv_frame(sock: socket.socket) -> dict | None:
+    """Sync side: read one envelope, or ``None`` on a clean EOF."""
     header = _recv_exactly(sock, _HEADER.size)
     if header is None:
         return None
@@ -439,14 +431,7 @@ def recv_frame_info(sock: socket.socket) -> FrameInfo | None:
     body = _recv_exactly(sock, body_len)
     if body is None:
         raise ProtocolError("connection closed mid-frame")
-    message = _decode_full_body(body, binary)
-    return FrameInfo(message, binary, _HEADER.size + body_len)
-
-
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Sync side: read one envelope, or ``None`` on a clean EOF."""
-    info = recv_frame_info(sock)
-    return None if info is None else info.message
+    return _decode_full_body(body, binary)
 
 
 def send_frame(sock: socket.socket, message: dict, binary: bool = False) -> None:

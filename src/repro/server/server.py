@@ -39,11 +39,6 @@ import asyncio
 import dataclasses
 import logging
 import os
-import signal
-import sys
-import threading
-import traceback
-from collections import Counter
 from typing import Any, Awaitable, Callable
 
 from repro import chaos
@@ -51,73 +46,42 @@ from repro.api import Session
 from repro.circuit.netlist import Netlist
 from repro.manufacturing.lot import FabricatedLot
 from repro.manufacturing.process import ProcessRecipe
-from repro.runtime import PoisonShardError, WorkerCrashError
+from repro.server.app import ServingApp
 from repro.server.core import (
+    EXPERIMENT_QUEUE,
     MISSING,
     HandleRegistry,
     JobQueues,
     ReplayCache,
     RequestError,
+    experiment_job,
+    lot_summary,
     param,
+    program_summary,
 )
 from repro.server.protocol import (
-    ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
-    ERR_DEADLINE,
-    ERR_INTERNAL,
-    ERR_POISON_SHARD,
-    ERR_SHUTTING_DOWN,
     ERR_UNKNOWN_HANDLE,
     ERR_UNKNOWN_NETLIST,
-    ERR_UNKNOWN_OP,
-    ERR_USER,
-    ERR_WORKER_CRASH,
     PROTOCOL_VERSION,
-    FrameDecodeError,
     LotArrays,
-    ProtocolError,
     WireObj,
-    encode_frame,
     lot_from_arrays,
     netlist_fingerprint,
     pack_lot,
     pack_obj,
-    read_frame_info,
     unpack_obj,
 )
 from repro.tester.program import TestProgram
 
 __all__ = ["LotServer"]
 
-_log = logging.getLogger("repro.server")
-
-# Queue key for requests that are not tied to a client netlist (the
-# named paper experiments build their own circuits internally).
-_EXPERIMENT_QUEUE = "__experiments__"
-
-# Environment default for the graceful-drain window (seconds): how long
-# SIGTERM/SIGINT waits for in-flight requests before closing anyway.
-_DRAIN_TIMEOUT_ENV = "REPRO_DRAIN_TIMEOUT"
-_DEFAULT_DRAIN_TIMEOUT = 10.0
-
-# Replay cache bounds: successful pipeline responses retained per client
-# id, and client ids retained, both FIFO.  Small on purpose — the cache
-# only needs to cover the retry window of a reconnecting client.
-_REPLAY_PER_CLIENT = 8
-_REPLAY_CLIENTS = 64
-
 # The session-group label prefixed onto queue keys in stats: the TCP
 # server runs every queue against its one shared session.
 _SESSION_GROUP = "shared"
 
-# The request-handler plumbing lives in repro.server.core (shared with
-# the HTTP gateway); the old private names stay importable.
-_MISSING = MISSING
-_RequestError = RequestError
-_param = param
 
-
-class LotServer:
+class LotServer(ServingApp):
     """Serve lot-testing requests from many clients over one session.
 
     Parameters
@@ -165,6 +129,10 @@ class LotServer:
     in a thread via :func:`repro.server.testing.running_server`.
     """
 
+    _kind = "server"
+    _log = logging.getLogger("repro.server")
+    _REPLY_SEAM = "server.reply"
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -183,30 +151,11 @@ class LotServer:
     ):
         if socket_path is not None and port:
             raise ValueError("pass either port or socket_path, not both")
-        if max_handles < 1:
-            raise ValueError(f"max_handles must be >= 1, got {max_handles}")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError(
-                f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
-            )
-        if drain_timeout is None:
-            env = os.environ.get(_DRAIN_TIMEOUT_ENV)
-            drain_timeout = float(env) if env else _DEFAULT_DRAIN_TIMEOUT
+        super().__init__(drain_timeout, request_timeout, ReplayCache())
         self._host = host
         self._port = port
         self._socket_path = socket_path
-        self._max_handles = max_handles
-        self._max_queue_depth = max_queue_depth
-        self._request_timeout = request_timeout
-        self._drain_timeout = max(0.0, float(drain_timeout))
         self._backend_id = backend_id
-        self._session = Session(
-            engine=engine,
-            workers=workers,
-            max_contexts=max_contexts,
-            max_bytes=max_bytes,
-            dispatch_timeout=dispatch_timeout,
-        )
         self._netlists: dict[str, Netlist] = {}
         # Lot and program handles share one counter (preserves the
         # historical numbering where handles never collide across kinds).
@@ -218,307 +167,53 @@ class LotServer:
         # Per-netlist FIFO queues with backpressure; every queue drains
         # onto the one exec thread via _exec_runner.
         self._jobs = JobQueues(self._exec_runner, max_queue_depth)
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._counters: Counter[str] = Counter()
-        # (cid, rid) -> successful response: lets a reconnecting client
-        # replay an idempotent request id without re-running the
-        # pipeline work (or minting a second handle for the same call).
-        self._replay = ReplayCache(_REPLAY_PER_CLIENT, _REPLAY_CLIENTS)
-        self._bad_frames = 0
-        self._deadline_expirations = 0
-        self._connections_open = 0
-        self._connections_total = 0
-        # Requests that were in flight when shutdown began and finished
-        # inside the drain window (the CLI's exit message).
-        self.drained_requests = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._stopping = False
-        self._started = threading.Event()
-        self._finished = threading.Event()
-        self.address: str | None = None
+        self._session = Session(
+            engine=engine,
+            workers=workers,
+            max_contexts=max_contexts,
+            max_bytes=max_bytes,
+            dispatch_timeout=dispatch_timeout,
+        )
         # The one thread that touches the shared session; its FIFO queue
         # is what serializes pipeline work across netlist queues.
         self._exec: Any = None
 
     # ----------------------------------------------------------- lifecycle
 
-    def run(self, verbose: bool = False) -> None:
-        """Bind, announce (``verbose``), and serve until shutdown (blocking)."""
-        try:
-            asyncio.run(self._main(verbose))
-        finally:
-            self._finished.set()
-            self._started.set()  # unblock waiters even on startup failure
-
-    def wait_started(self, timeout: float = 30.0) -> None:
-        """Block until the server is listening (for run-in-a-thread users)."""
-        if not self._started.wait(timeout):
-            raise TimeoutError("server did not start listening in time")
-        if self.address is None:
-            raise RuntimeError("server failed during startup")
-
-    def request_shutdown(self) -> None:
-        """Ask the server to stop, from any thread (idempotent)."""
-        loop, stop = self._loop, self._stop_event
-        if loop is None or stop is None:
-            self._stopping = True
-            return
-        try:
-            loop.call_soon_threadsafe(stop.set)
-        except RuntimeError:
-            pass  # loop already closed — the server is already down
-
-    async def _main(self, verbose: bool) -> None:
+    async def _listen(self) -> list:
         from concurrent.futures import ThreadPoolExecutor
 
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        if self._stopping:  # shutdown requested before startup
-            self._stop_event.set()
-        # Ctrl-C / SIGTERM trigger the same graceful drain as the
-        # shutdown op.  Registration fails off the main thread (the
-        # running_server test helper) and on exotic loops — both fall
-        # back to the default handlers, which is exactly the old
-        # behavior.
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                self._loop.add_signal_handler(signum, self._stop_event.set)
-            except (ValueError, NotImplementedError, OSError, RuntimeError):
-                pass
         self._exec = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-server-exec"
         )
         if self._socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._handle_connection, path=self._socket_path
+                self._serve_frames, path=self._socket_path
             )
             self.address = f"unix:{self._socket_path}"
         else:
             server = await asyncio.start_server(
-                self._handle_connection, host=self._host, port=self._port
+                self._serve_frames, host=self._host, port=self._port
             )
             bound = server.sockets[0].getsockname()
             self.address = f"{bound[0]}:{bound[1]}"
-        if verbose:
-            print(f"repro-server listening on {self.address}", flush=True)
-        self._started.set()
-        try:
-            await self._stop_event.wait()
-            self._stopping = True
-        finally:
-            # Graceful drain: stop accepting, let requests that were in
-            # flight at shutdown finish (their connection handlers are
-            # still alive to deliver the replies), then close.  New
-            # requests arriving meanwhile answer ERR_SHUTTING_DOWN.
-            self._stopping = True
-            server.close()
-            in_flight = self._jobs.total_pending()
-            if in_flight and self._drain_timeout > 0:
-                deadline = self._loop.time() + self._drain_timeout
-                while self._jobs.total_pending() and self._loop.time() < deadline:
-                    await asyncio.sleep(0.05)
-            self.drained_requests = in_flight - self._jobs.total_pending()
-            # Cancel live connection handlers explicitly: since Python
-            # 3.12.1 ``wait_closed`` blocks until every handler
-            # coroutine finishes, so an idle client that never
-            # disconnects would otherwise hang shutdown.
-            for task in list(self._conn_tasks):
-                task.cancel()
-            if self._conn_tasks:
-                await asyncio.gather(
-                    *self._conn_tasks, return_exceptions=True
-                )
+        return [server]
+
+    def _pending(self) -> int:
+        return self._jobs.total_pending()
+
+    async def _close(self) -> None:
+        await self._jobs.aclose()
+        # Let an in-flight pipeline call finish, then release the pool.
+        self._exec.shutdown(wait=True)
+        self._session.close()
+        if self._socket_path is not None:
             try:
-                await server.wait_closed()
-            except Exception:
+                os.unlink(self._socket_path)
+            except OSError:
                 pass
-            await self._jobs.aclose()
-            # Let an in-flight pipeline call finish, then release the pool.
-            self._exec.shutdown(wait=True)
-            self._session.close()
-            if self._socket_path is not None:
-                import os
-
-                try:
-                    os.unlink(self._socket_path)
-                except OSError:
-                    pass
-
-    # --------------------------------------------------------- connections
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        self._connections_open += 1
-        self._connections_total += 1
-        try:
-            while True:
-                try:
-                    frame = await read_frame_info(reader)
-                except FrameDecodeError as exc:
-                    # The body was read in full, so the stream is still
-                    # frame-synchronized: report the bad frame and keep
-                    # serving this connection.  (No request id — the
-                    # body never decoded far enough to have one.)
-                    self._bad_frames += 1
-                    writer.write(
-                        encode_frame(
-                            self._error_response(None, ERR_BAD_FRAME, str(exc))
-                        )
-                    )
-                    await writer.drain()
-                    continue
-                except ProtocolError:
-                    break  # stream desynchronized; drop the connection
-                if frame is None:
-                    break
-                # Answer in the format the request arrived in, so one
-                # server serves protocol-1 and protocol-2 clients alike.
-                response, stop_after = await self._handle_request(
-                    frame.message, frame.binary
-                )
-                reply = encode_frame(response, binary=frame.binary)
-                if _log.isEnabledFor(logging.DEBUG):
-                    _log.debug(
-                        "op=%s id=%s format=%s bytes_in=%d bytes_out=%d",
-                        frame.message.get("op"),
-                        frame.message.get("id"),
-                        "binary" if frame.binary else "json",
-                        frame.nbytes,
-                        len(reply),
-                    )
-                fault = chaos.fire("server.reply", defer=("delay",))
-                if fault is not None and fault.action == "reset":
-                    break  # injected: connection dies with the reply unsent
-                if fault is not None and fault.action == "truncate":
-                    writer.write(reply[: max(1, len(reply) // 2)])
-                    await writer.drain()
-                    break  # injected: half a frame, then a dead socket
-                if fault is not None and fault.action == "delay":
-                    await asyncio.sleep(
-                        fault.value if fault.value is not None else 0.1
-                    )
-                writer.write(reply)
-                await writer.drain()
-                if stop_after:
-                    self._stop_event.set()  # type: ignore[union-attr]
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._connections_open -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _handle_request(
-        self, request: dict, binary: bool = False
-    ) -> tuple[dict, bool]:
-        rid = request.get("id")
-        if not isinstance(rid, int) or isinstance(rid, bool):
-            return self._error_response(None, ERR_BAD_REQUEST, "request id must be an integer"), False
-        op = request.get("op")
-        params = request.get("params", {})
-        cid = request.get("cid")
-        # Idempotent replay: a client that reconnected mid-request
-        # retries the same (cid, id); if the first attempt already
-        # succeeded (its reply died on the wire), answer from the cache
-        # instead of running the pipeline work — and its handles —
-        # twice.
-        replayable = isinstance(cid, str) and op in self._REPLAY_OPS
-        if replayable:
-            cached = self._replay.lookup(cid, rid)
-            if cached is not None:
-                return cached, False
-        try:
-            if not isinstance(op, str):
-                raise _RequestError(ERR_BAD_REQUEST, "request op must be a string")
-            if not isinstance(params, dict):
-                raise _RequestError(ERR_BAD_REQUEST, "request params must be an object")
-            if self._stopping:
-                raise _RequestError(ERR_SHUTTING_DOWN, "server is shutting down")
-            handler = self._OPS.get(op)
-            if handler is None:
-                raise _RequestError(
-                    ERR_UNKNOWN_OP,
-                    f"unknown op {op!r}; choose from {sorted(self._OPS)}",
-                )
-            self._counters[op] += 1
-            coro = handler(self, params, binary)
-            if self._request_timeout is not None and op != "shutdown":
-                try:
-                    result = await asyncio.wait_for(coro, self._request_timeout)
-                except asyncio.TimeoutError:
-                    # The reply slot is freed now; the pipeline job
-                    # itself is uninterruptible on its thread and may
-                    # still finish (harmlessly) behind the deadline.
-                    self._deadline_expirations += 1
-                    raise _RequestError(
-                        ERR_DEADLINE,
-                        f"request exceeded the {self._request_timeout:g}s "
-                        f"server deadline",
-                    ) from None
-            else:
-                result = await coro
-            response = {"id": rid, "ok": True, "result": result}
-            if replayable:
-                self._replay.store(cid, rid, response)
-            return response, op == "shutdown"
-        except _RequestError as exc:
-            return self._error_response(rid, exc.code, str(exc), exc.retry_after), False
-        except asyncio.CancelledError:
-            raise
-        except PoisonShardError as exc:
-            return self._error_response(
-                rid,
-                ERR_POISON_SHARD,
-                f"quarantined poison shard: {exc} "
-                f"(fingerprint={exc.fingerprint!r}, "
-                f"shard_index={exc.shard_index!r})",
-            ), False
-        except WorkerCrashError as exc:
-            return self._error_response(
-                rid,
-                ERR_WORKER_CRASH,
-                f"pool worker crash recovery exhausted: {exc} "
-                f"(token={exc.token!r}, shard_index={exc.shard_index!r})",
-            ), False
-        except ProtocolError as exc:
-            return self._error_response(rid, ERR_BAD_REQUEST, str(exc)), False
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            return self._error_response(rid, ERR_USER, f"{type(exc).__name__}: {exc}"), False
-        except Exception as exc:  # pragma: no cover - defensive
-            traceback.print_exc(file=sys.stderr)
-            return self._error_response(rid, ERR_INTERNAL, f"{type(exc).__name__}: {exc}"), False
-
-    @staticmethod
-    def _error_response(
-        rid, code: str, message: str, retry_after: float | None = None
-    ) -> dict:
-        error: dict = {"code": code, "message": message}
-        if retry_after is not None:
-            error["retry_after"] = retry_after
-        return {"id": rid, "ok": False, "error": error}
 
     # ------------------------------------------------------ queued execution
-
-    async def _run_queued(self, key: str, fn: Callable[[], Any]) -> Any:
-        """Enqueue ``fn`` on the per-netlist queue and await its result.
-
-        Backpressure lives in :class:`~repro.server.core.JobQueues`:
-        with ``max_queue_depth`` set, a request arriving while the key's
-        queued+in-flight count is at the high-water mark is rejected
-        *immediately* with ``ERR_OVERLOADED`` and a ``retry_after`` hint
-        scaled to the backlog, so overload costs the client one
-        round-trip instead of an unbounded queue wait.
-        """
-        return await self._jobs.submit(key, fn)
 
     async def _exec_runner(self, key: str, fn: Callable[[], Any]) -> Any:
         """Run one dequeued job on the single exec thread.
@@ -526,6 +221,7 @@ class LotServer:
         All queue consumers submit to the same single-thread executor,
         whose FIFO run queue interleaves ready requests from different
         netlists fairly while keeping the shared session single-threaded.
+        Backpressure lives in :class:`~repro.server.core.JobQueues`.
         """
         return await self._loop.run_in_executor(  # type: ignore[union-attr]
             self._exec, self._run_job, fn
@@ -542,17 +238,17 @@ class LotServer:
         return fn()
 
     def _netlist_for(self, params: dict) -> tuple[str, Netlist]:
-        netlist_id = _param(params, "netlist_id", str)
+        netlist_id = param(params, "netlist_id", str)
         netlist = self._netlists.get(netlist_id)
         if netlist is None:
-            raise _RequestError(
+            raise RequestError(
                 ERR_UNKNOWN_NETLIST,
                 f"netlist {netlist_id!r} is not registered; call register_netlist first",
             )
         return netlist_id, netlist
 
     @staticmethod
-    def _obj_param(params: dict, name: str, default=_MISSING):
+    def _obj_param(params: dict, name: str, default=MISSING):
         """Fetch a domain-object parameter in either wire format.
 
         JSON-frame clients send base64 pickle strings; binary-frame
@@ -560,7 +256,7 @@ class LotServer:
         buffer section).  Both are accepted on every request, regardless
         of which format the *envelope* used.
         """
-        value = _param(params, name, None, default=default)
+        value = param(params, name, None, default=default)
         if isinstance(value, str):
             return unpack_obj(value)
         return value
@@ -580,7 +276,7 @@ class LotServer:
     async def _op_register_netlist(self, params: dict, binary: bool) -> dict:
         netlist = self._obj_param(params, "netlist")
         if not isinstance(netlist, Netlist):
-            raise _RequestError(
+            raise RequestError(
                 ERR_BAD_REQUEST,
                 f"netlist payload must be a Netlist, got {type(netlist).__name__}",
             )
@@ -594,14 +290,14 @@ class LotServer:
         netlist_id, netlist = self._netlist_for(params)
         recipe = self._obj_param(params, "recipe")
         if not isinstance(recipe, ProcessRecipe):
-            raise _RequestError(
+            raise RequestError(
                 ERR_BAD_REQUEST,
                 f"recipe payload must be a ProcessRecipe, got {type(recipe).__name__}",
             )
-        num_chips = _param(params, "num_chips", int)
-        dies_per_wafer = _param(params, "dies_per_wafer", int, default=100)
-        seed = _param(params, "seed", (int, str, type(None)), default=None)
-        return_lot = _param(params, "return_lot", bool, default=True)
+        num_chips = param(params, "num_chips", int)
+        dies_per_wafer = param(params, "dies_per_wafer", int, default=100)
+        seed = param(params, "seed", (int, str, type(None)), default=None)
+        return_lot = param(params, "return_lot", bool, default=True)
 
         def job() -> dict:
             lot = self._session.fabricate(
@@ -611,12 +307,7 @@ class LotServer:
                 dies_per_wafer=dies_per_wafer,
                 seed=seed,
             )
-            handle = self._lots.add(lot)
-            result = {
-                "lot_id": handle,
-                "num_chips": len(lot),
-                "empirical_yield": lot.empirical_yield(),
-            }
+            result = lot_summary(self._lots.add(lot), lot)
             if return_lot:
                 if binary:
                     # SoA wire form when every chip encodes; the pickled
@@ -626,29 +317,24 @@ class LotServer:
                     result["lot"] = pack_obj(lot)
             return result
 
-        return await self._run_queued(netlist_id, job)
+        return await self._jobs.submit(netlist_id, job)
 
     async def _op_build_program(self, params: dict, binary: bool) -> dict:
         netlist_id, netlist = self._netlist_for(params)
         patterns = self._obj_param(params, "patterns")
-        collapse = _param(params, "collapse", bool, default=True)
-        return_program = _param(params, "return_program", bool, default=True)
+        collapse = param(params, "collapse", bool, default=True)
+        return_program = param(params, "return_program", bool, default=True)
 
         def job() -> dict:
             program = self._session.build_program(netlist, patterns, collapse=collapse)
-            handle = self._programs.add((netlist_id, program))
-            result = {
-                "program_id": handle,
-                "num_patterns": len(program),
-                "final_coverage": program.final_coverage,
-            }
+            result = program_summary(self._programs.add((netlist_id, program)), program)
             if return_program:
                 result["program"] = (
                     WireObj(program) if binary else pack_obj(program)
                 )
             return result
 
-        return await self._run_queued(netlist_id, job)
+        return await self._jobs.submit(netlist_id, job)
 
     def _resolve_program(self, params: dict) -> tuple[str, TestProgram]:
         """The request's program and its netlist queue key.
@@ -659,16 +345,16 @@ class LotServer:
         register their netlist implicitly when it is new.
         """
         if "program_id" in params:
-            handle = _param(params, "program_id", str)
+            handle = param(params, "program_id", str)
             entry = self._programs.get(handle)
             if entry is None:
-                raise _RequestError(
+                raise RequestError(
                     ERR_UNKNOWN_HANDLE, f"unknown or expired program handle {handle!r}"
                 )
             return entry
         program = self._obj_param(params, "program")
         if not isinstance(program, TestProgram):
-            raise _RequestError(
+            raise RequestError(
                 ERR_BAD_REQUEST,
                 f"program payload must be a TestProgram, got {type(program).__name__}",
             )
@@ -682,10 +368,10 @@ class LotServer:
 
     def _resolve_chips(self, params: dict):
         if "lot_id" in params:
-            handle = _param(params, "lot_id", str)
+            handle = param(params, "lot_id", str)
             lot = self._lots.get(handle)
             if lot is None:
-                raise _RequestError(
+                raise RequestError(
                     ERR_UNKNOWN_HANDLE, f"unknown or expired lot handle {handle!r}"
                 )
             return lot
@@ -693,7 +379,7 @@ class LotServer:
         if isinstance(chips, LotArrays):
             netlist = self._netlists.get(chips.fingerprint)
             if netlist is None:
-                raise _RequestError(
+                raise RequestError(
                     ERR_UNKNOWN_NETLIST,
                     f"lot arrays reference unregistered netlist "
                     f"{chips.fingerprint!r}; call register_netlist first",
@@ -717,22 +403,11 @@ class LotServer:
                 "fraction_rejected": result.fraction_rejected(),
             }
 
-        return await self._run_queued(netlist_id, job)
+        return await self._jobs.submit(netlist_id, job)
 
     async def _op_run_experiment(self, params: dict, binary: bool) -> dict:
-        name = _param(params, "name", str)
-        from repro.experiments.runner import EXPERIMENTS
-
-        if name not in EXPERIMENTS:
-            raise _RequestError(
-                ERR_USER,
-                f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}",
-            )
-
-        def job() -> dict:
-            return {"report": self._session.run_experiment(name)}
-
-        return await self._run_queued(_EXPERIMENT_QUEUE, job)
+        job = experiment_job(param(params, "name", str))
+        return await self._jobs.submit(EXPERIMENT_QUEUE, lambda: job(self._session))
 
     async def _op_stats(self, params: dict, binary: bool) -> dict:
         def job() -> dict:
@@ -743,7 +418,7 @@ class LotServer:
                 "workers": self._session.executor.worker_stats(),
             }
 
-        stats = await self._run_queued(_EXPERIMENT_QUEUE, job)
+        stats = await self._jobs.submit(EXPERIMENT_QUEUE, job)
         stats["server"] = {
             "protocol": PROTOCOL_VERSION,
             "backend_id": self._backend_id,
@@ -772,9 +447,6 @@ class LotServer:
         }
         return stats
 
-    async def _op_shutdown(self, params: dict, binary: bool) -> dict:
-        return {"stopping": True}
-
     # Ops whose successful responses enter the idempotent replay cache.
     # ping/stats/shutdown are cheap or stateful-by-design and always
     # re-execute.
@@ -790,5 +462,5 @@ class LotServer:
         "test_lot": _op_test_lot,
         "run_experiment": _op_run_experiment,
         "stats": _op_stats,
-        "shutdown": _op_shutdown,
+        "shutdown": ServingApp._op_shutdown,
     }

@@ -17,8 +17,7 @@ the thread — a clean teardown even if the body raised.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import AbstractContextManager
 
 from repro.server.server import LotServer
 from repro.testing import running_app
@@ -26,15 +25,11 @@ from repro.testing import running_app
 __all__ = ["running_server"]
 
 
-@contextmanager
-def running_server(timeout: float = 60.0, **server_kwargs) -> Iterator[LotServer]:
+def running_server(timeout: float = 60.0, **server_kwargs) -> AbstractContextManager[LotServer]:
     """Yield a listening :class:`LotServer` running in a daemon thread.
 
     ``server_kwargs`` are forwarded to :class:`LotServer` (engine,
     workers, max_contexts, ...); the default endpoint is an ephemeral
     TCP port on localhost — read ``server.address``.
     """
-    with running_app(
-        LotServer(**server_kwargs), name="repro-server", timeout=timeout
-    ) as server:
-        yield server
+    return running_app(LotServer(**server_kwargs), name="repro-server", timeout=timeout)

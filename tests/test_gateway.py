@@ -30,6 +30,7 @@ from repro.chaos import ChaosSchedule, Fault
 from repro.circuit.generators import c17, simple_alu
 from repro.gateway import AsyncClient, GatewayClient, SessionScheduler, parse_url
 from repro.gateway import codec
+from repro.gateway import http as gateway_http
 from repro.gateway.testing import running_gateway
 from repro.manufacturing.process import ProcessRecipe
 from repro.server import RemoteError, netlist_fingerprint
@@ -338,6 +339,41 @@ class TestHttpProtocol:
         with running_gateway(workers=1) as gateway:
             pipelined_max = asyncio.run(main(gateway.address))
         assert pipelined_max > 1
+
+    def test_metrics_scrape_reconnects_after_a_dropped_connection(self):
+        """A ``/metrics`` scrape rides the same retry loop as JSON calls."""
+        body = b"repro_sessions 1\n"
+
+        async def main():
+            connections = []
+
+            async def handle(reader, writer):
+                connections.append(writer)
+                request = await gateway_http.read_request(reader)
+                if request is not None and len(connections) > 1:
+                    writer.write(gateway_http.encode_response(
+                        200, body, "text/plain; version=0.0.4", keep_alive=False
+                    ))
+                    await writer.drain()
+                # The first connection dies with its reply unsent.
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with AsyncClient(
+                    f"http://127.0.0.1:{port}", backoff=0.01
+                ) as client:
+                    return await client.metrics_text(), dict(client.counters)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        text, counters = asyncio.run(main())
+        assert text == body.decode()
+        assert counters["connection_losses"] == 1
+        assert counters["reconnects"] == 1
+        assert counters["retries"] == 1
 
     def test_metrics_exposition(self, chip, recipe, patterns):
         with running_gateway(workers=1) as gateway:

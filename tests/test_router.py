@@ -12,7 +12,9 @@
   netlist re-upload — bit-identically; health probes eject a dead
   backend and re-admit it when it returns; planned removal drains.
 * **Operations** — ``router_add`` / ``router_remove`` admin ops and
-  the HTTP observability surface (``/healthz``, ``/metrics``).
+  the HTTP observability surface (``/healthz``, ``/metrics``); a
+  malformed admin request is answered ``bad-request`` / 400, never a
+  dropped connection.
 
 In-thread tests (``running_server`` + ``running_router``) cover the
 protocol and placement; subprocess tests (``running_cluster``) cover
@@ -21,6 +23,7 @@ real process death, including the chaos-driven 3-backend kill.
 
 import json
 import time
+import urllib.error
 import urllib.request
 from contextlib import ExitStack
 
@@ -29,9 +32,9 @@ import pytest
 
 from repro import chaos
 from repro.chaos import ChaosSchedule, Fault
-from repro.router import HashRing
+from repro.router import HashRing, Router
 from repro.router.testing import running_router
-from repro.server import Client, RemoteError, netlist_fingerprint
+from repro.server import Client, RemoteError, netlist_fingerprint, parse_address
 from repro.server.testing import running_server
 from repro.testing import running_cluster
 
@@ -330,3 +333,54 @@ class TestHttpSurface:
                     stats = json.load(resp)
                 assert backend.address in stats["backends"]
                 assert stats["router"]["requests_by_op"]["fabricate"] == 1
+
+
+# ------------------------------------------------------------ admin errors
+
+
+def _post_backends(base: str, body: bytes) -> tuple[int, dict]:
+    request = urllib.request.Request(
+        base + "/v1/backends", data=body, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request) as resp:
+            return resp.status, json.load(resp)
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.load(exc)
+
+
+class TestAdminErrors:
+    def test_malformed_router_add_answers_bad_request(self):
+        with running_router(backends=[]) as router:
+            with Client(router.address) as client:
+                for address in ("nonsense", "unix:/tmp/x\nrepro_router_backends_up 99"):
+                    with pytest.raises(RemoteError) as err:
+                        client.request("router_add", address=address)
+                    assert err.value.code == "bad-request"
+                # The connection survived both errors.
+                assert client.ping()["backends"] == 0
+                assert client.counters["connection_losses"] == 0
+
+    def test_malformed_http_backend_bodies_answer_400(self):
+        with running_router(backends=[], http_port=0) as router:
+            for body in (b"[1,2]", b'{"address": 5}', b'{"address": "nonsense"}'):
+                status, payload = _post_backends(router.http_address, body)
+                assert status == 400
+                assert payload["ok"] is False
+            assert router.router_stats()["backends"] == []
+
+    def test_address_with_control_characters_is_rejected(self):
+        forged = "unix:/tmp/x\nrepro_router_backends_up 99"
+        with pytest.raises(ValueError):
+            parse_address(forged)
+        with pytest.raises(ValueError):
+            Router(backends=[forged])
+        with running_router(backends=[], http_port=0) as router:
+            status, _ = _post_backends(
+                router.http_address, json.dumps({"address": forged}).encode()
+            )
+            assert status == 400
+            with urllib.request.urlopen(router.http_address + "/metrics") as resp:
+                metrics = resp.read().decode()
+        assert "repro_router_backends_up 0\n" in metrics
+        assert "99" not in metrics

@@ -1,25 +1,47 @@
-"""Direct unit tests of the transport-agnostic serving plumbing.
+"""Direct unit tests of the serving plumbing the front ends share.
 
-:mod:`repro.server.core` is exercised constantly through the server,
-gateway, and router suites, but always end-to-end — a primitive's edge
-case (FIFO eviction order, the bool/int JSON trap, retry_after scaling)
-can regress without any black-box test noticing which piece broke.
-These tests pin each primitive's contract in isolation.
+:mod:`repro.server.core` and :mod:`repro.server.app` are exercised
+constantly through the server, gateway, and router suites, but always
+end-to-end — a primitive's edge case (FIFO eviction order, the bool/int
+JSON trap, retry_after scaling, backoff jitter, label escaping) can
+regress without any black-box test noticing which piece broke.  These
+tests pin each primitive's contract in isolation, and the shared
+lifecycle once per front end.
 """
 
 import asyncio
+import random
+import socket
+import threading
+import time
+from contextlib import ExitStack
 
 import pytest
 
+from repro import chaos
+from repro.chaos import ChaosSchedule, Fault
+from repro.gateway import Gateway, GatewayClient
+from repro.gateway.metrics import render_metrics as render_gateway_metrics
+from repro.router import Router
+from repro.server import Client, LotServer
+from repro.server import core
 from repro.server.core import (
     MISSING,
     HandleRegistry,
     JobQueues,
     ReplayCache,
     RequestError,
+    RetryPolicy,
     param,
+    render_metrics,
 )
-from repro.server.protocol import ERR_BAD_REQUEST, ERR_OVERLOADED
+from repro.server.protocol import (
+    ERR_BAD_REQUEST,
+    ERR_OVERLOADED,
+    ConnectionLost,
+    RemoteError,
+)
+from repro.server.testing import running_server
 
 
 def run(coro):
@@ -317,3 +339,236 @@ class TestJobQueues:
                 await job
 
         run(scenario())
+
+
+# ------------------------------------------------------------ RetryPolicy
+
+
+def _jitter(cid, n):
+    rng = random.Random(cid)
+    return [0.5 + rng.random() for _ in range(n)]
+
+
+class TestRetryPolicy:
+    def test_same_cid_same_jitter_sequence(self):
+        a, b = RetryPolicy("cid-a"), RetryPolicy("cid-a")
+        delays_a = [a.delay(n) for n in range(1, 6)]
+        delays_b = [b.delay(n) for n in range(1, 6)]
+        assert delays_a == delays_b
+        other = RetryPolicy("cid-b")
+        assert [other.delay(n) for n in range(1, 6)] != delays_a
+
+    def test_exponential_backoff_capped_at_backoff_max(self):
+        policy = RetryPolicy("cid", backoff=0.1, backoff_max=0.5)
+        delays = [policy.delay(n) for n in range(1, 6)]
+        bases = [0.1, 0.2, 0.4, 0.5, 0.5]  # 0.8 and 1.6 hit the cap
+        expected = [base * j for base, j in zip(bases, _jitter("cid", 5))]
+        assert delays == pytest.approx(expected)
+
+    def test_server_hint_wins_over_backoff(self):
+        policy = RetryPolicy("cid", backoff=0.01, backoff_max=2.0)
+        (jitter,) = _jitter("cid", 1)
+        assert policy.delay(1, hint=0.7) == pytest.approx(0.7 * jitter)
+        # The hint is capped like any other delay.
+        capped = RetryPolicy("cid", backoff_max=0.2)
+        assert capped.delay(1, hint=5.0) == pytest.approx(0.2 * jitter)
+
+    def test_budget_runs_out(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(core.time, "sleep", slept.append)
+        policy = RetryPolicy("cid", retries=2)
+        calls = []
+
+        def once():
+            calls.append(1)
+            raise ConnectionLost("gone")
+
+        with pytest.raises(ConnectionLost):
+            policy.call(once)
+        assert len(calls) == 3  # the first try plus two retries
+        assert len(slept) == 2
+        assert policy.counters["connection_losses"] == 3
+        assert policy.counters["retries"] == 2
+
+    def test_overload_retried_other_errors_final(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(core.time, "sleep", slept.append)
+        policy = RetryPolicy("cid", retries=3)
+        replies = [RemoteError(ERR_OVERLOADED, "busy", retry_after=0.3), "done"]
+
+        def once():
+            reply = replies.pop(0)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        assert policy.call(once) == "done"
+        assert slept == [pytest.approx(0.3 * _jitter("cid", 1)[0])]
+        assert policy.counters["overload_rejections"] == 1
+
+        def user_error():
+            raise RemoteError("user-error", "bad input")
+
+        with pytest.raises(RemoteError):
+            policy.call(user_error)
+        assert policy.counters["retries"] == 1  # not retried
+
+    def test_async_loop_drives_the_same_policy(self):
+        policy = RetryPolicy("cid", retries=1, backoff=0.001)
+        calls = []
+
+        async def once():
+            calls.append(1)
+            if len(calls) == 1:
+                raise ConnectionLost("gone")
+            return "ok"
+
+        assert run(policy.acall(once)) == "ok"
+        assert policy.counters["retries"] == 1
+        assert policy.counters["connection_losses"] == 1
+
+    def test_retries_validation(self):
+        with pytest.raises(ValueError):
+            RetryPolicy("cid", retries=-1)
+
+
+# ------------------------------------------------------- metrics renderer
+
+
+class TestRenderMetrics:
+    def test_help_type_and_unlabelled_sample(self):
+        text = render_metrics([("repro_x_total", "counter", "Things.", 3)])
+        assert text == (
+            "# HELP repro_x_total Things.\n"
+            "# TYPE repro_x_total counter\n"
+            "repro_x_total 3\n"
+        )
+
+    def test_label_values_are_escaped(self):
+        value = 'unix:/tmp/x"y\\z\nrepro_forged 99'
+        text = render_metrics([("repro_up", "gauge", "Up.", ("backend", [(value, 1)]))])
+        samples = [line for line in text.splitlines() if not line.startswith("#")]
+        assert samples == [
+            'repro_up{backend="unix:/tmp/x\\"y\\\\z\\nrepro_forged 99"} 1'
+        ]
+
+    def test_labelled_family_keeps_given_order_and_empty_family_has_header(self):
+        text = render_metrics([
+            ("repro_a", "gauge", "A.", ("k", [("b", 2), ("a", 1)])),
+            ("repro_b", "gauge", "B.", ("k", [])),
+        ])
+        assert text.splitlines() == [
+            "# HELP repro_a A.",
+            "# TYPE repro_a gauge",
+            'repro_a{k="b"} 2',
+            'repro_a{k="a"} 1',
+            "# HELP repro_b B.",
+            "# TYPE repro_b gauge",
+        ]
+
+    def test_gateway_label_families_are_sorted(self):
+        text = render_gateway_metrics(
+            {"pending_by_queue": {"s2/zz": 1, "s1/b": 2, "s1/a": 3}},
+            {},
+            {"stats": 1, "lots": 4},
+        )
+        samples = [
+            line for line in text.splitlines()
+            if line.startswith(("repro_queue_depth{", "repro_http_route_requests_total{"))
+        ]
+        assert samples == [
+            'repro_queue_depth{queue="s1/a"} 3',
+            'repro_queue_depth{queue="s1/b"} 2',
+            'repro_queue_depth{queue="s2/zz"} 1',
+            'repro_http_route_requests_total{route="lots"} 4',
+            'repro_http_route_requests_total{route="stats"} 1',
+        ]
+
+
+# -------------------------------------------------------------- lifecycle
+
+FRONT_ENDS = ("server", "gateway", "router")
+
+
+def _front_end(kind, stack):
+    """A fresh, unstarted front end (the router over one live backend)."""
+    if kind == "server":
+        return LotServer(workers=1)
+    if kind == "gateway":
+        return Gateway(workers=1)
+    backend = stack.enter_context(running_server(workers=1))
+    return Router(backends=[backend.address])
+
+
+def _host_port(address):
+    host, port = address.split("://")[-1].rsplit(":", 1)
+    return host, int(port)
+
+
+def _client(kind, app):
+    return (GatewayClient if kind == "gateway" else Client)(app.address)
+
+
+def _wait_until(predicate, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+@pytest.mark.parametrize("kind", FRONT_ENDS)
+class TestLifecycle:
+    def test_shutdown_requested_before_start(self, kind):
+        with ExitStack() as stack:
+            app = _front_end(kind, stack)
+            app.request_shutdown()
+            thread = threading.Thread(target=app.run, daemon=True)
+            thread.start()
+            thread.join(30)
+            assert not thread.is_alive()
+        assert app._finished.is_set()
+        assert app.address is not None  # it bound, then drained at once
+        assert app.drained_requests == 0
+
+    def test_in_flight_request_is_drained(self, kind, chip, recipe):
+        results = []
+        schedule = ChaosSchedule([Fault("server.job", "delay", times=1, value=0.5)])
+        with ExitStack() as stack:
+            app = _front_end(kind, stack)
+            thread = threading.Thread(target=app.run, daemon=True)
+            thread.start()
+            app.wait_started()
+            client = stack.enter_context(_client(kind, app))
+            client.register(chip)  # so the fabricate is the one request in flight
+            with chaos.active(schedule):
+                caller = threading.Thread(
+                    target=lambda: results.append(
+                        client.fabricate(chip, recipe, 4, dies_per_wafer=4, seed=1)
+                    )
+                )
+                caller.start()
+                assert _wait_until(lambda: app._pending() == 1)
+                app.request_shutdown()
+                caller.join(30)
+                thread.join(30)
+        assert not thread.is_alive()
+        assert app.drained_requests == 1
+        assert len(results) == 1 and len(results[0].chips) == 4
+
+    def test_idle_connection_does_not_hold_up_stop(self, kind):
+        with ExitStack() as stack:
+            app = _front_end(kind, stack)
+            thread = threading.Thread(target=app.run, daemon=True)
+            thread.start()
+            app.wait_started()
+            with socket.create_connection(_host_port(app.address)):
+                assert _wait_until(lambda: app._connections_open == 1)
+                start = time.monotonic()
+                app.request_shutdown()
+                thread.join(10)
+                elapsed = time.monotonic() - start
+        assert not thread.is_alive()
+        assert elapsed < 1.0
+        assert app._connections_open == 0
