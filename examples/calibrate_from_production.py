@@ -32,9 +32,7 @@ def main() -> None:
     # 2. Fabricate and test a lot, first-fail mode.
     lot = config.make_lot(chip)
     tester = WaferTester(program)
-    result = LotTestResult(
-        program=program, records=tuple(tester.test_lot(lot.chips))
-    )
+    result = LotTestResult(program=program, records=tuple(tester.test_lot(lot)))
     print(f"lot: {len(lot)} chips, empirical yield "
           f"{lot.empirical_yield():.1%}, "
           f"{result.fraction_rejected():.1%} rejected by the program")

@@ -483,11 +483,8 @@ class Session:
         travel.
         """
         self._check_open()
-        chips = lot.chips if isinstance(lot, FabricatedLot) else tuple(lot)
         tester = self._tester_for(program)
-        return LotTestResult(
-            program=program, records=tuple(tester.test_lot(chips))
-        )
+        return LotTestResult(program=program, records=tuple(tester.test_lot(lot)))
 
     def run_experiment(self, name: str) -> str:
         """Run one named paper experiment through this session.

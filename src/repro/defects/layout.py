@@ -30,6 +30,9 @@ from repro.faults.model import (
 
 __all__ = ["ChipLayout"]
 
+# Defects per pass of a batched footprint query (see sites_within_many).
+_QUERY_CHUNK = 2048
+
 
 class ChipLayout:
     """Square die with every stuck-at fault site at an (x, y) coordinate.
@@ -141,6 +144,23 @@ class ChipLayout:
         empty = np.empty(0, dtype=np.intp)
         if num == 0 or self.num_sites == 0:
             return empty, np.zeros(num + 1, dtype=np.intp)
+        if num > _QUERY_CHUNK:
+            # A lot-sized query runs in chunks: the candidate arrays grow
+            # with the defect count, and chunking bounds their footprint.
+            parts = [
+                self.sites_within_many(
+                    xs[i : i + _QUERY_CHUNK],
+                    ys[i : i + _QUERY_CHUNK],
+                    radii[i : i + _QUERY_CHUNK],
+                )
+                for i in range(0, num, _QUERY_CHUNK)
+            ]
+            offsets = np.zeros(num + 1, dtype=np.intp)
+            np.cumsum(
+                np.concatenate([np.diff(part[1]) for part in parts]),
+                out=offsets[1:],
+            )
+            return np.concatenate([part[0] for part in parts]), offsets
 
         n, bin_w = self._grid_n, self._grid_bin_w
         # Bin window of each footprint's bounding box; a box that misses
@@ -178,23 +198,22 @@ class ChipLayout:
         # results are bit-identical to it).
         cand_defect = np.repeat(row_defect, lens)
         range_first = np.cumsum(lens) - lens
-        positions = (
-            np.arange(total, dtype=np.intp)
-            - np.repeat(range_first, lens)
-            + np.repeat(starts, lens)
+        positions = np.arange(total, dtype=np.intp) + np.repeat(
+            starts - range_first, lens
         )
         cand_site = self._grid_order[positions]
-        dx = self.coordinates[cand_site, 0] - xs[cand_defect]
-        dy = self.coordinates[cand_site, 1] - ys[cand_defect]
+        dx = self.coordinates[:, 0].take(cand_site) - xs[cand_defect]
+        dy = self.coordinates[:, 1].take(cand_site) - ys[cand_defect]
         rr = radii[cand_defect]
         hit = dx * dx + dy * dy <= rr * rr
         sel_defect = cand_defect[hit]
-        sel_site = cand_site[hit]
-        order = np.lexsort((sel_site, sel_defect))
-        sel_site = sel_site[order]
+        # Ascending sites within each defect: one sort of the packed
+        # (defect, site) keys, unique since each bin is visited once.
+        keys = sel_defect * self.num_sites + cand_site[hit]
+        keys.sort()
         offsets = np.zeros(num + 1, dtype=np.intp)
         np.cumsum(np.bincount(sel_defect, minlength=num), out=offsets[1:])
-        return sel_site, offsets
+        return keys % self.num_sites, offsets
 
     def sites_within(self, x: float, y: float, radius: float) -> list[int]:
         """Indices of fault sites inside a disc (a defect footprint).

@@ -9,10 +9,11 @@ This is the mechanism that realizes the paper's observation that one
 physical defect yields several logical faults, and hence ``n0 > 1``: the
 expected faults per killing defect grows with ``(radius / cell)^2``.
 
-The hot path is array-native: :meth:`DefectToFaultMapper.site_hits_for_chip`
-maps a whole chip's defect arrays to ``(site index, polarity)`` arrays in
-one pass over the layout's grid index, drawing random numbers in the exact
-per-defect order of the scalar reference path so fabricated chips are
+The hot path is array-native and lot-wide:
+:meth:`DefectToFaultMapper.draw_hits` maps a whole lot's covered-site CSR
+to per-die ``(site index, polarity)`` arrays in one vectorized pass,
+drawing each die's random numbers from its own generator in the exact
+per-defect order of the scalar reference path, so fabricated chips are
 bit-identical to it.  Fault *objects* are materialized only at the API
 boundary (:meth:`DefectToFaultMapper.faults_for_chip`,
 :attr:`repro.manufacturing.wafer.FabricatedChip.faults`).
@@ -35,151 +36,244 @@ __all__ = ["DefectToFaultMapper"]
 # (word >> 11) * 2^-53 is how a 64-bit generator word becomes a uniform
 # double in [0, 1) — numpy's standard transformation.
 _DOUBLE_SCALE = 2.0**-53
-_U32_MOD = 1 << 32
+_U32_MOD = np.uint64(1 << 32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
-# Whether the word-stream fast path reproduces this numpy's Generator
-# draws bit-for-bit (None = not yet checked).  Verified once per process
+# Whether the vectorized sampler reproduces this numpy's Generator draws
+# bit-for-bit (None = not yet checked).  Verified once per process
 # against the generic path; a numpy release that changed the Generator
 # stream internals would flip this to False and quietly fall back.
 _WORD_STREAM_OK: bool | None = None
 
 
-def _sample_hits_words(
-    site_indices: np.ndarray, bounds: list, activation: float, rng
-) -> tuple[list, list]:
-    """Word-stream sampler: emulate the generator's draws from raw words.
+def _word_budget(covered):
+    """Raw words drawn per die: one per covered site (uniforms) plus up
+    to one half-word per site (Lemire fallbacks and polarities) plus
+    slack.  Only a Lemire rejection can outrun it (see
+    :func:`_sample_words`)."""
+    return covered + covered // 2 + 8
 
-    Bulk-draws the generator's native 64-bit words once per chip and
-    re-applies numpy's own transformations in plain Python — uniforms
-    are ``(word >> 11) * 2^-53`` (one word each), bounded integers are
-    Lemire rejection on buffered 32-bit half-words (low half first, the
-    spare half carried in the generator's ``uinteger`` slot).  Consuming
-    the stream this way is bit-identical to calling ``rng.random`` /
-    ``rng.integers`` per defect but costs two O(words) vector ops per
-    chip instead of two Generator calls per defect.  The generator is
-    left in exactly the state the per-call path would leave it in
-    (surplus words are returned via ``advance``; the half-word buffer is
-    written back), so callers can keep drawing from it.
+
+def _sample_words(
+    words: np.ndarray,
+    word_starts: np.ndarray,
+    has_half: np.ndarray,
+    half: np.ndarray,
+    cov_offsets: np.ndarray,
+    cover: np.ndarray,
+    cover_die: np.ndarray,
+    activation: float,
+):
+    """Parse many dies' raw PCG64 words into their draws, all at once.
+
+    Die ``k``'s words start at ``words[word_starts[k]]`` and its 32-bit
+    half-word buffer (the generator's ``has_uint32`` / ``uinteger``
+    slot) is ``has_half[k]`` / ``half[k]``.  ``cover`` lists the defects
+    that cover at least one site, die-major, and ``cover_die`` their die;
+    defect ``j`` covers entries ``cov_offsets[j]:cov_offsets[j + 1]``.
+
+    numpy's transformations are re-applied to the words: a uniform is
+    ``(word >> 11) * 2^-53`` (one word), a bounded integer is Lemire
+    rejection on buffered half-words (low half first, the spare half
+    kept in the buffer).  Within a die the draws are sequential, so the
+    parse runs one round per defect rank: round ``r`` handles the
+    ``r``-th covering defect of every die at once — its uniforms, the
+    first Lemire attempt when nothing activated, its polarity bits
+    (bit 31 of each half-word), and the cursor advance.
+
+    Returns ``(kept, polarity, ok, used, has_half, half)``: per covered
+    entry whether it became a fault and its stuck level; per die whether
+    the parse is exact, the words it consumed and its final buffer.  A
+    die is not ``ok`` when a Lemire draw would be rejected (probability
+    ``count / 2^32``) — the caller re-draws it on the generic path.
+    Without a rejection a die consumes at most ``covered`` words of
+    uniforms and ``ceil(covered / 2)`` words of half-words, inside
+    :func:`_word_budget`.
     """
-    bit_generator = rng.bit_generator
-    state = bit_generator.state
-    has_half = bool(state["has_uint32"])
-    half = int(state["uinteger"])
-    start0 = bounds[0]
-    total_covered = bounds[-1] - start0
-    # Word budget: one per covered site (uniforms) plus up to one half
-    # per kept site (polarities) plus slack for Lemire redraws; the
-    # parse refills mid-chip if a redraw streak outruns the slack.
-    drawn = total_covered + (total_covered >> 1) + 8
-    words = bit_generator.random_raw(drawn)
-    keep_flags = (
-        ((words >> np.uint64(11)) * _DOUBLE_SCALE) < activation
-    ).tolist()
-    word_list = words.tolist()
-    buffered = len(word_list)
-
-    def refill(chunk):
-        # Extend word_list/keep_flags/drawn/buffered together — the four
-        # must stay mutually consistent for the stream emulation to hold.
-        nonlocal drawn, buffered
-        extra = bit_generator.random_raw(chunk)
-        drawn += chunk
-        word_list.extend(extra.tolist())
-        keep_flags.extend(
-            (((extra >> np.uint64(11)) * _DOUBLE_SCALE) < activation).tolist()
+    num_dies = word_starts.size
+    kept = np.zeros(int(cov_offsets[-1]), dtype=bool)
+    polarity = np.zeros(kept.size, dtype=np.uint8)
+    ok = np.ones(num_dies, dtype=bool)
+    pos = word_starts.astype(np.int64)
+    has = has_half.astype(bool)
+    half = half.astype(np.uint64)
+    activated = ((words >> np.uint64(11)) * _DOUBLE_SCALE) < activation
+    per_die = np.bincount(cover_die, minlength=num_dies)
+    rank = np.arange(cover.size) - np.repeat(np.cumsum(per_die) - per_die, per_die)
+    order = np.argsort(rank, kind="stable")
+    cover, cover_die = cover[order], cover_die[order]
+    start = 0
+    for stop in np.cumsum(np.bincount(rank)).tolist():
+        defects, dies = cover[start:stop], cover_die[start:stop]
+        start = stop
+        live = ok[dies]
+        if not live.all():
+            defects, dies = defects[live], dies[live]
+            if not dies.size:
+                break
+        first = cov_offsets[defects]
+        count = cov_offsets[defects + 1] - first
+        seg_end = np.cumsum(count)
+        seg = seg_end - count
+        p = pos[dies]
+        # Uniforms: the defect's covered entries read consecutive words.
+        flat = np.arange(int(seg_end[-1]))
+        entries = flat + np.repeat(first - seg, count)
+        drawn = activated[flat + np.repeat(p - seg, count)]
+        kept_count = np.add.reduceat(drawn, seg, dtype=np.int64)
+        p += count
+        none = np.flatnonzero(kept_count == 0)
+        if none.size:
+            # At-least-one-site fallback: a one-site defect keeps its
+            # site without a draw; wider ones make one Lemire attempt.
+            pick = np.zeros(none.size, dtype=np.int64)
+            multi = np.flatnonzero(count[none] > 1)
+            if multi.size:
+                rows = none[multi]
+                die = dies[rows]
+                bound = count[rows].astype(np.uint64)
+                buffered = has[die]
+                word = words[p[rows]]
+                value = np.where(buffered, half[die], word & _LOW32)
+                p[rows] += ~buffered
+                half[die] = np.where(buffered, half[die], word >> np.uint64(32))
+                has[die] = ~buffered
+                product = value * bound
+                ok[die[(product & _LOW32) < (_U32_MOD - bound) % bound]] = False
+                pick[multi] = product >> np.uint64(32)
+            drawn[seg[none] + pick] = True
+            kept_count[none] = 1
+        kept[entries] = drawn
+        # Polarities: one half-word per kept site, the buffered half
+        # first, then both halves of each following word.
+        hits = np.flatnonzero(drawn)
+        row = np.repeat(np.arange(dies.size), kept_count)
+        spare = has[dies].astype(np.int64)
+        q = np.arange(hits.size) - np.repeat(
+            np.cumsum(kept_count) - kept_count + spare, kept_count
         )
-        buffered = len(word_list)
+        word = words[p[row] + (q >> 1)]
+        bits = (word >> (31 + 32 * (q & 1)).astype(np.uint64)) & np.uint64(1)
+        from_buffer = np.flatnonzero(q < 0)
+        if from_buffer.size:
+            bits[from_buffer] = (half[dies[row[from_buffer]]] >> np.uint64(31)) & 1
+        polarity[entries[hits]] = bits
+        rest = kept_count - spare
+        p += (rest + 1) >> 1
+        odd = (rest & 1).astype(bool)
+        half[dies[odd]] = words[p[odd] - 1] >> np.uint64(32)
+        has[dies] = odd
+        pos[dies] = p
+    return kept, polarity, ok, pos - word_starts, has, half
 
-    chip_sites = site_indices[start0 : bounds[-1]].tolist()
-    kept: list[int] = []
-    polarities: list[int] = []
-    polarities_append = polarities.append
-    pos = 0
-    previous = start0
-    for stop in bounds[1:]:
-        count = stop - previous
-        if count == 0:
-            continue
-        if pos + count + (count >> 1) + 4 > buffered:
-            refill(max(pos + count + (count >> 1) + 4 - buffered, 64))
-        base = previous - start0
-        selected = [
-            site
-            for site, flag in zip(
-                chip_sites[base : base + count], keep_flags[pos : pos + count]
-            )
-            if flag
+
+def _lot_draws(
+    site_indices: np.ndarray,
+    cov_offsets: np.ndarray,
+    die_bounds: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    activation: float,
+    vectorize: bool,
+    restore: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every die's hits before deduplication: ``(die, site, polarity)``.
+
+    Die ``d`` owns defects ``die_bounds[d]:die_bounds[d + 1]`` of the
+    covered-site CSR and draws from ``rngs[d]``.  PCG64 dies (when
+    ``vectorize``) each make one ``random_raw`` call and are parsed
+    together by :func:`_sample_words`; other dies, and any die the parse
+    rejects (rewound with ``advance``), go through
+    :func:`_sample_hits_generic`.  Hits come out die-major, in draw
+    order.  The dies' generators are left past their draws unless
+    ``restore``, which leaves each exactly where the per-call path
+    would (surplus words returned, half-word buffer written back).
+    """
+    cov_bounds = cov_offsets[die_bounds]
+    covered = np.diff(cov_bounds)
+    num_dies = covered.size
+    fast: list[int] = []
+    slow: list[int] = []
+    for die in np.flatnonzero(covered).tolist():
+        if vectorize and type(rngs[die].bit_generator) is np.random.PCG64:
+            fast.append(die)
+        else:
+            slow.append(die)
+    kept = np.zeros(int(cov_bounds[-1] - cov_bounds[0]), dtype=bool)
+    polarity = np.zeros(kept.size, dtype=np.uint8)
+    if fast:
+        budgets = _word_budget(covered[fast])
+        buffers, has_half, half = [], [], []
+        for die, budget in zip(fast, budgets.tolist()):
+            bit_generator = rngs[die].bit_generator
+            state = bit_generator.state
+            has_half.append(state["has_uint32"])
+            half.append(state["uinteger"])
+            buffers.append(bit_generator.random_raw(budget))
+        index_of = np.full(num_dies, -1, dtype=np.intp)
+        index_of[fast] = np.arange(len(fast))
+        defect_die = index_of[
+            np.repeat(np.arange(num_dies), np.diff(die_bounds))
         ]
-        pos += count
-        previous = stop
-        if not selected:
-            if count == 1:
-                selected = [chip_sites[base]]
-            else:
-                # Lemire bounded draw on [0, count) — numpy's algorithm
-                # on buffered 32-bit half-words, low half first.
-                threshold = None
-                while True:
-                    if has_half:
-                        has_half = False
-                        value = half
-                    else:
-                        if pos >= buffered:
-                            refill(64)
-                        word = word_list[pos]
-                        pos += 1
-                        half = word >> 32
-                        has_half = True
-                        value = word & 0xFFFFFFFF
-                    product = value * count
-                    leftover = product & 0xFFFFFFFF
-                    if leftover >= count:
-                        break
-                    if threshold is None:
-                        threshold = (_U32_MOD - count) % count
-                    if leftover >= threshold:
-                        break
-                selected = [chip_sites[base + (product >> 32)]]
-        # Polarity bits: one 32-bit half per kept site, low half first —
-        # i.e. bits 31 and 63 of each stream word, the spare half kept
-        # in the generator's buffer slot.
-        kept.extend(selected)
-        remaining = len(selected)
-        if has_half:
-            has_half = False
-            polarities_append((half >> 31) & 1)
-            remaining -= 1
-        if pos + (remaining >> 1) + 1 > buffered:
-            # Only reachable when a Lemire redraw streak ate the
-            # per-defect slack — astronomically rare, but cheap to guard.
-            refill(64)
-        for word in word_list[pos : pos + (remaining >> 1)]:
-            polarities_append((word >> 31) & 1)
-            polarities_append(word >> 63)
-        pos += remaining >> 1
-        if remaining & 1:
-            word = word_list[pos]
-            pos += 1
-            polarities_append((word >> 31) & 1)
-            half = word >> 32
-            has_half = True
-
-    if pos != drawn:
-        bit_generator.advance(int(pos) - int(drawn))
-    state = bit_generator.state
-    state["has_uint32"] = int(has_half)
-    state["uinteger"] = half
-    bit_generator.state = state
-    return kept, polarities
+        local = cov_offsets[die_bounds[0] : die_bounds[-1] + 1] - cov_bounds[0]
+        cover = np.flatnonzero((np.diff(local) > 0) & (defect_die >= 0))
+        kept, polarity, ok, used, has, last = _sample_words(
+            np.concatenate(buffers),
+            np.cumsum(budgets) - budgets,
+            np.array(has_half, dtype=bool),
+            np.array(half, dtype=np.uint64),
+            local,
+            cover,
+            defect_die[cover],
+            activation,
+        )
+        for k in np.flatnonzero(~ok).tolist():
+            # Rewind the rejected die and re-draw it exactly.
+            rngs[fast[k]].bit_generator.advance(-int(budgets[k]))
+            slow.append(fast[k])
+        if restore:
+            for k in np.flatnonzero(ok).tolist():
+                bit_generator = rngs[fast[k]].bit_generator
+                bit_generator.advance(int(used[k]) - int(budgets[k]))
+                state = bit_generator.state
+                state["has_uint32"] = int(has[k])
+                state["uinteger"] = int(last[k])
+                bit_generator.state = state
+    entry_die = np.repeat(np.arange(num_dies), covered)
+    if slow:
+        kept[np.isin(entry_die, slow)] = False
+    hits = np.flatnonzero(kept)
+    hit_die = entry_die[hits]
+    sites = site_indices[hits + cov_bounds[0]]
+    polarities = polarity[hits]
+    if slow:
+        parts = [(hit_die, sites, polarities)]
+        for die in slow:
+            die_sites, die_polarities = _sample_hits_generic(
+                site_indices,
+                cov_offsets[die_bounds[die] : die_bounds[die + 1] + 1].tolist(),
+                activation,
+                rngs[die],
+            )
+            parts.append(
+                (np.full(die_sites.size, die), die_sites, die_polarities)
+            )
+        hit_die, sites, polarities = (
+            np.concatenate(column) for column in zip(*parts)
+        )
+        order = np.argsort(hit_die, kind="stable")
+        hit_die, sites = hit_die[order], sites[order]
+        polarities = polarities[order].astype(np.uint8)
+    return hit_die, sites, polarities
 
 
 def _word_stream_verified() -> bool:
-    """One-time differential self-check of the word-stream sampler.
+    """One-time differential self-check of the vectorized sampler.
 
-    Runs both samplers on a synthetic covered-site CSR (with activation
-    low enough to exercise the fallback and Lemire redraw paths) and
-    requires identical hits, polarities, and *generator continuations*.
-    Cheap insurance against a future numpy changing Generator stream
+    Runs it and the generic sampler on a synthetic covered-site CSR
+    (activation low enough to exercise the fallback and Lemire paths,
+    with and without a buffered half-word on entry) and requires
+    identical hits, polarities, and *generator continuations*.  Cheap
+    insurance against a future numpy changing Generator stream
     internals out from under the emulation.
     """
     global _WORD_STREAM_OK
@@ -191,9 +285,15 @@ def _word_stream_verified() -> bool:
             for activation in (0.05, 0.7):
                 a = np.random.default_rng(seed)
                 b = np.random.default_rng(seed)
+                if seed % 2:
+                    a.integers(7)
+                    b.integers(7)
                 ga, pa = _sample_hits_generic(sites, bounds, activation, a)
-                gb, pb = _sample_hits_words(sites, bounds, activation, b)
-                ok &= list(ga) == list(gb) and list(pa) == list(pb)
+                _, gb, pb = _lot_draws(
+                    sites, np.array(bounds), np.array([0, 6]), [b],
+                    activation, vectorize=True, restore=True,
+                )
+                ok &= ga.tolist() == gb.tolist() and pa.tolist() == pb.tolist()
                 ok &= a.random(3).tolist() == b.random(3).tolist()
                 ok &= a.integers(97, size=5).tolist() == b.integers(
                     97, size=5
@@ -210,7 +310,7 @@ def _sample_hits_generic(
     The portable implementation of the sampling contract: one
     ``rng.random(covered)`` per defect, a bounded ``rng.integers`` iff
     nothing activated, one ``rng.integers(2, size=kept)`` for the
-    polarities.  The word-stream path must match this bit for bit.
+    polarities.  The vectorized path must match this bit for bit.
     """
     random = rng.random
     integers = rng.integers
@@ -258,67 +358,79 @@ class DefectToFaultMapper:
     def site_hits_for_chip(
         self, xs, ys, radii, rng=None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All of a chip's defects -> deduplicated ``(site, polarity)`` arrays.
+        """All of one chip's defects -> deduplicated ``(site, polarity)`` arrays.
 
-        The array-native core of the fab pipeline: one batched grid query
-        covers every defect, then activation sampling, the
-        at-least-one-site fallback, and the polarity draws run on NumPy
-        arrays per defect, and first-polarity-wins deduplication (on the
-        site's electrical key — one net carries one DC state) runs once
-        over the concatenated hits.  Random draws are consumed in the
-        exact order of the scalar reference path
-        (:meth:`faults_for_chip_scalar`): per defect, one uniform per
-        covered site in ascending site order, one bounded integer iff no
-        site activated, then one polarity bit per kept site — so results
-        are bit-identical to it for the same generator state.
+        The single-chip form of :meth:`draw_hits`: one batched grid
+        query covers every defect, then the lot sampler runs on this
+        one die.  Random draws are consumed in the exact order of the
+        scalar reference path (:meth:`faults_for_chip_scalar`): per
+        defect, one uniform per covered site in ascending site order,
+        one bounded integer iff no site activated, then one polarity bit
+        per kept site — so results are bit-identical to it for the same
+        generator state, and ``rng`` is left exactly where that path
+        leaves it.
 
         Returns ``(site_indices, polarities)``: aligned arrays, one entry
         per distinct faulted site, in first-hit order.
         """
         site_idx, offsets = self.layout.sites_within_many(xs, ys, radii)
-        return self.draw_hits(site_idx, offsets, rng=rng)
+        hits = _lot_draws(
+            site_idx,
+            offsets,
+            np.array([0, offsets.size - 1]),
+            [make_rng(rng)],
+            self.activation_probability,
+            vectorize=_word_stream_verified(),
+            restore=True,
+        )
+        _, sites, polarities = self._first_hits(1, *hits)
+        return sites, polarities
 
     def draw_hits(
-        self, site_indices: np.ndarray, offsets, rng=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The sampling half of :meth:`site_hits_for_chip`.
+        self,
+        site_indices: np.ndarray,
+        offsets: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+        die_bounds: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A whole lot's covered-site CSR -> per-die faulted sites.
 
-        Takes one chip's covered-site CSR — ``site_indices[offsets[d]:
-        offsets[d + 1]]`` per defect ``d`` — as produced by
-        :meth:`~repro.defects.layout.ChipLayout.sites_within_many`
-        (``offsets`` may be any window into a larger batched query, e.g.
-        one die of a whole-wafer query).  Split out so callers can batch
-        the geometry across many chips while each chip's draws stay on
-        its own generator.
+        ``site_indices[offsets[j]:offsets[j + 1]]`` are the sites defect
+        ``j`` covers (as :meth:`~repro.defects.layout.ChipLayout.
+        sites_within_many` returns them); die ``d`` owns defects
+        ``die_bounds[d]:die_bounds[d + 1]`` and draws from ``rngs[d]``,
+        in the per-defect order of :meth:`site_hits_for_chip`.  The
+        geometry and the sampling run once for the lot, not per die, and
+        each die's generator is consumed (its position afterwards is
+        unspecified).
+
+        Returns the CSR ``(hit_offsets, site_indices, polarities)``: die
+        ``d``'s distinct faulted sites are
+        ``site_indices[hit_offsets[d]:hit_offsets[d + 1]]``, in first-hit
+        order, with their stuck levels.
         """
-        rng = make_rng(rng)
-        empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64))
-        bounds = np.asarray(offsets).tolist()
-        if len(bounds) < 2 or bounds[-1] == bounds[0]:
-            return empty
-        if (
-            type(rng.bit_generator) is np.random.PCG64
-            and _word_stream_verified()
-        ):
-            kept, polarities = _sample_hits_words(
-                site_indices, bounds, self.activation_probability, rng
-            )
-            if not kept:
-                return empty
-            hit_sites = np.array(kept, dtype=np.intp)
-            polarity_arr = np.array(polarities, dtype=np.int64)
-        else:
-            hit_sites, polarity_arr = _sample_hits_generic(
-                site_indices, bounds, self.activation_probability, rng
-            )
-            if hit_sites.size == 0:
-                return empty
-        # First polarity wins: keep the first occurrence of each
-        # electrical key, in hit order.
-        keys = self.layout.site_key_ids[hit_sites]
+        die_bounds = np.asarray(die_bounds)
+        hits = _lot_draws(
+            site_indices,
+            offsets,
+            die_bounds,
+            rngs,
+            self.activation_probability,
+            vectorize=_word_stream_verified(),
+        )
+        return self._first_hits(die_bounds.size - 1, *hits)
+
+    def _first_hits(
+        self, num_dies: int, hit_die, sites, polarities
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First polarity wins: keep each die's first hit per electrical
+        key, in hit order — as a per-die CSR."""
+        keys = hit_die * self.layout.site_key_ids.size + self.layout.site_key_ids[sites]
         _, first = np.unique(keys, return_index=True)
         first.sort()
-        return hit_sites[first], polarity_arr[first]
+        hit_offsets = np.zeros(num_dies + 1, dtype=np.int64)
+        np.cumsum(np.bincount(hit_die[first], minlength=num_dies), out=hit_offsets[1:])
+        return hit_offsets, sites[first], polarities[first]
 
     def _materialize(
         self, site_indices: np.ndarray, polarities: np.ndarray

@@ -8,8 +8,8 @@ returns crosses the wire as plain JSON:
   the decoded circuit hashes to the **same structural fingerprint** as
   the sender's — compile-once dedup keeps working across the codec);
 * recipes as a flat field map;
-* lots in the SoA wire form (the eight :class:`_FabShardPayload`
-  arrays), each array as base64 bytes plus a whitelisted dtype;
+* lots in the SoA wire form (the eight :class:`LotColumns` arrays),
+  each array as base64 bytes plus a whitelisted dtype;
 * programs as patterns + coverage curve + universe size;
 * test results as ``[chip_id, is_good, first_fail]`` rows.
 
@@ -27,13 +27,9 @@ import numpy as np
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
-from repro.manufacturing.lot import (
-    FabricatedLot,
-    _FabShardPayload,
-    pack_lot_chips,
-    unpack_lot_chips,
-)
+from repro.manufacturing.lot import FabricatedLot, pack_lot_chips, unpack_lot
 from repro.manufacturing.process import ProcessRecipe
+from repro.manufacturing.wafer import LotColumns
 from repro.server.protocol import netlist_fingerprint
 from repro.tester.program import TestProgram
 from repro.tester.results import LotTestResult
@@ -59,7 +55,7 @@ __all__ = [
 ]
 
 # The payload's eight arrays, in dataclass field order.
-_PAYLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(_FabShardPayload))
+_PAYLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(LotColumns))
 
 _RECIPE_FIELDS = tuple(f.name for f in dataclasses.fields(ProcessRecipe))
 
@@ -219,7 +215,7 @@ def patterns_from_json(obj: Any) -> list[dict[str, int]]:
 
 def lot_to_json(netlist: Netlist, lot: FabricatedLot) -> dict:
     """A fabricated lot in SoA form: eight base64 arrays + the recipe."""
-    payload = pack_lot_chips(netlist, lot.chips)
+    payload = pack_lot_chips(netlist, lot)
     if payload is None:
         raise ValueError(
             "lot contains faults outside the netlist universe; it cannot "
@@ -234,7 +230,8 @@ def lot_to_json(netlist: Netlist, lot: FabricatedLot) -> dict:
 
 
 def lot_from_json(netlist: Netlist, obj: Any) -> FabricatedLot:
-    """Rebuild a lot bit-identically against the receiver's netlist."""
+    """Rebuild a column-backed lot bit-identically against the receiver's
+    netlist; the columns are validated against its fault universe."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"lot payload must be an object, got {type(obj).__name__}")
     arrays = obj.get("arrays")
@@ -243,20 +240,14 @@ def lot_from_json(netlist: Netlist, obj: Any) -> FabricatedLot:
     missing = set(_PAYLOAD_FIELDS) - set(arrays)
     if missing:
         raise ValueError(f"lot arrays missing fields {sorted(missing)}")
-    payload = _FabShardPayload(
+    payload = LotColumns(
         **{name: decode_array(arrays[name]) for name in _PAYLOAD_FIELDS}
     )
     chip_area = obj.get("chip_area")
     if isinstance(chip_area, bool) or not isinstance(chip_area, (int, float)):
         raise ValueError("lot chip_area must be a number")
     recipe = recipe_from_json(obj.get("recipe"))
-    chips = unpack_lot_chips(netlist, float(chip_area), payload)
-    return FabricatedLot._from_soa(
-        recipe,
-        tuple(chips),
-        np.diff(payload.hit_offsets).astype(np.int64),
-        np.diff(payload.defect_offsets).astype(np.int64),
-    )
+    return unpack_lot(netlist, recipe, float(chip_area), payload)
 
 
 # ---------------------------------------------------------------- programs

@@ -9,15 +9,17 @@ fault count of defective chips is the ground-truth ``n0`` that the paper's
 calibration procedure is then asked to recover.
 
 Fabrication runs on an array-native hot path (``docs/fabrication.md``):
-chips are structure-of-arrays (:class:`ChipFabData`) that materialize
-``Defect`` / ``StuckAtFault`` objects lazily, wafers batch their
-footprint geometry through the layout's grid index, and lots keep their
-statistics as per-chip count arrays — bit-identical to the historical
-per-object implementation at every worker count.
+every die of a lot (or pool shard) is fabricated in one batched pass —
+one grid query for the footprints, one vectorized sampler for the
+faults — into :class:`LotColumns`, and a lot is backed by those columns;
+chip objects (:class:`ChipFabData` views) and ``Defect`` /
+``StuckAtFault`` objects are materialized only on demand.  The result is
+bit-identical to the historical per-object implementation at every
+worker count.
 """
 
 from repro.manufacturing.process import ProcessRecipe
-from repro.manufacturing.wafer import ChipFabData, FabricatedChip, Wafer
+from repro.manufacturing.wafer import ChipFabData, FabricatedChip, LotColumns, Wafer
 from repro.manufacturing.lot import FabricatedLot, fabricate_lot
 from repro.manufacturing.wafermap import PlacedChip, WaferMap
 
@@ -25,6 +27,7 @@ __all__ = [
     "ProcessRecipe",
     "ChipFabData",
     "FabricatedChip",
+    "LotColumns",
     "Wafer",
     "FabricatedLot",
     "fabricate_lot",

@@ -4,19 +4,21 @@ A lot is a set of wafers from one recipe.  :class:`FabricatedLot` exposes
 the empirical quantities the paper's analysis is built on — yield, the
 fault-count histogram, and the mean fault count of defective chips (the
 ground-truth ``n0``) — so experiments can compare what the calibration
-procedure *estimates* against what the fab actually *did*.  The lot keeps
-those statistics as a lot-level structure-of-arrays (per-chip fault and
-defect counts), so none of them ever materializes per-chip ``Defect`` /
-``StuckAtFault`` objects.
+procedure *estimates* against what the fab actually *did*.
+
+A fabricated lot is *column-backed*: it holds the fab pipeline's
+:class:`~repro.manufacturing.wafer.LotColumns` (chip ids plus CSR defect
+and fault-hit arrays), its statistics come from the CSR offsets, the
+tester and the wire encoders read the arrays directly, and per-chip
+:class:`~repro.manufacturing.wafer.FabricatedChip` views are built only
+when something reads :attr:`FabricatedLot.chips`.
 
 Fabrication is wafer-parallel: wafers of a lot are independent once each
 has its RNG-tree child, so ``fabricate_lot(..., workers=N)`` shards the
-wafer list over a process pool.  The per-wafer generators are spawned
-from the lot seed *before* sharding, so the fabricated chips are
+wafer list over a process pool.  The per-wafer seeds are spawned
+from the lot seed *before* sharding, so the fabricated lot is
 bit-identical at every worker count (see :mod:`repro.runtime`).  Shard
-workers return compact array payloads (concatenated defect arrays plus
-site/polarity hits, CSR offsets per die) rather than pickled object
-trees; chips are rebuilt lazily on the coordinator from array slices.
+workers return their columns, and the coordinator concatenates them.
 The expensive :class:`~repro.defects.layout.ChipLayout` (a full
 fault-site placement) and its :class:`~repro.manufacturing.wafer.Wafer`
 are cached per netlist, so call sites that fabricate many lots under one
@@ -25,8 +27,10 @@ recipe levelize the layout once.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,74 +38,142 @@ from repro.circuit.netlist import Netlist
 from repro.defects.layout import ChipLayout
 from repro.faults.model import fault_site_lookup
 from repro.manufacturing.process import ProcessRecipe
-from repro.manufacturing.wafer import (
-    ChipFabData,
-    FabricatedChip,
-    Wafer,
-    _concat,
-)
+from repro.manufacturing.wafer import FabricatedChip, LotColumns, Wafer, _concat
 from repro.runtime import (
     ParallelExecutor,
     ShardPlan,
     new_context_token,
     resolve_workers,
 )
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.utils.rng import make_rng, spawn_seeds
 
 __all__ = [
     "FabricatedLot",
     "fabricate_lot",
     "pack_lot_chips",
+    "unpack_lot",
     "unpack_lot_chips",
 ]
 
 
-@dataclass(frozen=True)
 class FabricatedLot:
     """All chips of a lot plus the recipe that produced them.
 
-    The aggregate statistics run on a lot-level SoA of per-chip fault
-    and defect counts, computed once (eagerly by the array fab path,
-    lazily otherwise) and cached — iterating chip objects is needed only
-    to get at actual ``Defect`` / ``StuckAtFault`` instances.
+    Built either from chip objects (``FabricatedLot(recipe, chips)``) or
+    from columns (``FabricatedLot(recipe, columns=..., layout=...)``, the
+    fab and wire paths).  The aggregate statistics run on per-chip
+    fault and defect count arrays — read off the column offsets, or
+    counted once from the chips — so they never materialize a
+    ``Defect`` or ``StuckAtFault``.  Equality, hashing and pickling are
+    defined on ``(recipe, chips)``, so the two forms are interchangeable.
     """
 
-    recipe: ProcessRecipe
-    chips: tuple[FabricatedChip, ...]
+    __slots__ = ("recipe", "columns", "layout", "_chips", "_counts_cache")
 
-    def __len__(self) -> int:
-        return len(self.chips)
-
-    def _counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lot SoA: ``(fault_counts, defect_counts)`` per chip."""
-        cached = getattr(self, "_soa", None)
-        if cached is None:
-            cached = (
-                np.array([c.fault_count for c in self.chips], dtype=np.int64),
-                np.array([c.defect_count for c in self.chips], dtype=np.int64),
-            )
-            object.__setattr__(self, "_soa", cached)
-        return cached
+    def __init__(
+        self,
+        recipe: ProcessRecipe,
+        chips: Sequence[FabricatedChip] | None = None,
+        *,
+        columns: LotColumns | None = None,
+        layout: ChipLayout | None = None,
+    ):
+        if (chips is None) == (columns is None):
+            raise TypeError("FabricatedLot takes exactly one of chips or columns=")
+        if columns is not None and layout is None:
+            raise TypeError("a column-backed FabricatedLot needs its layout=")
+        self.recipe = recipe
+        self.columns = columns
+        self.layout = layout
+        self._chips = None if chips is None else tuple(chips)
+        self._counts_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
-    def _from_soa(
-        cls,
-        recipe: ProcessRecipe,
-        chips: tuple[FabricatedChip, ...],
-        fault_counts: np.ndarray,
-        defect_counts: np.ndarray,
-    ) -> "FabricatedLot":
-        """Build a lot with its count SoA pre-filled (the array fab path)."""
-        lot = cls(recipe=recipe, chips=chips)
-        object.__setattr__(lot, "_soa", (fault_counts, defect_counts))
-        return lot
+    def of_chips(cls, chips: Sequence[FabricatedChip]) -> "FabricatedLot":
+        """A recipe-less lot over ``chips``, column-backed when they are
+        exactly the views of one column set, in order — e.g. another
+        lot's ``chips`` — so consumers can read the columns directly."""
+        chips = tuple(chips)
+        columns = chips[0]._columns if chips else None
+        if (
+            columns is not None
+            and columns.num_dies == len(chips)
+            and all(
+                chip._columns is columns
+                and chip._index == k
+                and chip._layout is chips[0]._layout
+                for k, chip in enumerate(chips)
+            )
+        ):
+            return cls(None, columns=columns, layout=chips[0]._layout)
+        return cls(None, chips)
+
+    @property
+    def chips(self) -> tuple[FabricatedChip, ...]:
+        """The lot's chips (views over the columns, built on first use)."""
+        if self._chips is None:
+            self._chips = self.columns.chips(self.layout)
+        return self._chips
+
+    def columns_for(self, netlist: Netlist) -> LotColumns | None:
+        """The lot's columns if its site indices refer to ``netlist``.
+
+        A site index is only meaningful relative to one netlist's fault
+        universe; ``None`` for chip-built lots and for lots laid out
+        against a different netlist object.
+        """
+        if self.columns is not None and self.layout.netlist is netlist:
+            return self.columns
+        return None
+
+    def __len__(self) -> int:
+        if self.columns is not None:
+            return self.columns.num_dies
+        return len(self._chips)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FabricatedLot):
+            return NotImplemented
+        return self.recipe == other.recipe and self.chips == other.chips
+
+    def __hash__(self) -> int:
+        return hash((self.recipe, self.chips))
+
+    def __reduce__(self):
+        # Chips pickle as their materialized triples; the layout behind
+        # the columns must not travel.
+        return (FabricatedLot, (self.recipe, self.chips))
+
+    def __repr__(self) -> str:
+        return f"FabricatedLot(recipe={self.recipe!r}, chips={len(self)})"
+
+    def _counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(fault_counts, defect_counts)`` per chip."""
+        if self._counts_cache is None:
+            if self.columns is not None:
+                self._counts_cache = (
+                    np.diff(self.columns.hit_offsets).astype(np.int64),
+                    np.diff(self.columns.defect_offsets).astype(np.int64),
+                )
+            else:
+                self._counts_cache = (
+                    np.array([c.fault_count for c in self._chips], dtype=np.int64),
+                    np.array([c.defect_count for c in self._chips], dtype=np.int64),
+                )
+        return self._counts_cache
+
+    def chip_ids(self) -> np.ndarray:
+        """Per-chip ids, in lot order."""
+        if self.columns is not None:
+            return self.columns.chip_ids
+        return np.array([c.chip_id for c in self._chips], dtype=np.int64)
 
     def empirical_yield(self) -> float:
         """Fraction of fault-free chips."""
-        if not self.chips:
+        if not len(self):
             raise ValueError("empty lot has no yield")
         fault_counts, _ = self._counts()
-        return int((fault_counts == 0).sum()) / len(self.chips)
+        return int((fault_counts == 0).sum()) / len(self)
 
     def fault_counts(self) -> np.ndarray:
         """Per-chip logical-fault counts."""
@@ -109,7 +181,7 @@ class FabricatedLot:
 
     def fault_count_histogram(self) -> dict[int, int]:
         """``{fault count: number of chips}`` — the empirical Eq. 1."""
-        if not self.chips:
+        if not len(self):
             return {}
         counts = np.bincount(self.fault_counts())
         return {int(n): int(c) for n, c in enumerate(counts) if c}
@@ -124,7 +196,7 @@ class FabricatedLot:
 
     def empirical_nav(self) -> float:
         """Mean fault count over all chips (the paper's ``nav``, Eq. 2)."""
-        if not self.chips:
+        if not len(self):
             raise ValueError("empty lot has no mean fault count")
         return float(self.fault_counts().mean())
 
@@ -133,7 +205,7 @@ class FabricatedLot:
 
     def mean_defects_per_chip(self) -> float:
         """Mean *physical* defect count per chip (good chips included)."""
-        if not self.chips:
+        if not len(self):
             raise ValueError("empty lot has no mean defect count")
         return float(self._counts()[1].mean())
 
@@ -185,6 +257,10 @@ def _cached_wafer(
     return wafer
 
 
+# Fabrication shards per pool worker (see fabricate_lot).
+_SHARDS_PER_WORKER = 8
+
+
 @dataclass(frozen=True)
 class _FabShardContext:
     """Per-pool worker context: the pre-built wafer (layout included)."""
@@ -212,104 +288,27 @@ def _cached_fab_context(
     return entry
 
 
-@dataclass(frozen=True)
-class _FabShardPayload:
-    """Compact wire format of one fabricated shard.
-
-    Eight flat arrays instead of a pickled tree of per-die objects: per
-    die a chip id plus CSR slices into the concatenated defect arrays
-    (``defect_offsets``) and hit arrays (``hit_offsets``).  Hit arrays
-    use compact dtypes — ``int32`` site indices, ``uint8`` polarities —
-    sized for any netlist this repo can compile.  This is what travels
-    back over the pool pipe *and* (wrapped by the server protocol) over
-    the socket; :func:`_unpack_shard` rebuilds lazy array-backed chips
-    from slice views on the receiving side.
-    """
-
-    chip_ids: np.ndarray
-    defect_offsets: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    radii: np.ndarray
-    hit_offsets: np.ndarray
-    site_indices: np.ndarray
-    polarities: np.ndarray
-
-    @property
-    def num_dies(self) -> int:
-        return int(self.chip_ids.size)
-
-
-def _pack_chips(chips: list[FabricatedChip]) -> _FabShardPayload:
-    """Concatenate array-backed chips into one :class:`_FabShardPayload`."""
-    xs, ys, radii, sites, pols = [], [], [], [], []
-    defect_counts = np.empty(len(chips) + 1, dtype=np.intp)
-    hit_counts = np.empty(len(chips) + 1, dtype=np.intp)
-    defect_counts[0] = hit_counts[0] = 0
-    for k, chip in enumerate(chips):
-        data = chip._data
-        xs.append(data.xs)
-        ys.append(data.ys)
-        radii.append(data.radii)
-        sites.append(data.site_indices)
-        pols.append(data.polarities)
-        defect_counts[k + 1] = data.xs.size
-        hit_counts[k + 1] = data.site_indices.size
-    return _FabShardPayload(
-        chip_ids=np.array([chip.chip_id for chip in chips], dtype=np.int64),
-        defect_offsets=np.cumsum(defect_counts).astype(np.int64),
-        xs=_concat(xs, float),
-        ys=_concat(ys, float),
-        radii=_concat(radii, float),
-        hit_offsets=np.cumsum(hit_counts).astype(np.int64),
-        site_indices=_concat(sites, np.intp).astype(np.int32),
-        polarities=_concat(pols, np.int64).astype(np.uint8),
-    )
-
-
-def _unpack_shard(
-    payload: _FabShardPayload, layout: ChipLayout
-) -> list[FabricatedChip]:
-    """Rebuild lazy chips from a payload's array slices (views, no copy)."""
-    chips = []
-    d_off, h_off = payload.defect_offsets, payload.hit_offsets
-    for k in range(payload.num_dies):
-        d0, d1 = d_off[k], d_off[k + 1]
-        h0, h1 = h_off[k], h_off[k + 1]
-        chips.append(
-            FabricatedChip(
-                chip_id=int(payload.chip_ids[k]),
-                data=ChipFabData(
-                    xs=payload.xs[d0:d1],
-                    ys=payload.ys[d0:d1],
-                    radii=payload.radii[d0:d1],
-                    site_indices=payload.site_indices[h0:h1],
-                    polarities=payload.polarities[h0:h1],
-                    layout=layout,
-                ),
-            )
-        )
-    return chips
-
-
 def pack_lot_chips(
-    netlist: Netlist, chips: "tuple[FabricatedChip, ...]"
-) -> _FabShardPayload | None:
-    """Encode any chip sequence as one :class:`_FabShardPayload`.
+    netlist: Netlist, lot: "FabricatedLot | Sequence[FabricatedChip]"
+) -> LotColumns | None:
+    """Encode a lot (or any chip sequence) as :class:`LotColumns`.
 
-    The socket-boundary encoder: array-backed chips laid out against
-    ``netlist`` contribute their arrays directly; eagerly constructed
-    chips (e.g. a lot that already crossed a pickle boundary) are mapped
-    fault-by-fault through :func:`fault_site_lookup`.  Returns ``None``
+    The socket-boundary encoder: a column-backed lot laid out against
+    ``netlist`` hands over its columns as they are; otherwise each chip
+    contributes its arrays (array-backed chips on ``netlist``) or is
+    mapped fault-by-fault through :func:`fault_site_lookup` (eager
+    chips, e.g. a lot that crossed a pickle boundary).  Returns ``None``
     when any fault does not belong to ``netlist``'s universe — the
     caller falls back to the legacy pickled-object encoding.
     """
+    if isinstance(lot, FabricatedLot):
+        columns = lot.columns_for(netlist)
+        if columns is not None:
+            return columns
+        lot = lot.chips
     lookup = None
     xs, ys, radii, sites, pols = [], [], [], [], []
-    defect_counts = np.empty(len(chips) + 1, dtype=np.intp)
-    hit_counts = np.empty(len(chips) + 1, dtype=np.intp)
-    defect_counts[0] = hit_counts[0] = 0
-    for k, chip in enumerate(chips):
+    for chip in lot:
         data = chip._data
         if data is not None and data.layout.netlist is netlist:
             cxs, cys, cradii = data.xs, data.ys, data.radii
@@ -335,55 +334,65 @@ def pack_lot_chips(
         radii.append(cradii)
         sites.append(csites)
         pols.append(cpols)
-        defect_counts[k + 1] = cxs.size
-        hit_counts[k + 1] = csites.size
-    return _FabShardPayload(
-        chip_ids=np.array([chip.chip_id for chip in chips], dtype=np.int64),
-        defect_offsets=np.cumsum(defect_counts).astype(np.int64),
+
+    def offsets(chunks):
+        out = np.zeros(len(chunks) + 1, dtype=np.int64)
+        np.cumsum([chunk.size for chunk in chunks], out=out[1:])
+        return out
+
+    return LotColumns(
+        chip_ids=np.array([chip.chip_id for chip in lot], dtype=np.int64),
+        defect_offsets=offsets(xs),
         xs=_concat(xs, float),
         ys=_concat(ys, float),
         radii=_concat(radii, float),
-        hit_offsets=np.cumsum(hit_counts).astype(np.int64),
+        hit_offsets=offsets(sites),
         site_indices=_concat(sites, np.int32).astype(np.int32),
         polarities=_concat(pols, np.uint8).astype(np.uint8),
     )
 
 
-def unpack_lot_chips(
-    netlist: Netlist, chip_area: float, payload: _FabShardPayload
-) -> "tuple[FabricatedChip, ...]":
-    """Decode :func:`pack_lot_chips` output against the cached layout.
+def unpack_lot(
+    netlist: Netlist, recipe: ProcessRecipe, chip_area: float, columns: LotColumns
+) -> FabricatedLot:
+    """Decode :func:`pack_lot_chips` output into a column-backed lot.
 
-    The rebuilt chips are lazy array-backed views; materializing their
-    faults resolves site indices through the per-process
-    :func:`_cached_layout` for ``(netlist, chip_area)``, whose universe
-    enumeration is deterministic — so the decoded lot is bit-identical
-    to the encoded one on any receiver that agrees on the netlist.
+    The wire decoders' one entry point: the columns are validated
+    against the fault universe of the per-process :func:`_cached_layout`
+    for ``(netlist, chip_area)`` (``ValueError`` on a malformed or
+    hostile payload), whose enumeration is deterministic — so the
+    decoded lot is bit-identical to the encoded one on any receiver
+    that agrees on the netlist.
     """
+    if not (isinstance(chip_area, (int, float)) and 0 < chip_area < math.inf):
+        raise ValueError(f"malformed lot: chip area {chip_area!r}")
     layout = _cached_layout(netlist, chip_area)
-    return tuple(_unpack_shard(payload, layout))
+    columns.validate(layout.num_sites)
+    return FabricatedLot(recipe, columns=columns, layout=layout)
+
+
+def unpack_lot_chips(
+    netlist: Netlist, chip_area: float, columns: LotColumns
+) -> "tuple[FabricatedChip, ...]":
+    """The chips of :func:`unpack_lot` (lazy views over the columns)."""
+    return unpack_lot(netlist, None, chip_area, columns).chips
 
 
 def _fabricate_wafer_shard(
     context: _FabShardContext,
-    wafer_tasks: list[tuple[int, np.random.Generator, int | None]],
-) -> _FabShardPayload:
-    """Worker: fabricate ``(wafer_index, wafer_rng, die_limit)`` tasks.
+    wafer_tasks: list[tuple[int, object, int | None]],
+) -> LotColumns:
+    """Worker: fabricate ``(wafer_index, wafer_seed, die_limit)`` tasks.
 
-    Returns the shard as one compact array payload — the pool pipe
-    carries eight flat arrays per shard instead of a pickled
-    object tree per die.
+    Returns the shard's :class:`LotColumns` — eight flat arrays over the
+    pool pipe, not a pickled object tree per die.
     """
-    chips: list[FabricatedChip] = []
-    for index, wafer_rng, die_limit in wafer_tasks:
-        chips.extend(
-            context.wafer.fabricate(
-                seed=wafer_rng,
-                first_chip_id=index * context.dies_per_wafer,
-                max_dies=die_limit,
-            )
-        )
-    return _pack_chips(chips)
+    return context.wafer.fabricate_columns(
+        [
+            (index * context.dies_per_wafer, wafer_seed, die_limit)
+            for index, wafer_seed, die_limit in wafer_tasks
+        ]
+    )
 
 
 def fabricate_lot(
@@ -405,7 +414,7 @@ def fabricate_lot(
     for any worker count.  ``executor`` injects a long-lived pool (a
     :class:`repro.api.Session` owns one): its worker count governs the
     sharding and the pre-built wafer ships to the workers once per
-    session, not once per lot.
+    session, not once per lot.  The lot is column-backed.
     """
     if num_chips < 1:
         raise ValueError(f"need >= 1 chip, got {num_chips}")
@@ -413,57 +422,33 @@ def fabricate_lot(
     rng = make_rng(seed)
     num_wafers = -(-num_chips // dies_per_wafer)
     last_limit = num_chips - (num_wafers - 1) * dies_per_wafer
-    wafer_rngs = spawn_rngs(rng, num_wafers)
     tasks = [
-        (
-            index,
-            wafer_rng,
-            last_limit if index == num_wafers - 1 else None,
-        )
-        for index, wafer_rng in enumerate(wafer_rngs)
+        (index, wafer_seed, last_limit if index == num_wafers - 1 else None)
+        for index, wafer_seed in enumerate(spawn_seeds(rng, num_wafers))
     ]
     if executor is not None:
         num_workers = executor.num_workers
     else:
         num_workers = resolve_workers(workers)
-    plan = ShardPlan.balanced(num_wafers, num_workers)
+    # Several shards per worker: pool workers pull shards as they free
+    # up, so a slower worker (a busy core, a wafer-heavy shard) does not
+    # set the wall time of the whole lot.
+    plan = ShardPlan.balanced(
+        num_wafers, 1 if num_workers == 1 else num_workers * _SHARDS_PER_WORKER
+    )
+    context, token = _cached_fab_context(netlist, recipe, dies_per_wafer)
     if plan.num_shards > 1:
-        context, token = _cached_fab_context(netlist, recipe, dies_per_wafer)
         shard_tasks = plan.split(tasks)
         if executor is not None:
-            payloads = executor.map_shards(
+            parts = executor.map_shards(
                 _fabricate_wafer_shard, context, shard_tasks, token=token
             )
         else:
             with ParallelExecutor(num_workers) as one_shot:
-                payloads = one_shot.map_shards(
+                parts = one_shot.map_shards(
                     _fabricate_wafer_shard, context, shard_tasks
                 )
-        chips: list[FabricatedChip] = []
-        fault_chunks: list[np.ndarray] = []
-        defect_chunks: list[np.ndarray] = []
-        for payload in payloads:
-            chips.extend(_unpack_shard(payload, wafer.layout))
-            fault_chunks.append(np.diff(payload.hit_offsets))
-            defect_chunks.append(np.diff(payload.defect_offsets))
-        fault_counts = _concat(fault_chunks, np.int64).astype(np.int64)
-        defect_counts = _concat(defect_chunks, np.int64).astype(np.int64)
+        columns = LotColumns.concat(list(parts))
     else:
-        chips = []
-        for index, wafer_rng, die_limit in tasks:
-            chips.extend(
-                wafer.fabricate(
-                    seed=wafer_rng,
-                    first_chip_id=index * dies_per_wafer,
-                    max_dies=die_limit,
-                )
-            )
-        fault_counts = np.array(
-            [chip.fault_count for chip in chips], dtype=np.int64
-        )
-        defect_counts = np.array(
-            [chip.defect_count for chip in chips], dtype=np.int64
-        )
-    return FabricatedLot._from_soa(
-        recipe, tuple(chips), fault_counts, defect_counts
-    )
+        columns = _fabricate_wafer_shard(context, tasks)
+    return FabricatedLot(recipe, columns=columns, layout=wafer.layout)

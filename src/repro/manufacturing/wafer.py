@@ -3,29 +3,31 @@
 A wafer draws one defect-density realization from the recipe's mixing
 distribution — defect clustering in real lines is dominated by
 wafer-to-wafer and lot-to-lot variation — and every die on the wafer then
-sees an independent Poisson defect count at that density.  The die's
-defects and the stuck-at faults they cause are computed on the array
-path: the defect generator emits ``(xs, ys, radii)`` arrays, the mapper
-turns them into ``(site, polarity)`` arrays through the layout's grid
-index, and :class:`FabricatedChip` stores exactly those arrays —
-``Defect`` / ``StuckAtFault`` objects are materialized lazily, only when
-a consumer actually asks for them.
+sees an independent Poisson defect count at that density.  Dies are
+fabricated in bulk (:func:`fabricate_dies`): each die draws its defect
+arrays on its own generator, one grid query covers every die's
+footprints and one vectorized pass samples every die's faults, into a
+:class:`LotColumns` of flat arrays.  :class:`FabricatedChip` views are
+built from the columns only on demand, and ``Defect`` / ``StuckAtFault``
+objects only when a consumer actually asks for them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.defects.generation import Defect
+from repro.defects.generation import Defect, DefectGenerator
 from repro.defects.layout import ChipLayout
 from repro.defects.mapping import DefectToFaultMapper
 from repro.faults.model import StuckAtFault
 from repro.manufacturing.process import ProcessRecipe
 from repro.utils.rng import make_rng, spawn_rngs
 
-__all__ = ["ChipFabData", "FabricatedChip", "Wafer"]
+__all__ = ["ChipFabData", "FabricatedChip", "LotColumns", "Wafer", "fabricate_dies"]
 
 
 def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
@@ -33,36 +35,63 @@ def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=dtype)
 
 
-@dataclass(frozen=True)
 class ChipFabData:
-    """SoA backing of one die: defect arrays, fault-site hits, the layout.
+    """Array backing of one die: its slice of the lot's columns.
 
     ``xs``/``ys``/``radii`` are the die's spot defects;
     ``site_indices``/``polarities`` the deduplicated faulted sites with
-    their stuck levels.  ``layout`` maps site indices back to
-    :class:`~repro.faults.model.StuckAtFault` identities on demand.
+    their stuck levels — views into die ``index`` of ``columns`` (a
+    :class:`LotColumns`), sliced on access, so a lot's chip views cost
+    no array work until a chip is read.  ``layout`` maps site indices
+    back to :class:`~repro.faults.model.StuckAtFault` identities on
+    demand.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    radii: np.ndarray
-    site_indices: np.ndarray
-    polarities: np.ndarray
-    layout: ChipLayout
+    __slots__ = ("columns", "index", "layout")
+
+    def __init__(self, columns: "LotColumns", index: int, layout: ChipLayout):
+        self.columns = columns
+        self.index = index
+        self.layout = layout
+
+    def _slice(self, offsets: np.ndarray) -> slice:
+        return slice(offsets[self.index], offsets[self.index + 1])
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.columns.xs[self._slice(self.columns.defect_offsets)]
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self.columns.ys[self._slice(self.columns.defect_offsets)]
+
+    @property
+    def radii(self) -> np.ndarray:
+        return self.columns.radii[self._slice(self.columns.defect_offsets)]
+
+    @property
+    def site_indices(self) -> np.ndarray:
+        return self.columns.site_indices[self._slice(self.columns.hit_offsets)]
+
+    @property
+    def polarities(self) -> np.ndarray:
+        return self.columns.polarities[self._slice(self.columns.hit_offsets)]
 
 
 class FabricatedChip:
     """One die: its physical defects and the logical faults they caused.
 
-    Array-backed chips (the fab hot path) hold a :class:`ChipFabData` and
-    materialize their ``defects`` / ``faults`` tuples lazily; eagerly
+    Array-backed chips (the fab hot path) are built from a
+    :class:`ChipFabData` view — kept as its three fields, so a chip is
+    one object — and materialize their ``defects`` / ``faults`` tuples
+    lazily; eagerly
     constructed chips (``FabricatedChip(id, defects, faults)``, the
     historical signature) behave exactly as before.  Equality, hashing,
     and pickling are defined on the materialized ``(chip_id, defects,
     faults)`` triple, so the two representations are interchangeable.
     """
 
-    __slots__ = ("chip_id", "_defects", "_faults", "_data")
+    __slots__ = ("chip_id", "_defects", "_faults", "_columns", "_index", "_layout")
 
     def __init__(
         self,
@@ -80,6 +109,7 @@ class FabricatedChip:
                 )
             self._defects: tuple[Defect, ...] | None = tuple(defects)
             self._faults: tuple[StuckAtFault, ...] | None = tuple(faults)
+            self._columns = None
         else:
             if defects is not None or faults is not None:
                 raise TypeError(
@@ -87,8 +117,17 @@ class FabricatedChip:
                 )
             self._defects = None
             self._faults = None
+            self._columns = data.columns
+            self._index = data.index
+            self._layout = data.layout
         self.chip_id = chip_id
-        self._data = data
+
+    @property
+    def _data(self) -> ChipFabData | None:
+        """The chip's array view, or ``None`` for an eager chip."""
+        if self._columns is None:
+            return None
+        return ChipFabData(self._columns, self._index, self._layout)
 
     @property
     def defects(self) -> tuple[Defect, ...]:
@@ -181,6 +220,155 @@ class FabricatedChip:
         )
 
 
+@dataclass(frozen=True)
+class LotColumns:
+    """A lot's dies as eight flat arrays — the fab pipeline's output.
+
+    Per die a chip id plus CSR slices into the concatenated defect
+    arrays (``defect_offsets``) and fault-hit arrays (``hit_offsets``):
+    die ``k``'s defects are ``xs/ys/radii[defect_offsets[k]:
+    defect_offsets[k + 1]]`` and its faults ``site_indices/polarities[
+    hit_offsets[k]:hit_offsets[k + 1]]``.  Hit arrays use compact dtypes
+    — ``int32`` site indices, ``uint8`` polarities.  The same arrays are
+    what pool workers return, what a column-backed
+    :class:`~repro.manufacturing.lot.FabricatedLot` holds, what the
+    tester reads, and (wrapped) what travels over the socket and HTTP
+    wire formats.
+    """
+
+    chip_ids: np.ndarray
+    defect_offsets: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    radii: np.ndarray
+    hit_offsets: np.ndarray
+    site_indices: np.ndarray
+    polarities: np.ndarray
+
+    @property
+    def num_dies(self) -> int:
+        return int(self.chip_ids.size)
+
+    @classmethod
+    def concat(cls, parts: "list[LotColumns]") -> "LotColumns":
+        """One column set for consecutive parts (e.g. pool shards)."""
+        if len(parts) == 1:
+            return parts[0]
+
+        def offsets(name):
+            chunks = [getattr(parts[0], name)[:1]]
+            base = 0
+            for part in parts:
+                chunks.append(getattr(part, name)[1:] + base)
+                base += getattr(part, name)[-1]
+            return np.concatenate(chunks)
+
+        return cls(
+            chip_ids=np.concatenate([p.chip_ids for p in parts]),
+            defect_offsets=offsets("defect_offsets"),
+            xs=np.concatenate([p.xs for p in parts]),
+            ys=np.concatenate([p.ys for p in parts]),
+            radii=np.concatenate([p.radii for p in parts]),
+            hit_offsets=offsets("hit_offsets"),
+            site_indices=np.concatenate([p.site_indices for p in parts]),
+            polarities=np.concatenate([p.polarities for p in parts]),
+        )
+
+    def validate(self, num_sites: int) -> None:
+        """Reject columns that do not describe a lot on ``num_sites`` sites.
+
+        The wire decoders' one gate: every array 1-D with the right
+        dtype kind, ``len(chip_ids) + 1`` offsets per CSR starting at 0,
+        never decreasing and ending at its arrays' length, every site in
+        ``[0, num_sites)`` and every polarity 0 or 1.  Raises
+        ``ValueError`` naming the first violation.
+        """
+
+        def reject(problem: str):
+            raise ValueError(f"malformed lot columns: {problem}")
+
+        for field in dataclasses.fields(self):
+            array = getattr(self, field.name)
+            kinds = "f" if field.name in ("xs", "ys", "radii") else "iu"
+            if not isinstance(array, np.ndarray) or array.ndim != 1:
+                reject(f"{field.name} must be a 1-D array")
+            if array.dtype.kind not in kinds:
+                expected = "float" if kinds == "f" else "integer"
+                reject(f"{field.name} has dtype {array.dtype.str!r}, not {expected}")
+        for name, columns in (
+            ("defect_offsets", ("xs", "ys", "radii")),
+            ("hit_offsets", ("site_indices", "polarities")),
+        ):
+            offsets = getattr(self, name)
+            if offsets.size != self.chip_ids.size + 1:
+                reject(f"{offsets.size} {name} for {self.chip_ids.size} chip ids")
+            if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+                reject(f"{name} must start at 0 and never decrease")
+            for column in columns:
+                if getattr(self, column).size != offsets[-1]:
+                    reject(
+                        f"{name} end at {offsets[-1]} but {column} has "
+                        f"{getattr(self, column).size} entries"
+                    )
+        sites = self.site_indices
+        if sites.size and (sites.min() < 0 or sites.max() >= num_sites):
+            reject(f"site indices {sites.min()}..{sites.max()} outside [0, {num_sites})")
+        if self.polarities.size and (
+            self.polarities.min() < 0 or self.polarities.max() > 1
+        ):
+            reject("polarities must be 0 or 1")
+
+    def chips(self, layout: ChipLayout) -> tuple[FabricatedChip, ...]:
+        """Lazy array-backed chips, one :class:`ChipFabData` view per die."""
+        return tuple(
+            FabricatedChip(chip_id, data=ChipFabData(self, k, layout))
+            for k, chip_id in enumerate(self.chip_ids.tolist())
+        )
+
+
+def fabricate_dies(
+    generator: DefectGenerator,
+    mapper: DefectToFaultMapper,
+    area: float,
+    chip_ids: np.ndarray,
+    die_rngs: Sequence[np.random.Generator],
+    densities: Sequence[float],
+) -> LotColumns:
+    """Fabricate dies, each on its own generator at its own density.
+
+    The one sampling path of every wafer model.  Each die draws its
+    defect arrays (Poisson count, positions, radii) from its generator;
+    then the layout answers every die's footprints in one batched grid
+    query and :meth:`~repro.defects.mapping.DefectToFaultMapper.draw_hits`
+    samples every die's faults in one vectorized pass — geometry draws
+    no randomness, and each die's sampling draws stay on its generator,
+    so every die is bit-identical to fabricating it alone.
+    """
+    per_die = [
+        generator.chip_defect_arrays(area, rng=rng, density_value=density)
+        for rng, density in zip(die_rngs, densities)
+    ]
+    defect_offsets = np.zeros(len(per_die) + 1, dtype=np.int64)
+    np.cumsum([xs.size for xs, _, _ in per_die], out=defect_offsets[1:])
+    xs = _concat([die[0] for die in per_die], float)
+    ys = _concat([die[1] for die in per_die], float)
+    radii = _concat([die[2] for die in per_die], float)
+    covered, offsets = mapper.layout.sites_within_many(xs, ys, radii)
+    hit_offsets, sites, polarities = mapper.draw_hits(
+        covered, offsets, die_rngs, defect_offsets
+    )
+    return LotColumns(
+        chip_ids=np.asarray(chip_ids, dtype=np.int64),
+        defect_offsets=defect_offsets,
+        xs=xs,
+        ys=ys,
+        radii=radii,
+        hit_offsets=hit_offsets,
+        site_indices=sites.astype(np.int32),
+        polarities=polarities.astype(np.uint8),
+    )
+
+
 class Wafer:
     """A wafer of dies fabricated under one density realization."""
 
@@ -210,7 +398,7 @@ class Wafer:
         first_chip_id: int = 0,
         max_dies: int | None = None,
     ) -> list[FabricatedChip]:
-        """Fabricate one wafer's worth of dies on the array path.
+        """Fabricate one wafer's worth of dies as lazy chips.
 
         ``max_dies`` truncates the wafer after that many dies — used for
         a lot's final partial wafer.  Safe for determinism: per-die RNGs
@@ -218,54 +406,41 @@ class Wafer:
         dies of a truncated wafer are bit-identical to the first ``k``
         dies of the full one.
         """
-        if max_dies is not None and max_dies < 1:
-            raise ValueError(f"max_dies must be >= 1, got {max_dies}")
-        rng = make_rng(seed)
-        density = float(
-            self.recipe.density_distribution().sample(rng, 1)[0]
-        )
-        count = (
-            self.dies_per_wafer
-            if max_dies is None
-            else min(max_dies, self.dies_per_wafer)
-        )
-        area = self.recipe.chip_area
-        die_rngs = spawn_rngs(rng, count)
-        # Draw every die's defects first (each on its own spawned
-        # generator, so per-die draw order matches the serial reference),
-        # then answer the *whole wafer's* footprint queries in one
-        # batched pass over the grid index — geometry consumes no
-        # randomness, so only the RNG-bearing sampling stays per die.
-        per_die = [
-            self._generator.chip_defect_arrays(
-                area, rng=die_rng, density_value=density
+        columns = self.fabricate_columns([(first_chip_id, seed, max_dies)])
+        return list(columns.chips(self.layout))
+
+    def fabricate_columns(
+        self, wafers: Sequence[tuple[int, object, int | None]]
+    ) -> LotColumns:
+        """Fabricate ``(first_chip_id, seed, max_dies)`` wafers as columns.
+
+        Each wafer draws its density realization and spawns its die
+        generators; then every die of every wafer goes through one
+        :func:`fabricate_dies` call.
+        """
+        chip_ids: list[np.ndarray] = []
+        die_rngs: list[np.random.Generator] = []
+        densities: list[float] = []
+        for first_chip_id, seed, max_dies in wafers:
+            if max_dies is not None and max_dies < 1:
+                raise ValueError(f"max_dies must be >= 1, got {max_dies}")
+            rng = make_rng(seed)
+            density = float(
+                self.recipe.density_distribution().sample(rng, 1)[0]
             )
-            for die_rng in die_rngs
-        ]
-        defect_counts = np.array([xs.size for xs, _, _ in per_die], dtype=np.intp)
-        bounds = np.zeros(count + 1, dtype=np.intp)
-        np.cumsum(defect_counts, out=bounds[1:])
-        site_idx, offsets = self.layout.sites_within_many(
-            _concat([xs for xs, _, _ in per_die], float),
-            _concat([ys for _, ys, _ in per_die], float),
-            _concat([radii for _, _, radii in per_die], float),
+            count = (
+                self.dies_per_wafer
+                if max_dies is None
+                else min(max_dies, self.dies_per_wafer)
+            )
+            chip_ids.append(np.arange(first_chip_id, first_chip_id + count))
+            die_rngs.extend(spawn_rngs(rng, count))
+            densities.extend([density] * count)
+        return fabricate_dies(
+            self._generator,
+            self._mapper,
+            self.recipe.chip_area,
+            _concat(chip_ids, np.int64),
+            die_rngs,
+            densities,
         )
-        chips = []
-        for die, ((xs, ys, radii), die_rng) in enumerate(zip(per_die, die_rngs)):
-            site_indices, polarities = self._mapper.draw_hits(
-                site_idx, offsets[bounds[die] : bounds[die + 1] + 1], rng=die_rng
-            )
-            chips.append(
-                FabricatedChip(
-                    chip_id=first_chip_id + die,
-                    data=ChipFabData(
-                        xs=xs,
-                        ys=ys,
-                        radii=radii,
-                        site_indices=site_indices,
-                        polarities=polarities,
-                        layout=self.layout,
-                    ),
-                )
-            )
-        return chips

@@ -23,7 +23,7 @@ import numpy as np
 from repro.defects.layout import ChipLayout
 from repro.defects.mapping import DefectToFaultMapper
 from repro.manufacturing.process import ProcessRecipe
-from repro.manufacturing.wafer import ChipFabData, FabricatedChip
+from repro.manufacturing.wafer import FabricatedChip, fabricate_dies
 from repro.utils.rng import make_rng, spawn_rngs
 
 __all__ = ["PlacedChip", "WaferMap"]
@@ -108,37 +108,21 @@ class WaferMap:
         wafer_density = float(
             self.recipe.density_distribution().sample(rng, 1)[0]
         )
-        placed = []
-        for k, ((x, y), die_rng) in enumerate(
-            zip(self.positions, spawn_rngs(rng, len(self.positions)))
-        ):
-            rho2 = x * x + y * y
-            density = wafer_density * self._profile(rho2)
-            xs, ys, radii = self._generator.chip_defect_arrays(
-                self.recipe.chip_area, rng=die_rng, density_value=density
+        rho2 = [x * x + y * y for x, y in self.positions]
+        columns = fabricate_dies(
+            self._generator,
+            self._mapper,
+            self.recipe.chip_area,
+            np.arange(first_chip_id, first_chip_id + len(self.positions)),
+            spawn_rngs(rng, len(self.positions)),
+            [wafer_density * self._profile(r2) for r2 in rho2],
+        )
+        return [
+            PlacedChip(chip=chip, x=x, y=y, radial=math.sqrt(r2))
+            for chip, (x, y), r2 in zip(
+                columns.chips(self.layout), self.positions, rho2
             )
-            site_indices, polarities = self._mapper.site_hits_for_chip(
-                xs, ys, radii, rng=die_rng
-            )
-            placed.append(
-                PlacedChip(
-                    chip=FabricatedChip(
-                        chip_id=first_chip_id + k,
-                        data=ChipFabData(
-                            xs=xs,
-                            ys=ys,
-                            radii=radii,
-                            site_indices=site_indices,
-                            polarities=polarities,
-                            layout=self.layout,
-                        ),
-                    ),
-                    x=x,
-                    y=y,
-                    radial=math.sqrt(rho2),
-                )
-            )
-        return placed
+        ]
 
     @staticmethod
     def zone_yields(

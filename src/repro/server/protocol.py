@@ -497,12 +497,13 @@ class LotArrays:
 def pack_lot(netlist: Netlist, lot: Any) -> LotArrays | None:
     """Convert a lot to SoA wire form, or ``None`` if any chip can't be.
 
-    All-or-nothing on purpose: a mixed encoding would make receiver-side
-    chip identity depend on which chips happened to be array-backed.
+    A column-backed lot ships its columns as they are.  All-or-nothing
+    on purpose: a mixed encoding would make receiver-side chip identity
+    depend on which chips happened to be array-backed.
     """
     from repro.manufacturing.lot import pack_lot_chips
 
-    payload = pack_lot_chips(netlist, lot.chips)
+    payload = pack_lot_chips(netlist, lot)
     if payload is None:
         return None
     return LotArrays(
@@ -514,24 +515,25 @@ def pack_lot(netlist: Netlist, lot: Any) -> LotArrays | None:
 
 
 def lot_from_arrays(netlist: Netlist, arrays: LotArrays) -> Any:
-    """Rebuild a :class:`FabricatedLot` from its SoA wire form.
+    """Rebuild a column-backed :class:`FabricatedLot` from its SoA wire form.
 
-    The lot-level count SoA comes straight from the payload's CSR
-    offsets, so the rebuilt lot's statistics never materialize per-chip
-    fault objects.
+    The payload is validated against the netlist's fault universe first;
+    a malformed one (wrong dtypes, offsets that do not partition the
+    arrays, sites outside the universe, polarities other than 0/1) is a
+    :class:`ProtocolError`, never a lot whose faults silently differ.
     """
-    import numpy as np
+    from repro.manufacturing.lot import unpack_lot
+    from repro.manufacturing.wafer import LotColumns
 
-    from repro.manufacturing.lot import FabricatedLot, unpack_lot_chips
-
-    payload = arrays.payload
-    chips = unpack_lot_chips(netlist, arrays.chip_area, payload)
-    return FabricatedLot._from_soa(
-        arrays.recipe,
-        tuple(chips),
-        np.diff(payload.hit_offsets).astype(np.int64),
-        np.diff(payload.defect_offsets).astype(np.int64),
-    )
+    if not isinstance(arrays.payload, LotColumns):
+        raise ProtocolError(
+            f"lot arrays payload must be LotColumns, got "
+            f"{type(arrays.payload).__name__}"
+        )
+    try:
+        return unpack_lot(netlist, arrays.recipe, arrays.chip_area, arrays.payload)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 # ----------------------------------------------------------------- identity

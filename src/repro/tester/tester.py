@@ -10,10 +10,11 @@ still-passing defective chip is one row of a
 :class:`~repro.simulator.batch_sim.BatchCompiledCircuit` batch, so one
 vectorized pass per 64-pattern block tests the whole lot at once, and
 chips drop out of the batch as soon as they fail.  The lot enters as a
-``(site index, polarity)`` CSR — array-backed chips as they are, eager
-chips mapped through the fault-universe lookup once per lot — and each
-block's injection tables are gathered from it, so no fault object is
-built on the test path.  ``engine="compiled"`` keeps the serial
+``(site index, polarity)`` CSR — a column-backed lot's hit arrays as
+they are, eager chips mapped through the fault-universe lookup once per
+lot — and each block's injection tables are gathered from it, so no
+fault object (and, for a column-backed lot, no chip object) is built on
+the test path.  ``engine="compiled"`` keeps the serial
 chip-at-a-time loop as the word-level reference.
 
 Above the engine sits the process axis: ``workers > 1`` cuts the chip
@@ -36,6 +37,7 @@ from repro.faults.model import (
     fault_site_lookup,
     materialize_site_faults,
 )
+from repro.manufacturing.lot import FabricatedLot
 from repro.manufacturing.wafer import FabricatedChip, _concat
 from repro.runtime import (
     ParallelExecutor,
@@ -76,14 +78,19 @@ class ChipTestRecord:
 
 
 def _chip_sites(
-    netlist, chips: Sequence[FabricatedChip], sites_of
+    netlist, lot: FabricatedLot, sites_of
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(offsets, site indices, polarities)`` CSR of a chip list.
+    """``(offsets, site indices, polarities)`` CSR of a lot.
 
-    Array-backed chips laid out against ``netlist`` contribute their
-    arrays as they are; the faults of eager (or unpickled) chips are
-    mapped by one ``sites_of(faults)`` call per lot.
+    A column-backed lot laid out against ``netlist`` hands over its hit
+    arrays as they are; otherwise array-backed chips contribute their
+    arrays and the faults of eager (or unpickled) chips are mapped by
+    one ``sites_of(faults)`` call per lot.
     """
+    columns = lot.columns_for(netlist)
+    if columns is not None:
+        return columns.hit_offsets, columns.site_indices, columns.polarities
+    chips = lot.chips
     site_chunks: list = []
     pol_chunks: list = []
     eager: list[tuple[int, tuple[StuckAtFault, ...]]] = []
@@ -130,11 +137,11 @@ class _LotSites:
     table: SiteTable
 
     @classmethod
-    def of_chips(
-        cls, batch: BatchCompiledCircuit, chips: Sequence[FabricatedChip]
+    def of_lot(
+        cls, batch: BatchCompiledCircuit, lot: FabricatedLot
     ) -> "_LotSites":
-        """Gather a chip list against ``batch``'s site table; ad-hoc
-        sites of eager chips extend a copy of the table."""
+        """Gather a lot against ``batch``'s site table; ad-hoc sites of
+        eager chips extend a copy of the table."""
         table = batch.site_table
 
         def sites_of(faults):
@@ -142,7 +149,7 @@ class _LotSites:
             sites, table = batch.sites_of(faults)
             return sites
 
-        offsets, sites, polarities = _chip_sites(batch.netlist, chips, sites_of)
+        offsets, sites, polarities = _chip_sites(batch.netlist, lot, sites_of)
         return cls(offsets, sites, polarities, table)
 
     @classmethod
@@ -205,17 +212,17 @@ def _first_fail_codes(
     return first_fail
 
 
-def _records(
-    chips: Sequence[FabricatedChip], first_fail: np.ndarray
-) -> list[ChipTestRecord]:
+def _records(lot: FabricatedLot, first_fail: np.ndarray) -> list[ChipTestRecord]:
     """Records from per-chip first-fail codes (``-1`` = passed)."""
     return [
         ChipTestRecord(
-            chip.chip_id,
-            is_good=chip.is_good,
-            first_fail=None if code < 0 else code,
+            chip_id, is_good=count == 0, first_fail=None if code < 0 else code
         )
-        for chip, code in zip(chips, first_fail.tolist())
+        for chip_id, count, code in zip(
+            lot.chip_ids().tolist(),
+            lot.fault_counts().tolist(),
+            first_fail.tolist(),
+        )
     ]
 
 
@@ -283,7 +290,7 @@ class _SoAChipShard:
 
 
 def _pack_soa_shards(
-    netlist, chips: Sequence[FabricatedChip], bounds
+    netlist, lot: FabricatedLot, bounds
 ) -> list[_SoAChipShard] | None:
     """Encode a lot as one :class:`_SoAChipShard` per ``(start, stop)``.
 
@@ -300,7 +307,7 @@ def _pack_soa_shards(
         )
 
     try:
-        offsets, sites, polarities = _chip_sites(netlist, chips, sites_of)
+        offsets, sites, polarities = _chip_sites(netlist, lot, sites_of)
     except KeyError:
         return None
     coded = (sites.astype(np.int32) << np.int32(1)) | polarities.astype(np.int32)
@@ -324,7 +331,7 @@ def _test_lot_shard(context: _LotShardContext, shard) -> np.ndarray:
         if isinstance(shard, _SoAChipShard):
             lot = _LotSites.of_shard(context.batch, shard)
         else:
-            lot = _LotSites.of_chips(context.batch, shard)
+            lot = _LotSites.of_lot(context.batch, FabricatedLot(None, shard))
         return _first_fail_codes(context.batch, context.blocks, lot)
     if isinstance(shard, _SoAChipShard):
         universe = cached_fault_universe(context.compiled.netlist)
@@ -447,21 +454,23 @@ class WaferTester:
 
     def test_lot(
         self,
-        chips: Sequence[FabricatedChip],
+        chips: FabricatedLot | Sequence[FabricatedChip],
         workers: int | str | None = None,
     ) -> list[ChipTestRecord]:
-        """Test every chip of a lot; records in chip order.
+        """Test every chip of a lot (or bare chip list); records in chip order.
 
-        ``workers`` overrides the constructor setting for this lot; above
-        1 the chip list is sharded over a process pool and the merged
-        records are bit-identical to the serial run.  With an injected
-        ``executor`` (and no explicit ``workers``) the call reuses its
-        pool and its worker count; the tester's shard context travels to
-        the workers only on the first lot, later lots ship just their
-        chip shards.  An explicit ``workers`` always wins, on a one-shot
-        pool of that size.
+        A column-backed lot is tested straight from its hit arrays and
+        its records are built from its chip ids and fault counts — no
+        chip object is built.  ``workers`` overrides the constructor
+        setting for this lot; above 1 the lot is sharded over a process
+        pool and the merged records are bit-identical to the serial run.
+        With an injected ``executor`` (and no explicit ``workers``) the
+        call reuses its pool and its worker count; the tester's shard
+        context travels to the workers only on the first lot, later lots
+        ship just their chip shards.  An explicit ``workers`` always
+        wins, on a one-shot pool of that size.
         """
-        chips = list(chips)
+        lot = chips if isinstance(chips, FabricatedLot) else FabricatedLot.of_chips(chips)
         # An explicit per-call ``workers`` takes precedence over an
         # injected executor (whose pool is sized once): the override
         # runs on a one-shot pool of exactly that size.
@@ -472,10 +481,10 @@ class WaferTester:
             num_workers = resolve_workers(
                 self.workers if workers is None else workers
             )
-        plan = ShardPlan.balanced(len(chips), num_workers)
+        plan = ShardPlan.balanced(len(lot), num_workers)
         if plan.num_shards > 1:
             context = self._lot_shard_context()
-            tasks = self._shard_tasks(chips, plan)
+            tasks = self._shard_tasks(lot, plan)
             if use_injected:
                 codes = self.executor.map_shards(
                     _test_lot_shard,
@@ -486,20 +495,16 @@ class WaferTester:
             else:
                 with ParallelExecutor(num_workers) as executor:
                     codes = executor.map_shards(_test_lot_shard, context, tasks)
-            return _records(chips, np.concatenate(codes))
+            return _records(lot, np.concatenate(codes))
         if self.engine in ("compiled", "event"):
-            return [self.test_chip(chip) for chip in chips]
+            return [self.test_chip(chip) for chip in lot.chips]
         batch = self._batch_circuit
         return _records(
-            chips,
-            _first_fail_codes(
-                batch, self._blocks, _LotSites.of_chips(batch, chips)
-            ),
+            lot,
+            _first_fail_codes(batch, self._blocks, _LotSites.of_lot(batch, lot)),
         )
 
-    def _shard_tasks(
-        self, chips: list[FabricatedChip], plan: ShardPlan
-    ) -> list:
+    def _shard_tasks(self, lot: FabricatedLot, plan: ShardPlan) -> list:
         """Encode chip shards for the pool pipe per ``payload_format``.
 
         ``"soa"`` packs every shard as a :class:`_SoAChipShard`; if any
@@ -509,11 +514,11 @@ class WaferTester:
         """
         if self.payload_format == "soa":
             packed = _pack_soa_shards(
-                self.program.netlist, chips, plan.bounds()
+                self.program.netlist, lot, plan.bounds()
             )
             if packed is not None:
                 return packed
-        return plan.split(chips)
+        return plan.split(list(lot.chips))
 
     def _lot_shard_context(self) -> _LotShardContext:
         """The tester's shard context, built once and token-stable.

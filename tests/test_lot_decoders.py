@@ -1,0 +1,142 @@
+"""Hostile lot payloads are rejected on both wire paths.
+
+A lot crosses the wire as eight CSR arrays (:class:`LotColumns`): as
+base64 JSON through the HTTP gateway (``codec.lot_from_json``) and as a
+``LotArrays`` object on the TCP server's binary frames
+(``protocol.lot_from_arrays``).  Each decoder must validate the columns
+against the receiver's fault universe — a negative or out-of-range site,
+offsets that decrease, chip ids that do not match the offsets, a
+polarity other than 0/1, or a non-integer offset dtype is a typed error
+(``ValueError`` answered as HTTP 400, ``ProtocolError`` answered as
+``bad-request``), never a lot whose faults silently differ.
+"""
+
+import dataclasses
+import json
+import urllib.error
+import urllib.request
+
+import numpy as np
+import pytest
+
+from repro.gateway import codec
+from repro.gateway.testing import running_gateway
+from repro.manufacturing.lot import fabricate_lot
+from repro.manufacturing.wafer import LotColumns
+from repro.server import Client, RemoteError, netlist_fingerprint
+from repro.server.protocol import ProtocolError, lot_from_arrays, pack_lot
+from repro.server.testing import running_server
+
+
+def _set(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+def _swap_offsets(offsets):
+    k = int(np.flatnonzero(np.diff(offsets))[0])
+    return _set(_set(offsets, k, offsets[k + 1]), k + 1, offsets[k])
+
+
+MUTATIONS = {
+    "negative-site": lambda c, n: {"site_indices": _set(c.site_indices, 0, -1)},
+    "out-of-range-site": lambda c, n: {"site_indices": _set(c.site_indices, 0, n)},
+    "swapped-hit-offsets": lambda c, n: {"hit_offsets": _swap_offsets(c.hit_offsets)},
+    "short-chip-ids": lambda c, n: {"chip_ids": c.chip_ids[:-1]},
+    "polarity-two": lambda c, n: {"polarities": _set(c.polarities, 0, 2)},
+    "float-offsets": lambda c, n: {"defect_offsets": c.defect_offsets.astype(float)},
+}
+
+
+@pytest.fixture(scope="module")
+def lot(chip, recipe):
+    lot = fabricate_lot(chip, recipe, 20, dies_per_wafer=8, seed=4)
+    assert lot.fault_counts().sum() > 0
+    return lot
+
+
+def mutated(lot, chip, name) -> LotColumns:
+    columns = lot.columns_for(chip)
+    return dataclasses.replace(columns, **MUTATIONS[name](columns, lot.layout.num_sites))
+
+
+def test_untouched_payloads_decode(chip, lot):
+    for decoded in (
+        codec.lot_from_json(chip, codec.lot_to_json(chip, lot)),
+        lot_from_arrays(chip, pack_lot(chip, lot)),
+    ):
+        assert decoded.columns is not None
+        assert decoded.chips == lot.chips
+        assert decoded.fault_counts().tolist() == lot.fault_counts().tolist()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_json_decoder_rejects(chip, lot, name):
+    payload = codec.lot_to_json(chip, lot)
+    for field, array in dataclasses.asdict(mutated(lot, chip, name)).items():
+        payload["arrays"][field] = codec.encode_array(array)
+    with pytest.raises(ValueError):
+        codec.lot_from_json(chip, payload)
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_binary_decoder_rejects(chip, lot, name):
+    arrays = dataclasses.replace(pack_lot(chip, lot), payload=mutated(lot, chip, name))
+    with pytest.raises(ProtocolError):
+        lot_from_arrays(chip, arrays)
+
+
+def test_binary_decoder_rejects_foreign_payload(chip, lot):
+    arrays = dataclasses.replace(pack_lot(chip, lot), payload={"chip_ids": [0]})
+    with pytest.raises(ProtocolError):
+        lot_from_arrays(chip, arrays)
+
+
+@pytest.fixture(scope="module")
+def gateway():
+    with running_gateway(workers=1) as gateway:
+        yield gateway
+
+
+@pytest.fixture(scope="module")
+def server():
+    with running_server(workers=1) as server:
+        yield server
+
+
+def _post(url, body):
+    request = urllib.request.Request(
+        url, data=json.dumps(body).encode(), method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request) as response:
+        return json.loads(response.read())
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_gateway_answers_400(gateway, chip, lot, name):
+    netlist_id = _post(
+        gateway.address + "/v1/netlists", {"netlist": codec.netlist_to_json(chip)}
+    )["result"]["netlist_id"]
+    payload = codec.lot_to_json(chip, lot)
+    for field, array in dataclasses.asdict(mutated(lot, chip, name)).items():
+        payload["arrays"][field] = codec.encode_array(array)
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(gateway.address + "/v1/lots", {"netlist_id": netlist_id, "lot": payload})
+    assert err.value.code == 400
+    assert "malformed lot columns" in json.loads(err.value.read())["error"]["message"]
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_server_answers_bad_request(server, chip, lot, patterns, name):
+    with Client(server.address) as client:
+        program = client.build_program(chip, patterns)
+        arrays = dataclasses.replace(pack_lot(chip, lot), payload=mutated(lot, chip, name))
+        assert arrays.fingerprint == netlist_fingerprint(chip)
+        with pytest.raises(RemoteError) as err:
+            client.request(
+                "test_lot", program=client._pack(program), chips=client._pack(arrays)
+            )
+        assert err.value.code == "bad-request"
+        assert "malformed lot columns" in str(err.value)
