@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import math
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -58,6 +59,23 @@ __all__ = [
 _PAYLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(LotColumns))
 
 _RECIPE_FIELDS = tuple(f.name for f in dataclasses.fields(ProcessRecipe))
+_REQUIRED_RECIPE_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ProcessRecipe) if f.default is dataclasses.MISSING
+)
+
+
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a float; ``ValueError`` for anything else.
+
+    JSON integers are unbounded, so one past the float range is rejected
+    here rather than escaping as ``OverflowError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is out of range") from None
 
 
 # ------------------------------------------------------------------ arrays
@@ -79,7 +97,9 @@ def decode_array(obj: Any) -> np.ndarray:
         raise ValueError(f"array payload must be an object, got {type(obj).__name__}")
     try:
         dtype = np.dtype(str(obj["dtype"]))
-        shape = tuple(int(n) for n in obj["shape"])
+        shape = tuple(obj["shape"])
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in shape):
+            raise ValueError(f"shape {obj['shape']!r} must list integers")
         raw = base64.b64decode(str(obj["b64"]), validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed array payload: {exc}") from None
@@ -88,7 +108,8 @@ def decode_array(obj: Any) -> np.ndarray:
         raise ValueError(f"array dtype {dtype.str!r} is not allowed on the wire")
     if any(n < 0 for n in shape):
         raise ValueError(f"negative array shape {shape}")
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+    # Python ints: a hostile shape cannot wrap the byte count.
+    expected = math.prod(shape) * dtype.itemsize
     if len(raw) != expected:
         raise ValueError(
             f"array payload is {len(raw)} bytes, shape/dtype imply {expected}"
@@ -175,12 +196,12 @@ def recipe_from_json(obj: Any) -> ProcessRecipe:
     unknown = set(obj) - set(_RECIPE_FIELDS)
     if unknown:
         raise ValueError(f"unknown recipe fields {sorted(unknown)}")
-    kwargs = {}
-    for key, value in obj.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"recipe field {key!r} must be a number")
-        kwargs[key] = float(value)
-    return ProcessRecipe(**kwargs)
+    missing = set(_REQUIRED_RECIPE_FIELDS) - set(obj)
+    if missing:
+        raise ValueError(f"missing recipe fields {sorted(missing)}")
+    return ProcessRecipe(
+        **{key: _number(value, f"recipe field {key!r}") for key, value in obj.items()}
+    )
 
 
 # ---------------------------------------------------------------- patterns
@@ -243,11 +264,9 @@ def lot_from_json(netlist: Netlist, obj: Any) -> FabricatedLot:
     payload = LotColumns(
         **{name: decode_array(arrays[name]) for name in _PAYLOAD_FIELDS}
     )
-    chip_area = obj.get("chip_area")
-    if isinstance(chip_area, bool) or not isinstance(chip_area, (int, float)):
-        raise ValueError("lot chip_area must be a number")
+    chip_area = _number(obj.get("chip_area"), "lot chip_area")
     recipe = recipe_from_json(obj.get("recipe"))
-    return unpack_lot(netlist, recipe, float(chip_area), payload)
+    return unpack_lot(netlist, recipe, chip_area, payload)
 
 
 # ---------------------------------------------------------------- programs

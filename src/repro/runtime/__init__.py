@@ -37,27 +37,30 @@ setting — the determinism suite pins this down.
 **Compile-once workers.**  Contexts carry the pre-compiled NumPy arrays
 (:class:`~repro.simulator.batch_sim.BatchCompiledCircuit`, packed
 pattern blocks, pre-built :class:`~repro.manufacturing.wafer.Wafer`
-layouts), so workers never re-levelize a netlist per task; they unpickle
+layouts), so workers never re-levelize a netlist per task; they decode
 the compiled arrays once and reuse them for every shard they process.
-One-shot pools ship the context through the pool initializer (once per
-worker per call); *persistent* pools (``persistent=True``, owned by
-:class:`repro.api.Session`) cache contexts worker-side keyed by a
-:func:`new_context_token` token, so an unchanged context is shipped
-once per pool lifetime no matter how many calls replay it.
+A one-shot call's context is already in its workers when they fork;
+*persistent* pools (``persistent=True``, owned by
+:class:`repro.api.Session`) send a context to each worker once, keyed
+by a :func:`new_context_token` token, so an unchanged context is
+shipped once per pool lifetime no matter how many calls replay it.
 
-**Pool lifecycle.**  Executors are context managers with an explicit
-:meth:`ParallelExecutor.close`; one-shot call sites wrap each call in
+**Pool lifecycle.**  The executor owns its worker processes: each is a
+``multiprocessing.Process`` on its own duplex pipe, and nothing but the
+executor starts or stops one.  Executors are context managers with an
+explicit :meth:`ParallelExecutor.close` (stop message, a short join,
+SIGKILL for stragglers); one-shot call sites wrap each call in
 ``with ParallelExecutor(n) as executor`` and long-lived owners (a
 ``Session``, the :mod:`repro.server` front end) close their executor
-when they close.  Long-lived persistent pools additionally support
-token **eviction** (:meth:`ParallelExecutor.evict` broadcasts a context
-removal to every worker, bounding worker-resident memory) and
-**crash recovery**: a worker killed between calls is respawned by
-``multiprocessing`` with an empty registry, reports the missing context
-via :class:`WorkerCrashError`, and is transparently healed by a context
-re-broadcast and retry — callers see the error only when recovery fails
-repeatedly, and can tell it apart from user-code failures by type (it
-carries the shard index and token).
+when they close.  Persistent pools additionally support token
+**eviction** (:meth:`ParallelExecutor.evict` sends a context removal to
+every worker, bounding worker-resident memory) and **crash recovery**:
+the coordinator waits on the worker pipes and process sentinels
+together, so a death is seen the moment it happens; the workers are
+then restarted, the context re-shipped and the call retried — callers
+see :class:`WorkerCrashError` only when recovery fails repeatedly, and
+can tell it apart from user-code failures by type (it carries the
+shard index and token).
 
 **Serial fallback.**  ``workers=1`` (the default everywhere) never
 touches ``multiprocessing``: the work runs in-process on the exact

@@ -1,74 +1,77 @@
 """Process-pool execution of shard tasks with a per-process context.
 
 :class:`ParallelExecutor` runs ``fn(context, task)`` for an ordered list
-of tasks.  At ``workers=1`` it is a plain in-process loop (no
-``multiprocessing`` import cost, no pickling — the serial fallback that
-keeps default behavior unchanged).  Above that there are two pool
-lifecycles:
+of tasks.  At ``workers=1`` it is a plain in-process loop (no worker
+processes, no pickling — the serial fallback that keeps default
+behavior unchanged).  Above that the executor owns its worker
+processes outright: each is a :class:`multiprocessing.Process` on its
+own duplex :func:`multiprocessing.Pipe`, running :func:`_worker_main`,
+one loop that answers five messages — install a context under a token,
+evict a token, report stats, run one shard, stop.  Nothing else starts,
+respawns or stops a worker.
 
-* **One-shot** (``persistent=False``, the default): each
-  :meth:`~ParallelExecutor.map_shards` call creates a pool whose
-  initializer installs ``(fn, context)`` once per worker process and
-  tears the pool down before returning.  The context — typically
-  compiled NumPy arrays plus packed pattern blocks — is pickled exactly
-  once per worker rather than once per task, which is what makes
-  compile-once/fan-out profitable for netlist workloads.
-* **Persistent** (``persistent=True``): the pool is created on first
-  use and *reused* across calls until :meth:`~ParallelExecutor.close`.
+The coordinator hands each idle worker the next message and waits on
+every pipe *and* every process sentinel with
+:func:`multiprocessing.connection.wait`.  So:
+
+* **A death is seen at once.**  A worker that dies (SIGKILL, a chaos
+  ``kill``, an ``os._exit`` in user code) readies its sentinel; the
+  dispatch raises :class:`WorkerCrashError` without polling.
+* **A hang is bounded.**  With ``dispatch_timeout`` set (argument or
+  ``REPRO_DISPATCH_TIMEOUT``) the wait's timeout is the watchdog
+  deadline, and every send to a worker times out after the same span,
+  so a dispatch stuck on a hung worker raises
+  :class:`WorkerTimeoutError`.
+* **Recovery is a restart.**  On a crash or timeout every worker is
+  SIGKILLed, shared-memory segments still named under their pids are
+  reaped (see :func:`repro.runtime.wire.reap_worker_segments`), and the
+  (pure) call is retried on fresh workers that get their contexts
+  re-shipped.  A worker found dead *between* calls is handled the same
+  way before the next dispatch.  When retries run out the executor
+  probes the shards one at a time and quarantines a shard that kills
+  its worker even alone (:class:`PoisonShardError`).
+
+Two lifecycles share that one dispatch path:
+
+* **Persistent** (``persistent=True``): the workers start on the first
+  parallel call and serve every call until :meth:`~ParallelExecutor.close`.
   Contexts are identified by **tokens** (see :func:`new_context_token`):
-  a context is broadcast to the workers only the first time its token is
+  a context is sent to every worker only the first time its token is
   seen, so a session that tests N small lots against one compiled
   circuit pays the fork and the context pickling once, not N times.
-  This is the execution substrate of :class:`repro.api.Session` and the
+  :meth:`~ParallelExecutor.evict` drops a token from every worker.  This
+  is the execution substrate of :class:`repro.api.Session` and the
   lot-testing server (:mod:`repro.server`).
+* **One-shot** (``persistent=False``, the default): the workers start
+  for one :meth:`~ParallelExecutor.map_shards` call and stop when it
+  returns.  The call's context is handed to them at start (inherited
+  through the fork), already installed, so it never travels as a
+  message.
 
-Server-grade persistent pools add two behaviors a long-lived process
-needs:
-
-* **Eviction** — :meth:`~ParallelExecutor.evict` broadcasts a token
-  removal to every worker, releasing the worker-resident context memory
-  without tearing the pool down.  A :class:`repro.api.Session` with
-  ``max_contexts`` / ``max_bytes`` drives this from its LRU.
-* **Crash recovery** — a killed worker process poisons a
-  ``multiprocessing`` pool in ways its silent respawn cannot fix (a
-  worker killed while holding the shared task-queue lock deadlocks the
-  respawned pool, and a cleanly respawned worker starts with an empty
-  context registry).  The executor therefore recovers at the
-  coordinator: before dispatching on a persistent pool it compares the
-  live worker pids against the pids the pool was built with, and on any
-  death or respawn it *rebuilds* the pool and re-ships contexts on
-  demand (tokens are simply marked uninstalled).  As a second layer, a
-  respawn that slips past the pid check signals
-  :class:`WorkerCrashError` from the worker the first time it is handed
-  a task; :meth:`~ParallelExecutor.map_shards` catches it,
-  re-broadcasts the context, and retries.  Crashes *while* a call is in
-  flight are covered too: a plain ``pool.map`` would block forever on a
-  task that died with its worker, so every persistent-pool dispatch is
-  an async map polled against worker liveness — a death mid-call raises
-  :class:`WorkerCrashError` at the coordinator, which rebuilds and
-  retries the whole call.  Only when recovery fails repeatedly does
-  :class:`WorkerCrashError` — which carries the shard index and token,
-  unlike a user-code exception — propagate to the caller.  Worker
-  functions must therefore be pure (they may be re-run on retry); every
-  worker in this codebase is.
-
-Executors are context managers; one-shot call sites should use
-``with ParallelExecutor(n) as executor: ...`` so teardown is explicit
-rather than left to garbage collection.
+Worker functions must be pure (a retry re-runs them); every worker in
+this codebase is.  Executors are context managers; one-shot call sites
+should use ``with ParallelExecutor(n) as executor: ...`` so teardown is
+explicit rather than left to garbage collection.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import multiprocessing
 import os
 import pickle
+import socket
+import struct
 import time
-from typing import Any, Callable, Hashable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, NamedTuple, TypeVar
 
 from repro import chaos
 from repro.runtime import wire
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "ParallelExecutor",
@@ -83,21 +86,6 @@ __all__ = [
 TaskT = TypeVar("TaskT")
 ResultT = TypeVar("ResultT")
 
-# (fn, context) installed by the one-shot pool initializer — one per
-# worker process, fixed for the pool's lifetime.
-_WORKER_STATE: tuple[Callable, Any] | None = None
-
-# Persistent pools: token -> (fn, context) registry plus the install
-# barrier, both set up by the persistent initializer.
-_WORKER_CONTEXTS: dict[Hashable, tuple[Callable, Any]] | None = None
-_WORKER_BARRIER = None
-
-# Worker-side wire accounting: decoded / returned payload bytes.
-# Shared-memory handles need no registry — decoded segments are
-# abandoned to their arrays (see repro.runtime.wire), so dropping a
-# context or task payload releases its pages automatically.
-_WORKER_IPC = {"bytes_in": 0, "bytes_out": 0}
-
 # Tokens are unique per process; the counter is shared by every executor
 # so a token can never collide across callers that feed one pool.
 _TOKEN_COUNTER = itertools.count()
@@ -110,29 +98,28 @@ _ONESHOT_TOKEN = ("__oneshot__",)
 # after a worker crash before giving up and raising WorkerCrashError.
 _MAX_RECOVERIES_PER_CALL = 2
 
-# How often an in-flight persistent-pool dispatch checks worker liveness.
-_POOL_POLL_SECONDS = 0.5
+# How long close() lets idle workers exit on a stop message before it
+# SIGKILLs them.  A healthy worker exits in milliseconds.
+_STOP_GRACE_SECONDS = 0.5
 
 # Environment default for the per-dispatch watchdog deadline (seconds);
-# unset or <= 0 disables the watchdog (the historical behavior).
+# unset or <= 0 disables the watchdog.
 _DISPATCH_TIMEOUT_ENV = "REPRO_DISPATCH_TIMEOUT"
 
 
 class WorkerCrashError(RuntimeError):
-    """A pool worker died and its respawned replacement lacks a context.
+    """A pool worker died, or could not map a payload, during a dispatch.
 
-    Raised *inside* a worker when it is handed a token it has no context
-    for — which only happens when ``multiprocessing`` respawned a
-    crashed worker process (fresh processes start with an empty
-    registry).  :meth:`ParallelExecutor.map_shards` intercepts it,
-    re-ships the context, and retries transparently; callers only see it
-    when recovery fails repeatedly.  Unlike exceptions raised by user
-    worker functions, it carries where the failure happened:
+    :meth:`ParallelExecutor.map_shards` catches it, restarts the
+    workers, re-ships the context, and retries transparently; callers
+    only see it when recovery fails repeatedly.  Unlike exceptions
+    raised by user worker functions, it carries where the failure
+    happened when that is known:
 
     ``token``
-        The context token the worker was missing.
+        The context token of the failed dispatch.
     ``shard_index``
-        0-based index of the shard task that hit the respawned worker.
+        0-based index of the shard task that failed.
     """
 
     def __init__(self, message: str, token=None, shard_index=None):
@@ -146,17 +133,14 @@ class WorkerCrashError(RuntimeError):
 
 
 class WorkerTimeoutError(WorkerCrashError):
-    """A persistent-pool dispatch exceeded its watchdog deadline.
+    """A dispatch exceeded its watchdog deadline.
 
-    The liveness poll only catches *death*; a worker that is SIGSTOPped,
-    livelocked, or stuck in a syscall is alive-but-hung and would block
-    a dispatch forever.  With ``dispatch_timeout`` set (constructor
-    argument or ``REPRO_DISPATCH_TIMEOUT``), a dispatch that outlives
-    the deadline raises this instead; the executor force-rebuilds the
-    pool (a hung worker passes the pid liveness check, so the normal
-    heal would keep it) and retries.  Subclasses
-    :class:`WorkerCrashError` so existing recovery paths treat a hang
-    exactly like a crash.
+    A worker that is SIGSTOPped, livelocked, or stuck in a syscall is
+    alive but hung: its sentinel never fires.  With ``dispatch_timeout``
+    set (constructor argument or ``REPRO_DISPATCH_TIMEOUT``), a dispatch
+    that outlives the deadline raises this instead; the executor kills
+    the workers and retries.  Subclasses :class:`WorkerCrashError` so
+    existing recovery paths treat a hang exactly like a crash.
     """
 
     def __init__(self, message: str, token=None, shard_index=None, timeout=None):
@@ -247,189 +231,123 @@ def resolve_workers(workers: int | str | None) -> int:
     return workers
 
 
-def _init_worker(fn: Callable, context: Any) -> None:
-    """One-shot pool initializer: cache the worker function and context."""
-    global _WORKER_STATE
-    _WORKER_STATE = (fn, context)
+# ------------------------------------------------------------------ worker
 
 
-def _run_wire_task(fn: Callable, context: Any, task: wire.WirePayload):
-    """Decode a wire-framed task, run it, wire-frame the result.
+def _unpack(payload: wire.WirePayload, token, shard_index=None):
+    """Decode a payload sent to this worker; a missing segment is a crash.
 
-    Worker-created result segments are closed locally right after the
-    copy (the name persists for the coordinator to adopt); task segments
-    opened here are abandoned to the decoded arrays, so their pages
-    unmap when the task object dies.
-    """
-    obj, opened = wire.unpack_payload(task)
-    wire.abandon_segments(opened)
-    _WORKER_IPC["bytes_in"] += task.nbytes
-    result = fn(context, obj)
-    del obj
-    envelope, owned = wire.pack_payload(result)
-    del result
-    _WORKER_IPC["bytes_out"] += envelope.nbytes
-    for segment in owned:
-        try:
-            segment.close()
-        except Exception:
-            pass
-    return envelope
-
-
-def _run_task(task):
-    fn, context = _WORKER_STATE  # type: ignore[misc]
-    if isinstance(task, wire.WirePayload):
-        return _run_wire_task(fn, context, task)
-    return fn(context, task)
-
-
-def _init_persistent_worker(barrier) -> None:
-    """Persistent pool initializer: empty context registry + barrier.
-
-    Runs both at pool creation and whenever ``multiprocessing`` respawns
-    a crashed worker — which is why a respawned worker starts with an
-    empty registry and must be healed by a context re-broadcast.
-    """
-    global _WORKER_CONTEXTS, _WORKER_BARRIER
-    _WORKER_CONTEXTS = {}
-    _WORKER_BARRIER = barrier
-
-
-def _broadcast_barrier_wait() -> None:
-    _WORKER_BARRIER.wait()  # type: ignore[union-attr]
-
-
-def _install_context(payload) -> None:
-    """Install one context under its token, synchronized across workers.
-
-    Every worker blocks on the barrier after installing; with one
-    install task per worker and ``chunksize=1`` no worker can take a
-    second install task before all have one, so each process receives
-    the context exactly once per token.
-    """
-    token, fn, context = payload
-    try:
-        if isinstance(context, wire.WirePayload):
-            _WORKER_IPC["bytes_in"] += context.nbytes
-            context, opened = wire.unpack_payload(context)
-            wire.abandon_segments(opened)
-        _WORKER_CONTEXTS[token] = (fn, context)  # type: ignore[index]
-    except BaseException as exc:
-        # The other workers are already heading for the barrier; bailing
-        # out before waiting would strand them there until the broadcast
-        # times out the hard way.  Wait first, then report the failure
-        # as a worker crash so the coordinator re-ships and retries.
-        _broadcast_barrier_wait()
-        if isinstance(exc, wire.ShmAttachError):
-            raise WorkerCrashError(str(exc), token=token) from exc
-        raise
-    _broadcast_barrier_wait()
-
-
-def _evict_context(token) -> None:
-    """Drop one context from this worker's registry (barrier-synced).
-
-    Same one-task-per-worker broadcast discipline as
-    :func:`_install_context`; unknown tokens are ignored so eviction is
-    idempotent even on a worker that was respawned after a crash.
-    """
-    _WORKER_CONTEXTS.pop(token, None)  # type: ignore[union-attr]
-    _broadcast_barrier_wait()
-
-
-def _collect_worker_stats(_payload) -> dict:
-    """Report this worker's registry occupancy (barrier-synced).
-
-    The barrier guarantees one answer per live worker process, so the
-    caller sees the true worker-side residency — the observable that the
-    eviction tests assert on.
-    """
-    stats = {
-        "pid": os.getpid(),
-        "resident_contexts": len(_WORKER_CONTEXTS),  # type: ignore[arg-type]
-        "tokens": sorted(repr(t) for t in _WORKER_CONTEXTS),  # type: ignore[union-attr]
-        "ipc_bytes_in": _WORKER_IPC["bytes_in"],
-        "ipc_bytes_out": _WORKER_IPC["bytes_out"],
-    }
-    _broadcast_barrier_wait()
-    return stats
-
-
-def _force_release(lock) -> None:
-    """Free a pool queue lock that a SIGKILLed worker died holding.
-
-    If the lock is healthy, the acquire succeeds and the release simply
-    restores it.  If the holder is dead, the acquire times out and the
-    bare release (legal on multiprocessing's semaphore-backed ``Lock``)
-    un-poisons it; over-releasing a free lock raises and is swallowed.
+    A segment that vanished before this worker mapped it (creator crash,
+    or injected) makes the payload unusable here, but a repack will
+    succeed — so it surfaces as :class:`WorkerCrashError` for the retry
+    loop.  Opened segments are abandoned to the decoded arrays.
     """
     try:
-        if lock.acquire(timeout=0.1):
-            lock.release()
-        else:
-            lock.release()
-    except Exception:
-        pass
-
-
-def _destroy_pool(pool) -> int:
-    """Tear down a (possibly crash-poisoned) persistent pool, guaranteed.
-
-    ``Pool.terminate`` deadlocks if a worker was killed while holding a
-    shared queue lock (its ``_help_stuff_finish`` blocks acquiring the
-    task-queue read lock forever).  So: kill the workers first, force-
-    release the queue locks a dead worker may have held, then run the
-    normal teardown, which can now drain and join cleanly.
-
-    Once every worker is dead, any shared-memory segment still named
-    under a worker pid is an orphan (results of a failed dispatch the
-    coordinator never adopted) — reap them; returns the reap count.
-    """
-    pids = [proc.pid for proc in pool._pool]
-    for proc in pool._pool:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in pool._pool:
-        proc.join(5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-    _force_release(pool._inqueue._rlock)
-    _force_release(pool._outqueue._wlock)
-    pool.terminate()
-    pool.join()
-    return wire.reap_worker_segments(pids)
-
-
-def _run_token_task(payload):
-    token, index, task = payload
-    # The chaos hook for worker-side faults (kill/hang/fail at a given
-    # shard index).  Only the persistent token path is instrumented: a
-    # kill on the serial path would take down the coordinator itself.
-    chaos.fire("executor.shard", index=index)
-    state = _WORKER_CONTEXTS.get(token)  # type: ignore[union-attr]
-    if state is None:
-        # Only reachable when multiprocessing silently respawned a
-        # crashed worker: the replacement starts with an empty registry
-        # while the parent still believes the token is installed.  The
-        # parent catches this, re-broadcasts the context, and retries.
-        raise WorkerCrashError(
-            "shard context missing in worker — a pool worker was "
-            "restarted after a crash",
-            token=token,
-            shard_index=index,
-        )
-    fn, context = state
-    try:
-        if isinstance(task, wire.WirePayload):
-            return _run_wire_task(fn, context, task)
-        return fn(context, task)
+        obj, opened = wire.unpack_payload(payload)
     except wire.ShmAttachError as exc:
-        # A task segment vanished before this worker mapped it (creator
-        # crash, or injected): the payload is unusable here but a repack
-        # will succeed, so surface it as a crash for the retry loop.
-        raise WorkerCrashError(str(exc), token=token, shard_index=index) from exc
+        raise WorkerCrashError(str(exc), token=token, shard_index=shard_index) from exc
+    wire.abandon_segments(opened)
+    return obj
+
+
+def _serve(op: str, arg, contexts: dict, ipc: dict):
+    """Answer one coordinator message (every op but ``stop``)."""
+    if op == "run":
+        token, index, task = arg
+        # The chaos hook for worker-side faults (kill/hang/fail at a given
+        # shard index).  Only pool workers are instrumented: a kill on the
+        # serial path would take down the coordinator itself.
+        chaos.fire("executor.shard", index=index)
+        fn, context = contexts[token]
+        obj = _unpack(task, token, index)
+        ipc["bytes_in"] += task.nbytes
+        result = fn(context, obj)
+        del obj
+        envelope, owned = wire.pack_payload(result)
+        del result
+        ipc["bytes_out"] += envelope.nbytes
+        # The name persists for the coordinator to adopt on decode.
+        for segment in owned:
+            try:
+                segment.close()
+            except Exception:
+                pass
+        return envelope
+    if op == "install":
+        token, fn, payload = arg
+        contexts[token] = (fn, _unpack(payload, token))
+        ipc["bytes_in"] += payload.nbytes
+        return None
+    if op == "evict":
+        contexts.pop(arg, None)
+        return None
+    if op == "stats":
+        return {
+            "pid": os.getpid(),
+            "resident_contexts": len(contexts),
+            "tokens": sorted(repr(t) for t in contexts),
+            "ipc_bytes_in": ipc["bytes_in"],
+            "ipc_bytes_out": ipc["bytes_out"],
+        }
+    raise ValueError(f"unknown pool message {op!r}")
+
+
+def _worker_main(conn: Connection, contexts: dict) -> None:
+    """A pool worker's whole life: answer ``conn`` until stop or EOF.
+
+    ``contexts`` is this worker's token -> ``(fn, context)`` registry; a
+    one-shot call's context arrives in it through the fork.  Every
+    message but ``stop`` gets exactly one ``(ok, value)`` reply, where a
+    failure's value is the exception.
+    """
+    ipc = {"bytes_in": 0, "bytes_out": 0}
+    while True:
+        try:
+            op, arg = conn.recv()
+        except (EOFError, OSError):
+            return  # the coordinator is gone
+        if op == "stop":
+            return
+        try:
+            reply = (True, _serve(op, arg, contexts, ipc))
+        except Exception as exc:
+            # Re-raised in the coordinator with this worker's traceback
+            # attached as its cause, as multiprocessing.Pool does.
+            from multiprocessing.pool import ExceptionWithTraceback
+
+            reply = (False, ExceptionWithTraceback(exc, exc.__traceback__))
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+        except Exception:
+            # The exception itself would not pickle; send its text.
+            exc = reply[1].exc
+            conn.send((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+
+
+def _bound_sends(conn: Connection, seconds: float) -> None:
+    """Make a send on ``conn`` fail after ``seconds`` instead of blocking.
+
+    A message larger than the socket buffer blocks its sender until the
+    worker reads it, and a hung (e.g. SIGSTOPped) idle worker never
+    does; with a send timeout the write raises ``BlockingIOError``.
+    """
+    sock = socket.socket(fileno=os.dup(conn.fileno()))
+    try:
+        whole = int(seconds)
+        timeval = struct.pack("@ll", whole, int((seconds - whole) * 1e6))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+    finally:
+        sock.close()
+
+
+class _Worker(NamedTuple):
+    process: multiprocessing.Process
+    conn: Connection
+
+
+# ------------------------------------------------------------- coordinator
 
 
 class ParallelExecutor:
@@ -441,18 +359,19 @@ class ParallelExecutor:
         ``1`` (serial, the default), an integer process count, or
         ``"auto"`` for one process per visible CPU.
     persistent:
-        Keep the process pool alive across :meth:`map_shards` calls
-        (created lazily on first parallel call, torn down by
-        :meth:`close`).  Persistent pools cache shard contexts by token,
-        so an unchanged context is shipped to the workers only once.
+        Keep the worker processes alive across :meth:`map_shards` calls
+        (started lazily on the first parallel call, stopped by
+        :meth:`close`).  Persistent workers cache shard contexts by
+        token, so an unchanged context is shipped to them only once.
         Token-keyed contexts stay resident in every worker until they
         are :meth:`evict`\\ ed or the executor is closed; a long-lived
         owner (a server session) bounds residency with an LRU that calls
-        :meth:`evict`.  A worker killed between calls is healed
-        transparently: the executor notices the dead/respawned pid
-        before dispatching, rebuilds the pool, and re-ships contexts on
-        demand (with a :class:`WorkerCrashError` re-install/retry as the
-        fallback layer).
+        :meth:`evict`.  A worker that dies between calls is replaced
+        before the next dispatch, and contexts re-ship on demand.
+    dispatch_timeout:
+        Watchdog deadline in seconds for each exchange with the workers
+        (default from ``REPRO_DISPATCH_TIMEOUT``; unset, ``<= 0`` or
+        infinite means none).
 
     Determinism: results are returned in task order and every shard is
     computed independently, so for the pure worker functions this
@@ -464,38 +383,30 @@ class ParallelExecutor:
         self,
         workers: int | str | None = 1,
         persistent: bool = False,
-        wire_format: bool = True,
         dispatch_timeout: float | None = None,
     ):
         self.num_workers = resolve_workers(workers)
         self.persistent = bool(persistent)
-        # Watchdog deadline per persistent-pool dispatch (seconds); the
-        # defense against hung — not dead — workers.  Defaults from
-        # REPRO_DISPATCH_TIMEOUT; unset/<=0 disables the watchdog.
         if dispatch_timeout is None:
             env = os.environ.get(_DISPATCH_TIMEOUT_ENV)
             if env:
                 dispatch_timeout = float(env)
+        # An infinite deadline is no deadline (and cannot be a wait timeout).
         self.dispatch_timeout = (
             float(dispatch_timeout)
-            if dispatch_timeout is not None and dispatch_timeout > 0
+            if dispatch_timeout is not None and 0 < dispatch_timeout < math.inf
             else None
         )
-        # Wire-frame every parallel payload (tasks, results, context
-        # broadcasts) through repro.runtime.wire: pickle-5 out-of-band
-        # buffers, shared memory above SHM_MIN_BYTES, and byte
-        # accounting.  ``wire_format=False`` keeps the legacy raw-pickle
-        # pipe (the differential-test baseline); the serial path never
-        # frames anything either way.
-        self.wire_format = bool(wire_format)
-        if self.wire_format and self.num_workers > 1:
+        if self.num_workers > 1:
             # Probe shared memory (spawning the resource_tracker) BEFORE
-            # any pool forks, so every worker inherits the one tracker —
+            # any worker forks, so every worker inherits the one tracker —
             # the single-registration discipline in repro.runtime.wire
             # depends on parent and children sharing it.
             wire._shm_usable()
-        self._pool = None
-        self._pool_pids: frozenset[int] = frozenset()
+        # Workers are this process's children; a forked copy of this
+        # object (in a worker) must never touch them.
+        self._owner_pid = os.getpid()
+        self._workers: list[_Worker] = []
         self._installed: set[Hashable] = set()
         self._contexts_shipped = 0
         self._contexts_evicted = 0
@@ -519,6 +430,15 @@ class ParallelExecutor:
         return self._closed
 
     @property
+    def worker_pids(self) -> tuple[int, ...]:
+        """Pids of the running worker processes, in worker order.
+
+        Empty before the first parallel dispatch, between one-shot
+        calls, and after :meth:`close`.
+        """
+        return tuple(worker.process.pid for worker in self._workers)
+
+    @property
     def contexts_shipped(self) -> int:
         """How many context broadcasts this executor's persistent pool made.
 
@@ -536,7 +456,7 @@ class ParallelExecutor:
 
     @property
     def worker_recoveries(self) -> int:
-        """How many crashed-worker re-install/retry cycles have run."""
+        """How many times dead or hung workers were replaced."""
         return self._worker_recoveries
 
     @property
@@ -556,7 +476,7 @@ class ParallelExecutor:
 
     @property
     def segments_reaped(self) -> int:
-        """Orphaned worker shm segments unlinked during pool teardowns."""
+        """Orphaned worker shm segments unlinked after workers stopped."""
         return self._segments_reaped
 
     def quarantine_info(self) -> dict:
@@ -573,24 +493,6 @@ class ParallelExecutor:
         """Non-empty :meth:`map_shards` calls served (serial or pooled)."""
         return self._dispatches
 
-    def pool_stats(self) -> dict:
-        """Per-executor pool accounting, cheap enough for any caller.
-
-        Unlike :meth:`worker_stats` this never talks to the pool — it is
-        safe to read from a thread that does not own the dispatch path
-        (the gateway scrapes it per scheduler session on ``/metrics``).
-        """
-        return {
-            "workers": self.num_workers,
-            "pool_live": self._pool is not None,
-            "dispatches": self._dispatches,
-            "contexts_shipped": self._contexts_shipped,
-            "contexts_evicted": self._contexts_evicted,
-            "installed_tokens": len(self._installed),
-            "ipc_bytes_out": self._ipc_bytes_out,
-            "ipc_bytes_in": self._ipc_bytes_in,
-        }
-
     @property
     def ipc_bytes_out(self) -> int:
         """Total payload bytes shipped to the pool (tasks + contexts).
@@ -599,7 +501,7 @@ class ParallelExecutor:
         reaches N workers counts its payload once (with shared memory
         the large buffers genuinely transfer once), and a crash-recovery
         re-ship counts again — the bytes really travel again.  Zero on
-        serial dispatch and with ``wire_format=False``.
+        serial dispatch.
         """
         return self._ipc_bytes_out
 
@@ -630,115 +532,166 @@ class ParallelExecutor:
         """Decode wire-framed shard results, adopting worker segments."""
         results = []
         for item in raw:
-            if isinstance(item, wire.WirePayload):
-                obj, opened = wire.unpack_payload(item)
-                # The creating worker already closed its handle; adopt
-                # unlinks the name now and abandons the mapping to the
-                # decoded arrays.
-                wire.adopt_segments(opened)
-                self._count_ipc(token, in_=item.nbytes)
-                results.append(obj)
-            else:
-                results.append(item)
+            obj, opened = wire.unpack_payload(item)
+            # The creating worker already closed its handle; adopt
+            # unlinks the name now and abandons the mapping to the
+            # decoded arrays.
+            wire.adopt_segments(opened)
+            self._count_ipc(token, in_=item.nbytes)
+            results.append(obj)
         return results
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            ctx = multiprocessing.get_context()
-            barrier = ctx.Barrier(self.num_workers)
-            self._pool = ctx.Pool(
-                self.num_workers,
-                initializer=_init_persistent_worker,
-                initargs=(barrier,),
+    # ------------------------------------------------------ worker lifecycle
+
+    def _ensure_workers(self, count: int, inherited: dict) -> None:
+        """Start ``count`` workers unless a full live set is running.
+
+        ``inherited`` is the token -> ``(fn, context)`` registry the new
+        workers start with (through the fork); those tokens count as
+        installed.
+        """
+        if self._workers and not all(w.process.is_alive() for w in self._workers):
+            # A worker died between calls: replace the whole set, so every
+            # worker holds exactly the installed tokens.
+            self._stop_workers()
+            self._worker_recoveries += 1
+        if self._workers:
+            return
+        ctx = multiprocessing.get_context()
+        for _ in range(count):
+            conn, child = ctx.Pipe()
+            process = ctx.Process(
+                target=_worker_main, args=(child, inherited), daemon=True
             )
-            self._pool_pids = frozenset(p.pid for p in self._pool._pool)
-        return self._pool
+            process.start()
+            child.close()
+            if self.dispatch_timeout is not None:
+                _bound_sends(conn, self.dispatch_timeout)
+            self._workers.append(_Worker(process, conn))
+        self._installed = set(inherited)
 
-    def _heal_pool(self) -> None:
-        """Rebuild the persistent pool if any worker died or was respawned.
+    def _stop_workers(self, grace: float = 0.0) -> None:
+        """Stop every worker, wait for it, and reap what it left behind.
 
-        The primary crash-recovery layer: a SIGKILLed worker can die
-        holding the pool's shared task-queue lock, deadlocking any task
-        sent to its silently respawned replacement — so a pool whose
-        worker pids changed (or that holds a dead worker) is torn down
-        and rebuilt before anything is dispatched to it.  Installed
-        tokens are marked uninstalled; contexts re-ship lazily on their
-        next use.
+        With ``grace``, the (idle) workers get a stop message and that
+        long to exit; any still running afterwards — all of them without
+        grace — are SIGKILLed.  Once they are dead, every shared-memory
+        segment still named under their pids is an orphan (a result no
+        one adopted) and is unlinked.
         """
-        pool = self._pool
-        if pool is None:
-            return
-        workers = list(pool._pool)
-        if len(workers) == self.num_workers and all(
-            p.is_alive() and p.pid in self._pool_pids for p in workers
-        ):
-            return
-        self._segments_reaped += _destroy_pool(pool)
-        self._pool = None
-        self._pool_pids = frozenset()
+        workers, self._workers = self._workers, []
         self._installed.clear()
-        self._worker_recoveries += 1
+        if not workers:
+            return
+        if grace > 0:
+            for worker in workers:
+                try:
+                    worker.conn.send(("stop", None))
+                except OSError:
+                    pass
+            deadline = time.monotonic() + grace
+            for worker in workers:
+                worker.process.join(max(0.0, deadline - time.monotonic()))
+        pids = []
+        for worker in workers:
+            if worker.process.exitcode is None:
+                worker.process.kill()
+            worker.process.join()
+            pids.append(worker.process.pid)
+            worker.conn.close()
+            worker.process.close()
+        self._segments_reaped += wire.reap_worker_segments(pids)
 
-    def _force_rebuild(self) -> None:
-        """Tear the pool down unconditionally (hung workers pass the
-        pid liveness check, so :meth:`_heal_pool` would keep them)."""
-        if self._pool is not None:
-            self._segments_reaped += _destroy_pool(self._pool)
-            self._pool = None
-            self._pool_pids = frozenset()
-        self._installed.clear()
+    def _exchange(self, messages: list) -> list:
+        """Send ``messages`` to the workers; their replies in message order.
 
-    def _pool_map(self, fn: Callable, payloads: list, chunksize=None) -> list:
-        """Dispatch on the persistent pool, watching liveness *and* time.
-
-        A plain ``pool.map`` blocks forever if a worker dies with a task
-        (or mid-barrier), so dispatch is asynchronous and polled: every
-        ``_POOL_POLL_SECONDS`` the coordinator compares the pool's
-        worker processes against the pids it was built with, and a
-        death or respawn raises :class:`WorkerCrashError` immediately —
-        the recovery loop in :meth:`map_shards` then rebuilds the pool
-        and retries.  With ``dispatch_timeout`` set, a dispatch that
-        outlives its deadline raises :class:`WorkerTimeoutError`: the
-        second failure mode the liveness poll cannot see is a worker
-        that is *hung* (SIGSTOPped, livelocked) rather than dead — it
-        keeps passing every pid check while the call never finishes.
+        Each idle worker takes the next message, one in flight per
+        worker, so a list of one message per worker is a broadcast.  The
+        wait covers every pipe and every process sentinel, with the
+        watchdog deadline as its timeout: a death raises
+        :class:`WorkerCrashError`, a missed deadline
+        :class:`WorkerTimeoutError`, and both leave the workers stopped
+        (their in-flight replies would otherwise answer the next
+        exchange).  A worker-raised exception is re-raised once every
+        in-flight message has been answered, with the workers kept.
         """
-        pool = self._ensure_pool()
-        kwargs = {} if chunksize is None else {"chunksize": chunksize}
-        deadline = None
-        if self.dispatch_timeout is not None:
-            deadline = time.monotonic() + self.dispatch_timeout
-        result = pool.map_async(fn, payloads, **kwargs)
-        while True:
-            result.wait(_POOL_POLL_SECONDS)
-            if result.ready():
-                return result.get()
-            if deadline is not None and time.monotonic() > deadline:
+        from multiprocessing.connection import wait
+
+        replies: list = [None] * len(messages)
+        todo = iter(enumerate(messages))
+        busy: dict[Connection, tuple[_Worker, int]] = {}
+        sentinels = [worker.process.sentinel for worker in self._workers]
+        error: Exception | None = None
+        deadline = (
+            None
+            if self.dispatch_timeout is None
+            else time.monotonic() + self.dispatch_timeout
+        )
+
+        def feed(worker: _Worker) -> None:
+            item = next(todo, None)
+            if item is None:
+                return
+            try:
+                worker.conn.send(item[1])
+            except BlockingIOError as exc:
                 raise WorkerTimeoutError(
-                    f"pool dispatch exceeded its "
-                    f"{self.dispatch_timeout:g}s watchdog deadline "
-                    f"(a worker is hung, not dead)",
+                    f"a pool worker took no message for "
+                    f"{self.dispatch_timeout:g}s (it is hung, not dead)",
                     timeout=self.dispatch_timeout,
-                )
-            workers = list(pool._pool)
-            if len(workers) != self.num_workers or any(
-                not p.is_alive() or p.pid not in self._pool_pids
-                for p in workers
-            ):
+                ) from exc
+            except OSError as exc:
                 raise WorkerCrashError(
-                    "a pool worker died while a call was in flight"
+                    "a pool worker died before taking its message"
+                ) from exc
+            busy[worker.conn] = (worker, item[0])
+
+        try:
+            for worker in self._workers:
+                feed(worker)
+            while busy:
+                timeout = (
+                    None if deadline is None else max(0.0, deadline - time.monotonic())
                 )
+                ready = wait([*busy, *sentinels], timeout)
+                if not ready:
+                    raise WorkerTimeoutError(
+                        f"pool dispatch exceeded its "
+                        f"{self.dispatch_timeout:g}s watchdog deadline "
+                        f"(a worker is hung, not dead)",
+                        timeout=self.dispatch_timeout,
+                    )
+                if any(obj in sentinels for obj in ready):
+                    raise WorkerCrashError(
+                        "a pool worker died while a call was in flight"
+                    )
+                for conn in ready:
+                    worker, index = busy.pop(conn)
+                    try:
+                        ok, value = conn.recv()
+                    except (EOFError, OSError) as exc:
+                        raise WorkerCrashError(
+                            "a pool worker died while a call was in flight"
+                        ) from exc
+                    if ok:
+                        replies[index] = value
+                    elif isinstance(value, WorkerCrashError):
+                        raise value
+                    elif error is None:
+                        error = value
+                    if error is None:
+                        feed(worker)
+        except BaseException:
+            self._stop_workers()
+            raise
+        if error is not None:
+            # Results of shards that did finish may sit in shared memory
+            # under the (now idle) workers' pids; no one will adopt them.
+            self._segments_reaped += wire.reap_worker_segments(self.worker_pids)
+            raise error
+        return replies
 
-    def _broadcast(self, fn: Callable, payload) -> list:
-        """Run ``fn(payload)`` exactly once in every worker process.
-
-        One task per worker with ``chunksize=1`` plus the worker-side
-        barrier: no worker can take a second broadcast task before every
-        worker holds one, so the broadcast reaches each process exactly
-        once.  Must never interleave with another broadcast (the
-        executor is single-coordinator by design).
-        """
-        return self._pool_map(fn, [payload] * self.num_workers, chunksize=1)
+    # ------------------------------------------------------------- dispatch
 
     def map_shards(
         self,
@@ -752,14 +705,14 @@ class ParallelExecutor:
         With one effective worker (or one task) this is an in-process
         loop.  Otherwise ``fn`` and ``context`` must be picklable and
         ``fn`` importable at module level.  ``token`` (persistent pools
-        only) identifies the context: a token the pool has already seen
+        only) identifies the context: a token the workers already hold
         skips the context broadcast entirely, so only the tasks travel.
         Tokenless calls re-ship the context each time.
 
-        If a worker process crashed since the last call, its respawned
-        replacement raises :class:`WorkerCrashError`; the call re-ships
-        ``context`` under ``token`` and retries (``fn`` must be pure).
-        The error propagates only after repeated recovery failures.
+        If a worker dies or hangs during the call, the workers are
+        restarted, ``context`` is re-shipped, and the call retried
+        (``fn`` must be pure).  The error propagates only after repeated
+        recovery failures.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
@@ -783,134 +736,69 @@ class ParallelExecutor:
                     )
         if min(self.num_workers, len(tasks)) == 1:
             return [fn(context, task) for task in tasks]
-        if not self.persistent:
-            processes = min(self.num_workers, len(tasks))
-            ctx = multiprocessing.get_context()
-            ipc_token = _ONESHOT_TOKEN if token is None else token
-            with ctx.Pool(
-                processes, initializer=_init_worker, initargs=(fn, context)
-            ) as pool:
-                if not self.wire_format:
-                    return pool.map(_run_task, tasks)
-                owned: list = []
-                try:
-                    payloads = []
-                    for task in tasks:
-                        envelope, task_owned = wire.pack_payload(task)
-                        owned.extend(task_owned)
-                        self._count_ipc(ipc_token, out=envelope.nbytes)
-                        payloads.append(envelope)
-                    raw = pool.map(_run_task, payloads)
-                finally:
-                    wire.release_segments(owned)
-                return self._decode_results(ipc_token, raw)
         if token is None:
             token = _ONESHOT_TOKEN
             self._installed.discard(token)
+        if self.persistent:
+            return self._run(fn, context, tasks, token, (self.num_workers, {}))
+        spawn = (min(self.num_workers, len(tasks)), {token: (fn, context)})
+        try:
+            return self._run(fn, context, tasks, token, spawn)
+        finally:
+            self._stop_workers(_STOP_GRACE_SECONDS)
+
+    def _run(self, fn, context, tasks: list, token, spawn) -> list:
+        """Dispatch with crash recovery; isolate a poison shard at the end."""
         recoveries = 0
         while True:
-            self._heal_pool()
-            owned = []
             try:
-                if token not in self._installed:
-                    ctx_payload = context
-                    if self.wire_format:
-                        ctx_payload, ctx_owned = wire.pack_payload(context)
-                        owned.extend(ctx_owned)
-                        self._count_ipc(token, out=ctx_payload.nbytes)
-                    self._broadcast(_install_context, (token, fn, ctx_payload))
-                    self._installed.add(token)
-                    self._contexts_shipped += 1
-                if self.wire_format:
-                    payloads = []
-                    for i, task in enumerate(tasks):
-                        envelope, task_owned = wire.pack_payload(task)
-                        owned.extend(task_owned)
-                        self._count_ipc(token, out=envelope.nbytes)
-                        payloads.append((token, i, envelope))
-                else:
-                    payloads = [(token, i, task) for i, task in enumerate(tasks)]
-                raw = self._pool_map(_run_token_task, payloads)
-                return self._decode_results(token, raw)
-            except WorkerTimeoutError:
-                # A worker is hung, not dead: it passes every liveness
-                # check, so the pool must be torn down by force before
-                # the (pure) call is retried.
-                self._timeouts += 1
-                self._force_rebuild()
+                return self._attempt(fn, context, token, list(enumerate(tasks)), spawn)
+            except WorkerCrashError as exc:
+                # The workers are already stopped; the retry restarts
+                # them and re-ships the context.  Shipped bytes stay
+                # counted — they really traveled.
+                timed_out = isinstance(exc, WorkerTimeoutError)
+                if timed_out:
+                    self._timeouts += 1
                 recoveries += 1
                 if recoveries > _MAX_RECOVERIES_PER_CALL:
-                    raise
+                    if timed_out:
+                        raise
+                    # Crashes that keep recurring are the signature of one
+                    # poison shard, not of environmental flakiness.
+                    return self._isolate_poison(fn, context, tasks, token, spawn)
                 self._dispatch_retries += 1
                 self._worker_recoveries += 1
-            except WorkerCrashError:
-                # A worker died in flight (coordinator liveness poll) or
-                # raised the crash-equivalent signal while alive (missing
-                # context after a respawn, a vanished task segment);
-                # rebuild and retry the whole (pure) call.  The teardown
-                # is unconditional even when every worker looks alive:
-                # a failed dispatch can strand result segments from
-                # workers whose results the failed map discarded, and
-                # the teardown's orphan reap is only race-free once no
-                # worker is left running.  Shipped bytes stay counted —
-                # they really traveled.
-                self._force_rebuild()
-                recoveries += 1
-                if recoveries > _MAX_RECOVERIES_PER_CALL:
-                    # The recovery budget is spent on crashes that keep
-                    # recurring — the signature of one poison shard, not
-                    # of environmental flakiness.  Isolate: re-dispatch
-                    # the shards one at a time, quarantine the one that
-                    # reproducibly kills its worker (PoisonShardError),
-                    # or — if every shard survives isolation — return
-                    # the results that probing just computed.
-                    wire.release_segments(owned)
-                    owned = []
-                    return self._isolate_poison(fn, context, tasks, token)
-                self._dispatch_retries += 1
-                self._worker_recoveries += 1
-            finally:
-                # Release this attempt's sender-owned segments: every
-                # receiver that matters has mapped them (success) or the
-                # pool is about to be rebuilt (crash retry repacks).
-                wire.release_segments(owned)
 
-    def _dispatch_probe(self, fn, context, task, token, index):
-        """Run exactly one shard on a freshly healed pool, no retries.
+    def _attempt(self, fn, context, token, indexed_tasks: list, spawn) -> list:
+        """One try at running ``(shard_index, task)`` pairs, no retries.
 
-        The isolation primitive: the task keeps its *original* shard
-        index so index-keyed behavior (including injected faults)
-        reproduces exactly.  A crash force-rebuilds the pool before
-        propagating, so the next probe starts clean.
+        Shards keep their original index so index-keyed behavior
+        (including injected faults) reproduces exactly when probed alone.
         """
-        self._heal_pool()
+        self._ensure_workers(*spawn)
         owned: list = []
         try:
             if token not in self._installed:
-                ctx_payload = context
-                if self.wire_format:
-                    ctx_payload, ctx_owned = wire.pack_payload(context)
-                    owned.extend(ctx_owned)
-                    self._count_ipc(token, out=ctx_payload.nbytes)
-                self._broadcast(_install_context, (token, fn, ctx_payload))
+                payload, ctx_owned = wire.pack_payload(context)
+                owned.extend(ctx_owned)
+                self._count_ipc(token, out=payload.nbytes)
+                self._exchange([("install", (token, fn, payload))] * len(self._workers))
                 self._installed.add(token)
                 self._contexts_shipped += 1
-            if self.wire_format:
+            messages = []
+            for index, task in indexed_tasks:
                 envelope, task_owned = wire.pack_payload(task)
                 owned.extend(task_owned)
                 self._count_ipc(token, out=envelope.nbytes)
-                payload = (token, index, envelope)
-            else:
-                payload = (token, index, task)
-            raw = self._pool_map(_run_token_task, [payload])
-            return self._decode_results(token, raw)[0]
-        except WorkerCrashError:
-            self._force_rebuild()
-            raise
+                messages.append(("run", (token, index, envelope)))
+            return self._decode_results(token, self._exchange(messages))
         finally:
+            # Every receiver that matters has mapped these segments
+            # (success) or is dead (a retry repacks).
             wire.release_segments(owned)
 
-    def _isolate_poison(self, fn, context, tasks, token) -> list:
+    def _isolate_poison(self, fn, context, tasks, token, spawn) -> list:
         """Find which shard keeps killing workers; quarantine or recover.
 
         Called when a call's recovery budget is exhausted.  Each shard
@@ -924,8 +812,8 @@ class ParallelExecutor:
         results = []
         for index, task in enumerate(tasks):
             try:
-                results.append(
-                    self._dispatch_probe(fn, context, task, token, index)
+                results.extend(
+                    self._attempt(fn, context, token, [(index, task)], spawn)
                 )
             except WorkerTimeoutError:
                 raise
@@ -948,57 +836,46 @@ class ParallelExecutor:
     def evict(self, token: Hashable) -> bool:
         """Drop ``token``'s context from the coordinator *and* every worker.
 
-        Returns ``True`` if the token was installed.  The worker-side
-        registries release their reference immediately (one barrier-
-        synchronized broadcast), so the compiled arrays become
-        collectable in every process without tearing down the pool.
-        Evicting an unknown token is a no-op; the next
-        :meth:`map_shards` with the token simply re-ships its context.
+        Returns ``True`` if the token was installed.  Each worker
+        releases its reference immediately (one message per worker), so
+        the compiled arrays become collectable in every process without
+        stopping the workers.  Evicting an unknown token is a no-op; the
+        next :meth:`map_shards` with the token simply re-ships its
+        context.
         """
-        if self._closed:
-            return False
-        self._heal_pool()
-        if token not in self._installed:
+        if self._closed or token not in self._installed:
             return False
         self._installed.discard(token)
-        if self._pool is not None:
-            try:
-                self._broadcast(_evict_context, token)
-            except WorkerCrashError:
-                # A worker died under the broadcast; the rebuild drops
-                # every context anyway, which subsumes this eviction.
-                self._heal_pool()
+        try:
+            self._exchange([("evict", token)] * len(self._workers))
+        except WorkerCrashError:
+            # The workers are stopped, which drops every context anyway.
+            self._worker_recoveries += 1
         self._contexts_evicted += 1
         return True
 
     def worker_stats(self) -> list[dict]:
         """Per-worker registry occupancy, one dict per live worker process.
 
-        Each dict has ``pid``, ``resident_contexts`` and ``tokens``
-        (token reprs, sorted).  Empty when no pool exists (serial
-        executors, or a persistent executor before its first parallel
-        call).  This is a pool broadcast: do not call it concurrently
-        with :meth:`map_shards` from another thread.
+        Each dict has ``pid``, ``resident_contexts``, ``tokens`` (token
+        reprs, sorted), ``ipc_bytes_in`` and ``ipc_bytes_out``.  Empty
+        when no workers run (serial executors, or a persistent executor
+        before its first parallel call).  This talks to the workers: do
+        not call it concurrently with :meth:`map_shards` from another
+        thread.
         """
-        if self._closed or self._pool is None:
-            return []
-        self._heal_pool()
-        if self._pool is None:
+        if self._closed or not self._workers:
             return []
         try:
-            return self._broadcast(_collect_worker_stats, None)
+            return self._exchange([("stats", None)] * len(self._workers))
         except WorkerCrashError:
-            self._heal_pool()
+            self._worker_recoveries += 1
             return []
 
     def close(self) -> None:
-        """Tear down the pool and mark the executor unusable (idempotent)."""
+        """Stop the workers and mark the executor unusable (idempotent)."""
         self._closed = True
-        if self._pool is not None:
-            self._segments_reaped += _destroy_pool(self._pool)
-            self._pool = None
-            self._pool_pids = frozenset()
-        self._installed.clear()
+        self._stop_workers(_STOP_GRACE_SECONDS)
 
     def __enter__(self) -> "ParallelExecutor":
         return self
@@ -1009,7 +886,7 @@ class ParallelExecutor:
     def __del__(self):
         # Safety net only — call sites own teardown via close()/with.
         try:
-            if not self._closed and self._pool is not None:
+            if self._workers and os.getpid() == self._owner_pid:
                 self.close()
         except Exception:
             pass

@@ -65,7 +65,7 @@ class TestConstruction:
     def test_serial_session_never_forks(self, chip, recipe):
         with Session(workers=1) as session:
             session.fabricate(chip, recipe, 8, dies_per_wafer=4, seed=1)
-            assert session.executor._pool is None
+            assert session.executor.worker_pids == ()
             assert session.stats()["contexts_shipped"] == 0
 
 
@@ -223,9 +223,9 @@ class TestLifecycle:
         with ParallelExecutor(2, persistent=True) as executor:
             token = new_context_token()
             first = executor.map_shards(_double, 2, [[1], [2]], token=token)
-            pool = executor._pool
+            pids = executor.worker_pids
             second = executor.map_shards(_double, 2, [[3], [4]], token=token)
-            assert executor._pool is pool
+            assert executor.worker_pids == pids
             assert (first, second) == ([[2], [4]], [[6], [8]])
             assert executor.contexts_shipped == 1
 

@@ -538,8 +538,8 @@ class TestGatewayChaos:
                 # Simulate a test-floor casualty: SIGKILL every lane's
                 # pool workers between requests.
                 for lane in gateway._scheduler._lanes.values():
-                    for proc in lane.session.executor._pool._pool:
-                        os.kill(proc.pid, signal.SIGKILL)
+                    for pid in lane.session.executor.worker_pids:
+                        os.kill(pid, signal.SIGKILL)
                 # A *different* client's traffic never fails.
                 with GatewayClient(gateway.address, timeout=120) as other:
                     injected = other.test(lot, program)

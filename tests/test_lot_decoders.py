@@ -140,3 +140,38 @@ def test_server_answers_bad_request(server, chip, lot, patterns, name):
             )
         assert err.value.code == "bad-request"
         assert "malformed lot columns" in str(err.value)
+
+
+# A shape entry past int64 (or JSON's 1e400, which parses to inf) used to
+# escape decode_array as OverflowError — an "internal" 500 — not a 400.
+HOSTILE_SHAPES = ["[1e400]", f"[{2**70}]"]
+
+
+def _with_shape(chip, lot, shape: str) -> str:
+    """A lot upload body whose chip_ids array declares ``shape`` (raw JSON)."""
+    payload = codec.lot_to_json(chip, lot)
+    payload["arrays"]["chip_ids"]["shape"] = "SHAPE"
+    return json.dumps(payload).replace('"SHAPE"', shape)
+
+
+@pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+def test_hostile_array_shape_is_a_value_error(chip, lot, shape):
+    with pytest.raises(ValueError):
+        codec.decode_array(json.loads(f'{{"dtype": "<i8", "shape": {shape}, "b64": ""}}'))
+    with pytest.raises(ValueError):
+        codec.lot_from_json(chip, json.loads(_with_shape(chip, lot, shape)))
+
+
+@pytest.mark.parametrize("shape", HOSTILE_SHAPES)
+def test_gateway_answers_400_for_hostile_shape(gateway, chip, lot, shape):
+    netlist_id = _post(
+        gateway.address + "/v1/netlists", {"netlist": codec.netlist_to_json(chip)}
+    )["result"]["netlist_id"]
+    body = f'{{"netlist_id": {json.dumps(netlist_id)}, "lot": {_with_shape(chip, lot, shape)}}}'
+    request = urllib.request.Request(
+        gateway.address + "/v1/lots", data=body.encode(), method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request)
+    assert err.value.code == 400

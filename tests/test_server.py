@@ -154,8 +154,8 @@ class TestServerRuntime:
                 before = client.test(lot, program)
                 # Simulate a test-floor casualty: SIGKILL the session's
                 # pool workers between requests.
-                for proc in server._session.executor._pool._pool:
-                    os.kill(proc.pid, signal.SIGKILL)
+                for pid in server._session.executor.worker_pids:
+                    os.kill(pid, signal.SIGKILL)
                 # A *different* client's in-flight traffic never fails.
                 with Client(server.address) as other:
                     after = other.test(lot, program)

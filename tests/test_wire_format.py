@@ -178,7 +178,7 @@ class TestExecutorTransport:
             token = new_context_token()
             executor.map_shards(_sum_shard, context, [[1], [2]], token=token)
             shipped_before = executor.ipc_bytes_out
-            victims = [proc.pid for proc in executor._pool._pool]
+            victims = executor.worker_pids
 
             def _kill_all():
                 for pid in victims:
@@ -215,9 +215,9 @@ class TestExecutorTransport:
 
     def test_wire_format_off_matches_wire_format_on(self):
         context = np.arange(5_000, dtype=np.float64)
-        with ParallelExecutor(2, wire_format=False) as legacy:
-            off = legacy.map_shards(_sum_shard, context, [[1], [2]])
-            assert legacy.ipc_bytes_out == 0
+        with ParallelExecutor(1) as serial:
+            off = serial.map_shards(_sum_shard, context, [[1], [2]])
+            assert serial.ipc_bytes_out == 0
         with ParallelExecutor(2) as framed:
             on = framed.map_shards(_sum_shard, context, [[1], [2]])
             assert framed.ipc_bytes_out > 0
