@@ -104,6 +104,8 @@ class _CacheEntry:
     # Testers are keyed by id(program); the anchor pins the program so
     # the id stays stable (and correct) for the entry's lifetime.
     anchor: Any = field(default=None, repr=False)
+    # Engines: the netlist revision they were compiled at.
+    revision: int | None = None
 
 
 class Session:
@@ -240,10 +242,14 @@ class Session:
 
     def _evict_oldest(self) -> None:
         """Evict the LRU entry — coordinator dict *and* pool workers."""
-        _key, entry = self._contexts.popitem(last=False)
+        self._drop(next(iter(self._contexts)))
+        self._evictions += 1
+
+    def _drop(self, key: tuple) -> None:
+        """Remove one entry from the coordinator dict *and* pool workers."""
+        entry = self._contexts.pop(key)
         self._resident_bytes -= entry.nbytes
         self._executor.evict(entry.token)
-        self._evictions += 1
 
     def _payload_nbytes_if_budgeted(self, obj: Any) -> int:
         """Context size for the byte budget — skipped when unbudgeted.
@@ -264,12 +270,19 @@ class Session:
 
         A cache hit refreshes the entry's LRU position; a miss compiles,
         mints the engine's stable context token (so a later eviction can
-        reach the pool workers), and may evict colder entries.
+        reach the pool workers), and may evict colder entries.  A hit on
+        a netlist edited since it compiled (its
+        :attr:`~repro.circuit.netlist.Netlist.revision` moved) drops the
+        stale entry and recompiles.
         """
         key = ("engine", netlist)
         entry = self._touch(key)
         if entry is not None:
-            return entry.obj
+            if entry.revision == netlist.revision:
+                return entry.obj
+            # The netlist was edited since it compiled: drop the stale
+            # engine here and in the pool workers, then recompile.
+            self._drop(key)
         engine = make_engine(netlist, self.engine)
         self._engine_compiles += 1
         self._insert(
@@ -279,6 +292,7 @@ class Session:
                 obj=engine,
                 token=engine_context_token(engine),
                 nbytes=self._payload_nbytes_if_budgeted(engine),
+                revision=netlist.revision,
             ),
         )
         return engine

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.circuit.netlist import Netlist
 from repro.utils.rng import make_rng
 
@@ -26,10 +28,8 @@ def random_patterns(
     rng = make_rng(seed)
     inputs = netlist.inputs
     bits = rng.integers(0, 2, size=(count, len(inputs)))
-    return [
-        {name: int(bits[k, i]) for i, name in enumerate(inputs)}
-        for k in range(count)
-    ]
+    # ``tolist`` yields Python ints in one pass (no per-element ``int()``).
+    return [dict(zip(inputs, row)) for row in bits.tolist()]
 
 
 def weighted_random_patterns(
@@ -61,7 +61,6 @@ def weighted_random_patterns(
             raise ValueError(f"weight {p} outside [0, 1]")
     rng = make_rng(seed)
     draws = rng.random(size=(count, len(inputs)))
-    return [
-        {name: int(draws[k, i] < probs[i]) for i, name in enumerate(inputs)}
-        for k in range(count)
-    ]
+    # ``int`` values, not ``bool``: a pattern serialises as 0/1 on the wire.
+    bits = (draws < np.asarray(probs)).astype(np.int64)
+    return [dict(zip(inputs, row)) for row in bits.tolist()]

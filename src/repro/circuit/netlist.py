@@ -63,6 +63,7 @@ class Netlist:
         self._order: list[str] | None = None  # cached topological order
         self._levels: dict[str, int] | None = None
         self._sinks: dict[str, list[tuple[str, int]]] | None = None
+        self._revision = 0
 
     # ------------------------------------------------------------ building
 
@@ -84,6 +85,7 @@ class Netlist:
         self._order = None
         self._levels = None
         self._sinks = None
+        self._revision += 1
 
     def set_outputs(self, names: Iterable[str]) -> None:
         """Declare the primary outputs (replaces any previous declaration)."""
@@ -92,8 +94,20 @@ class Netlist:
             raise ValueError("duplicate primary output declaration")
         self._outputs = names
         self._order = None
+        self._revision += 1
 
     # ------------------------------------------------------------- queries
+
+    @property
+    def revision(self) -> int:
+        """Structural edit count: bumped by every :meth:`add_input`,
+        :meth:`add_gate` and :meth:`set_outputs`.
+
+        Per-netlist caches (fault universe, collapse, compiled engines)
+        remember the revision they were built at and rebuild when it
+        has moved.
+        """
+        return self._revision
 
     @property
     def inputs(self) -> list[str]:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.circuit.netlist import Netlist
 from repro.faults.model import (
     StuckAtFault,
-    cached_fault_universe,
+    full_fault_universe,
     materialize_site_faults,
 )
 
@@ -53,9 +53,9 @@ class ChipLayout:
         self.netlist = netlist
         self.area = area
         self.side = math.sqrt(area)
-        # Shared with the wire-format decoders (same list object per
-        # netlist), so a site index means the same fault everywhere.
-        self.sites: list[StuckAtFault] = cached_fault_universe(netlist)
+        # The memoised enumeration the wire-format decoders also read,
+        # so a site index means the same fault everywhere.
+        self.sites: list[StuckAtFault] = full_fault_universe(netlist)
 
         # Row-major placement of signals; each signal's fault sites jitter
         # around the signal's cell center within a cell-sized neighborhood.

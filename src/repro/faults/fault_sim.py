@@ -21,6 +21,15 @@ The engine is selectable (see :func:`repro.simulator.make_engine`):
 All engines produce bit-identical :class:`FaultSimResult` values; the
 differential test suite enforces it.
 
+:meth:`FaultSimulator.run` takes faults as objects or, object-free, as
+an integer array of :func:`~repro.faults.model.full_fault_universe`
+indices; the result then carries its first-detects as an ``int64``
+array and materialises fault objects only when asked.  That is how
+:meth:`repro.tester.program.TestProgram.build` runs a collapsed
+simulation on the representatives of
+:func:`~repro.faults.collapse.collapsed_indices` and expands it with one
+gather, building no fault object on a warm netlist.
+
 The headline artifact is :meth:`FaultSimResult.coverage_curve`: cumulative
 fault coverage after each pattern, i.e. the x-axis of the paper's Table 1
 and Fig. 5 calibration experiment.
@@ -37,7 +46,6 @@ import numpy as np
 from repro.circuit.netlist import Netlist
 from repro.faults.model import (
     StuckAtFault,
-    cached_fault_universe,
     fault_site_lookup,
     full_fault_universe,
 )
@@ -51,31 +59,114 @@ from repro.simulator import Engine, make_engine
 from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
 
-__all__ = ["FaultSimulator", "FaultSimResult", "engine_context_token"]
+__all__ = [
+    "FaultSimulator",
+    "FaultSimResult",
+    "cumulative_coverage",
+    "engine_context_token",
+]
 
 
-@dataclass(frozen=True)
+def cumulative_coverage(
+    detects: np.ndarray, num_patterns: int, universe_size: int
+) -> np.ndarray:
+    """Cumulative coverage after each pattern from a first-detect vector.
+
+    ``detects`` is an integer array (``-1`` = undetected); ``curve[k]``
+    counts the faults first detected at or before pattern ``k`` over
+    ``universe_size``.  The counts are an ``int64`` cumulative sum
+    divided once, so the ``float64`` curve is byte-stable.
+    """
+    counts = np.bincount(detects[detects >= 0], minlength=num_patterns)
+    return np.cumsum(counts.astype(np.int64)) / universe_size
+
+
+def _detect_array(first_detect: Sequence[int | None]) -> np.ndarray:
+    """``first_detect`` as a read-only ``int64`` array, ``-1`` for ``None``."""
+    detects = np.fromiter(
+        (-1 if d is None else d for d in first_detect),
+        dtype=np.int64,
+        count=len(first_detect),
+    )
+    detects.flags.writeable = False
+    return detects
+
+
 class FaultSimResult:
     """Outcome of fault-simulating a pattern sequence.
 
-    ``first_detect[i]`` is the 0-based index of the first pattern that
-    detects ``faults[i]``, or ``None`` if the sequence misses it.
+    ``detects`` is the first-detect vector as a read-only ``int64``
+    array: ``detects[i]`` is the 0-based index of the first pattern that
+    detects fault ``i``, or ``-1`` if the sequence misses it.  The
+    object views are ``faults`` and ``first_detect`` (the same vector
+    with ``None`` for a miss).  A run on universe indices (see
+    :meth:`FaultSimulator.run`) materialises them from the memoised
+    fault universe on first access only, so counts, coverage and the
+    curve never touch a fault object.
     """
 
-    faults: tuple[StuckAtFault, ...]
-    first_detect: tuple[int | None, ...]
-    num_patterns: int
+    def __init__(
+        self,
+        faults: Sequence[StuckAtFault],
+        first_detect: Sequence[int | None],
+        num_patterns: int,
+    ):
+        self._faults: tuple[StuckAtFault, ...] | None = tuple(faults)
+        self._first_detect: tuple[int | None, ...] | None = tuple(first_detect)
+        self.detects = _detect_array(self._first_detect)
+        self.num_patterns = num_patterns
+        self._source: tuple[list[StuckAtFault], np.ndarray] | None = None
+
+    @classmethod
+    def from_indices(
+        cls,
+        universe: list[StuckAtFault],
+        indices: np.ndarray,
+        detects: np.ndarray,
+        num_patterns: int,
+    ) -> "FaultSimResult":
+        """A result over ``universe[indices]`` with ``int64`` first-detects."""
+        result = cls.__new__(cls)
+        result._faults = result._first_detect = None
+        result._source = (universe, indices)
+        result.detects = detects
+        result.num_patterns = num_patterns
+        return result
+
+    @property
+    def faults(self) -> tuple[StuckAtFault, ...]:
+        if self._faults is None:
+            universe, indices = self._source
+            self._faults = tuple(universe[i] for i in indices.tolist())
+        return self._faults
+
+    @property
+    def first_detect(self) -> tuple[int | None, ...]:
+        if self._first_detect is None:
+            self._first_detect = tuple(
+                None if d < 0 else d for d in self.detects.tolist()
+            )
+        return self._first_detect
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FaultSimResult):
+            return NotImplemented
+        return (
+            self.num_patterns == other.num_patterns
+            and np.array_equal(self.detects, other.detects)
+            and self.faults == other.faults
+        )
 
     @property
     def num_detected(self) -> int:
-        return sum(1 for d in self.first_detect if d is not None)
+        return int(np.count_nonzero(self.detects >= 0))
 
     @property
     def coverage(self) -> float:
         """Final fault coverage f = detected / universe."""
-        if not self.faults:
+        if len(self.detects) == 0:
             raise ValueError("empty fault list has no coverage")
-        return self.num_detected / len(self.faults)
+        return self.num_detected / len(self.detects)
 
     def coverage_curve(self) -> np.ndarray:
         """Cumulative coverage after each pattern (length ``num_patterns``).
@@ -84,17 +175,13 @@ class FaultSimResult:
         pattern ``k`` — the quantity the paper's calibration procedure reads
         off the fault simulator.
         """
-        counts = np.zeros(self.num_patterns, dtype=np.int64)
-        for det in self.first_detect:
-            if det is not None:
-                counts[det] += 1
-        return np.cumsum(counts) / len(self.faults)
+        return cumulative_coverage(self.detects, self.num_patterns, len(self.detects))
 
     def detected_faults(self) -> list[StuckAtFault]:
-        return [f for f, d in zip(self.faults, self.first_detect) if d is not None]
+        return [f for f, d in zip(self.faults, self.detects.tolist()) if d >= 0]
 
     def undetected_faults(self) -> list[StuckAtFault]:
-        return [f for f, d in zip(self.faults, self.first_detect) if d is None]
+        return [f for f, d in zip(self.faults, self.detects.tolist()) if d < 0]
 
     def expand(
         self, classes: Mapping[StuckAtFault, Sequence[StuckAtFault]]
@@ -103,7 +190,9 @@ class FaultSimResult:
 
         Every member of an equivalence class inherits its representative's
         first-detect index (equivalent faults are detected by exactly the
-        same tests), restoring full-universe coverage percentages.
+        same tests), restoring full-universe coverage percentages.  The
+        index form of this expansion is one gather through
+        :func:`~repro.faults.collapse.collapsed_indices`.
         """
         faults: list[StuckAtFault] = []
         detects: list[int | None] = []
@@ -111,10 +200,9 @@ class FaultSimResult:
             members = classes.get(rep)
             if members is None:
                 raise KeyError(f"representative {rep} missing from class map")
-            for member in members:
-                faults.append(member)
-                detects.append(det)
-        return FaultSimResult(tuple(faults), tuple(detects), self.num_patterns)
+            faults.extend(members)
+            detects.extend([det] * len(members))
+        return FaultSimResult(faults, detects, self.num_patterns)
 
 
 def _scan_blocks(
@@ -212,9 +300,26 @@ def _simulate_fault_shard(
     if isinstance(faults, np.ndarray) and not getattr(
         context.engine, "site_indexed", False
     ):
-        universe = cached_fault_universe(context.engine.netlist)
+        universe = full_fault_universe(context.engine.netlist)
         faults = [universe[i] for i in faults.tolist()]
     return _scan_blocks(context.engine, blocks, faults)
+
+
+def _checked_indices(faults: np.ndarray | None, universe_size: int) -> np.ndarray:
+    """``faults`` as ``int32`` universe indices (``None``: the whole universe)."""
+    if faults is None:
+        return np.arange(universe_size, dtype=np.int32)
+    if faults.ndim != 1 or faults.dtype.kind not in "iu":
+        raise ValueError(
+            f"fault indices must be a 1-D integer array, got "
+            f"{faults.ndim}-D {faults.dtype}"
+        )
+    if len(faults) and (faults.min() < 0 or faults.max() >= universe_size):
+        raise ValueError(
+            f"fault indices must lie in [0, {universe_size}), got "
+            f"[{faults.min()}, {faults.max()}]"
+        )
+    return faults.astype(np.int32)
 
 
 class FaultSimulator:
@@ -272,15 +377,20 @@ class FaultSimulator:
     def run(
         self,
         patterns: Sequence[Mapping[str, int] | Sequence[int]],
-        faults: Sequence[StuckAtFault] | None = None,
+        faults: Sequence[StuckAtFault] | np.ndarray | None = None,
         workers: int | str | None = None,
     ) -> FaultSimResult:
         """Fault-simulate ``patterns`` in order against ``faults``.
 
-        ``faults`` defaults to the full universe.  ``patterns`` is any
-        sliceable sequence of patterns — a list of dicts, a list of 0/1
-        tuples, or a 2D NumPy array with one row per pattern.  Patterns
-        are processed in 64-wide blocks with fault dropping across blocks.
+        ``faults`` defaults to the full universe.  It is a sequence of
+        fault objects, or a 1-D integer array of
+        :func:`~repro.faults.model.full_fault_universe` indices — the
+        object-free form, which a ``site_indexed`` engine consumes as it
+        is and any other engine gets rehydrated through the universe.
+        ``patterns`` is any sliceable sequence of patterns — a list of
+        dicts, a list of 0/1 tuples, or a 2D NumPy array with one row per
+        pattern.  Patterns are processed in 64-wide blocks with fault
+        dropping across blocks.
 
         ``workers`` overrides the constructor setting for this run; above
         1, the fault list is cut into contiguous shards, each worker
@@ -294,9 +404,16 @@ class FaultSimulator:
         """
         if len(patterns) == 0:
             raise ValueError("need at least one pattern")
-        if faults is None:
-            faults = full_fault_universe(self.netlist)
-        faults = list(faults)
+        universe: list[StuckAtFault] | None = None
+        fault_list: list[StuckAtFault] | None = None
+        indices: np.ndarray | None = None
+        if faults is None or isinstance(faults, np.ndarray):
+            universe = full_fault_universe(self.netlist)
+            indices = _checked_indices(faults, len(universe))
+            num_faults = len(indices)
+        else:
+            fault_list = list(faults)
+            num_faults = len(fault_list)
         input_names = self.netlist.inputs
 
         # An explicit per-run ``workers`` takes precedence over an
@@ -309,13 +426,18 @@ class FaultSimulator:
             num_workers = resolve_workers(
                 self.workers if workers is None else workers
             )
-        plan = ShardPlan.balanced(len(faults), num_workers)
+        plan = ShardPlan.balanced(num_faults, num_workers)
         site_indexed = getattr(self.engine, "site_indexed", False)
-        indices = None
-        if site_indexed or (
-            plan.num_shards > 1 and self.payload_format == "soa"
+        if fault_list is not None and (
+            site_indexed or (plan.num_shards > 1 and self.payload_format == "soa")
         ):
-            indices = self._universe_indices(faults)
+            indices = self._universe_indices(fault_list)
+
+        def objects() -> list[StuckAtFault]:
+            if fault_list is not None:
+                return fault_list
+            return [universe[i] for i in indices.tolist()]
+
         if plan.num_shards > 1:
             blocks = []
             for start in range(0, len(patterns), WORD_BITS):
@@ -326,7 +448,7 @@ class FaultSimulator:
             if self.payload_format == "soa" and indices is not None:
                 shards = [indices[start:stop] for start, stop in plan.bounds()]
             else:
-                shards = plan.split(faults)
+                shards = plan.split(objects())
             tasks = [(blocks, shard) for shard in shards]
             if use_injected:
                 shard_detects = self.executor.map_shards(
@@ -351,10 +473,14 @@ class FaultSimulator:
             first_detect = _scan_blocks(
                 self.engine,
                 lazy_blocks(),
-                indices if site_indexed and indices is not None else faults,
+                indices if site_indexed and indices is not None else objects(),
             )
 
-        return FaultSimResult(tuple(faults), tuple(first_detect), len(patterns))
+        if fault_list is not None:
+            return FaultSimResult(fault_list, first_detect, len(patterns))
+        return FaultSimResult.from_indices(
+            universe, indices, _detect_array(first_detect), len(patterns)
+        )
 
     def _universe_indices(self, faults: list[StuckAtFault]) -> np.ndarray | None:
         """``faults`` as ``int32`` fault-universe indices, or ``None``.

@@ -13,18 +13,20 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
-from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 
 __all__ = [
     "StuckAtFault",
     "full_fault_universe",
-    "cached_fault_universe",
     "fault_site_lookup",
+    "netlist_memo",
     "materialize_site_faults",
     "checkpoint_faults",
 ]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -74,13 +76,38 @@ class StuckAtFault:
         return f"{site}/sa{self.value}"
 
 
-def full_fault_universe(netlist: Netlist) -> list[StuckAtFault]:
-    """Enumerate every single stuck-at fault of the circuit.
+# Per-netlist memos.  Keyed weakly so a dropped netlist releases its
+# entries, and stamped with the netlist's revision so an edited netlist
+# rebuilds them.  The enumerated order is deterministic for a given
+# netlist, which is what lets a universe index stand in for a fault
+# object across process and socket boundaries.
+_UNIVERSE_CACHE: "weakref.WeakKeyDictionary[Netlist, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+_SITE_LOOKUP_CACHE: "weakref.WeakKeyDictionary[Netlist, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
 
-    Stems: two faults per signal.  Branches: two faults per fanout
-    connection of signals whose fanout exceeds one.  The length of the
-    returned list is the paper's ``N`` for this circuit.
+
+def netlist_memo(
+    cache: "weakref.WeakKeyDictionary[Netlist, tuple]",
+    netlist: Netlist,
+    build: Callable[[Netlist], T],
+) -> T:
+    """``build(netlist)``, memoised in ``cache`` per netlist revision.
+
+    The one memo rule of the per-netlist fault caches: an entry is
+    reused while :attr:`~repro.circuit.netlist.Netlist.revision` is the
+    one it was built at, and rebuilt once the netlist has been edited.
     """
+    entry = cache.get(netlist)
+    if entry is None or entry[0] != netlist.revision:
+        entry = (netlist.revision, build(netlist))
+        cache[netlist] = entry
+    return entry[1]
+
+
+def _enumerate_universe(netlist: Netlist) -> list[StuckAtFault]:
     netlist.validate()
     faults: list[StuckAtFault] = []
     fanout_counts = netlist.fanout_counts()
@@ -94,46 +121,33 @@ def full_fault_universe(netlist: Netlist) -> list[StuckAtFault]:
     return faults
 
 
-# Per-netlist caches for the wire format's site-index representation.
-# Keyed weakly so a dropped netlist releases its universe; the enumerated
-# order is deterministic for a given netlist, which is what lets a site
-# index stand in for a fault object across process and socket boundaries.
-_UNIVERSE_CACHE: "weakref.WeakKeyDictionary[Netlist, list[StuckAtFault]]" = (
-    weakref.WeakKeyDictionary()
-)
-_SITE_LOOKUP_CACHE: "weakref.WeakKeyDictionary[Netlist, dict[StuckAtFault, int]]" = (
-    weakref.WeakKeyDictionary()
-)
+def full_fault_universe(netlist: Netlist) -> list[StuckAtFault]:
+    """Enumerate every single stuck-at fault of the circuit.
 
+    Stems: two faults per signal.  Branches: two faults per fanout
+    connection of signals whose fanout exceeds one.  The length of the
+    returned list is the paper's ``N`` for this circuit; both levels of
+    a site are consecutive (stuck-at-0 first).
 
-def cached_fault_universe(netlist: Netlist) -> list[StuckAtFault]:
-    """The :func:`full_fault_universe` of ``netlist``, cached per netlist.
-
-    The returned list must be treated as immutable — it is shared by
-    every wire-format decode against this netlist.
+    The enumeration runs once per netlist revision; each call returns a
+    fresh list of the memoised fault objects, so callers may mutate it.
     """
-    universe = _UNIVERSE_CACHE.get(netlist)
-    if universe is None:
-        universe = full_fault_universe(netlist)
-        _UNIVERSE_CACHE[netlist] = universe
-    return universe
+    return list(netlist_memo(_UNIVERSE_CACHE, netlist, _enumerate_universe))
 
 
 def fault_site_lookup(netlist: Netlist) -> dict[StuckAtFault, int]:
-    """``{fault: universe index}`` for ``netlist``, cached per netlist.
+    """``{fault: universe index}`` for ``netlist``, memoised per revision.
 
-    The inverse of :func:`cached_fault_universe`'s enumeration — the
+    The inverse of :func:`full_fault_universe`'s enumeration — the
     encoder side of the site-index wire representation.  Both stuck
-    polarities of a site are distinct entries.
+    polarities of a site are distinct entries.  The returned dict is
+    shared and must be treated as immutable.
     """
-    lookup = _SITE_LOOKUP_CACHE.get(netlist)
-    if lookup is None:
-        lookup = {
-            fault: index
-            for index, fault in enumerate(cached_fault_universe(netlist))
-        }
-        _SITE_LOOKUP_CACHE[netlist] = lookup
-    return lookup
+    return netlist_memo(
+        _SITE_LOOKUP_CACHE,
+        netlist,
+        lambda n: {fault: index for index, fault in enumerate(full_fault_universe(n))},
+    )
 
 
 def materialize_site_faults(
@@ -177,7 +191,3 @@ def checkpoint_faults(netlist: Netlist) -> list[StuckAtFault]:
                 for value in (0, 1):
                     faults.append(StuckAtFault(signal, value, gate=sink, pin=pin))
     return faults
-
-
-def _output_gate_types(netlist: Netlist) -> dict[str, GateType]:
-    return {name: netlist.gate(name).gate_type for name in netlist.signals}

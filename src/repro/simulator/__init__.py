@@ -81,7 +81,7 @@ class Engine(Protocol):
 
     An engine that also sets ``site_indexed = True`` (the batch family)
     accepts, in place of fault objects, an integer array of
-    :func:`~repro.faults.model.cached_fault_universe` indices; the fault
+    :func:`~repro.faults.model.full_fault_universe` indices; the fault
     simulator then passes universe members that way.
     """
 

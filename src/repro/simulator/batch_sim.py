@@ -32,7 +32,7 @@ Fault injection follows the same semantics as
 Injections travel as :class:`~repro.simulator.kernels.ir.InjectionTables`
 gathered from the circuit's per-site
 :class:`~repro.simulator.kernels.ir.SiteTable` — built once, indexed by
-:func:`~repro.faults.model.cached_fault_universe` position, with every
+:func:`~repro.faults.model.full_fault_universe` position, with every
 site validated when the table is built.  Callers holding ``(row, site
 index, polarity)`` arrays (the wafer tester, the fault simulator) build
 tables with no per-fault Python work; fault-object machines resolve
@@ -115,13 +115,13 @@ class BatchCompiledCircuit:
         validated) on first use."""
         if self._site_table is None:
             # Imported here: repro.faults imports this package.
-            from repro.faults.model import cached_fault_universe
+            from repro.faults.model import full_fault_universe
 
             self._site_table = resolve_sites(
                 self.netlist,
                 self._index,
                 self.program,
-                cached_fault_universe(self.netlist),
+                full_fault_universe(self.netlist),
             )
         return self._site_table
 
@@ -307,7 +307,7 @@ class BatchEngine:
     becomes one single-fault machine row of a
     :class:`BatchCompiledCircuit` batch.  ``faults`` may be fault objects
     or (``site_indexed``) an integer array of
-    :func:`~repro.faults.model.cached_fault_universe` indices, which
+    :func:`~repro.faults.model.full_fault_universe` indices, which
     skips every per-fault lookup.
     """
 

@@ -211,7 +211,7 @@ class SiteTable:
     """The injection target of every fault site, as flat arrays.
 
     Entry ``i`` describes site ``i`` of a fault list (for a circuit's
-    own table, :func:`~repro.faults.model.cached_fault_universe` order):
+    own table, :func:`~repro.faults.model.full_fault_universe` order):
 
     * ``kind[i]`` — :data:`SITE_PI`, :data:`SITE_STEM` or :data:`SITE_PIN`;
     * ``a[i]`` — the PI's column, or the schedule position of the gate

@@ -15,9 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.circuit.netlist import Netlist
-from repro.faults.collapse import equivalence_classes
-from repro.faults.fault_sim import FaultSimulator
-from repro.faults.model import StuckAtFault
+from repro.faults.collapse import collapsed_indices
+from repro.faults.fault_sim import FaultSimulator, cumulative_coverage
+from repro.faults.model import full_fault_universe
 
 __all__ = ["TestProgram"]
 
@@ -49,6 +49,10 @@ class TestProgram:
 
         ``collapse=True`` simulates one representative per equivalence
         class and expands the result — same numbers, roughly half the work.
+        Both modes run on universe indices (the memoised collapse arrays,
+        or every index), and the collapsed first-detects reach the full
+        universe by one gather, so a build on a netlist seen before
+        constructs no fault object.
         ``engine`` selects the fault-simulation engine (see
         :func:`repro.simulator.make_engine`) and may be a ready
         :class:`~repro.simulator.Engine` instance (a session's per-netlist
@@ -61,17 +65,17 @@ class TestProgram:
         simulator = FaultSimulator(
             netlist, engine=engine, workers=workers, executor=executor
         )
+        universe_size = len(full_fault_universe(netlist))
         if collapse:
-            classes = equivalence_classes(netlist)
-            reps = sorted(classes, key=lambda f: f.sort_key)
-            result = simulator.run(patterns, faults=reps).expand(classes)
+            reps, class_of = collapsed_indices(netlist)
+            detects = simulator.run(patterns, faults=reps).detects[class_of]
         else:
-            result = simulator.run(patterns)
+            detects = simulator.run(patterns).detects
         return cls(
             netlist=netlist,
             patterns=tuple(dict(p) for p in patterns),
-            coverage_curve=result.coverage_curve(),
-            universe_size=len(result.faults),
+            coverage_curve=cumulative_coverage(detects, len(patterns), universe_size),
+            universe_size=universe_size,
         )
 
     def __len__(self) -> int:

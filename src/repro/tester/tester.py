@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.faults.model import (
     StuckAtFault,
-    cached_fault_universe,
     fault_site_lookup,
+    full_fault_universe,
     materialize_site_faults,
 )
 from repro.manufacturing.lot import FabricatedLot
@@ -334,7 +334,7 @@ def _test_lot_shard(context: _LotShardContext, shard) -> np.ndarray:
             lot = _LotSites.of_lot(context.batch, FabricatedLot(None, shard))
         return _first_fail_codes(context.batch, context.blocks, lot)
     if isinstance(shard, _SoAChipShard):
-        universe = cached_fault_universe(context.compiled.netlist)
+        universe = full_fault_universe(context.compiled.netlist)
         offsets = shard.fault_offsets.tolist()
         site_indices = (shard.coded_sites >> 1).tolist()
         polarities = (shard.coded_sites & 1).tolist()

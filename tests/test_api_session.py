@@ -21,7 +21,9 @@ import pytest
 
 from repro.api import Session, resolve_session
 from repro.atpg.random_gen import random_patterns
+from repro.circuit.gates import GateType
 from repro.circuit.generators import c17
+from repro.circuit.netlist import Netlist
 from repro.experiments import config, fig5
 from repro.experiments.runner import run_experiment
 from repro.manufacturing.lot import fabricate_lot
@@ -96,6 +98,30 @@ class TestCompileOnce:
             tester = session._tester_for(first)
             assert tester._batch is session._cached_engine(chip).batch
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_edited_netlist_recompiles(self, workers):
+        """A netlist edited after a build recompiles (and its stale
+        engine is evicted) instead of reusing the old engine."""
+        net = Netlist("grow")
+        net.add_input("a")
+        net.add_input("b")
+        net.add_gate("g", GateType.AND, ["a", "b"])
+        net.set_outputs(["g"])
+        with Session(workers=workers) as session:
+            session.build_program(net, random_patterns(net, 8, seed=1))
+            net.add_gate("h", GateType.OR, ["a", "g"])
+            net.set_outputs(["h"])
+            patterns = random_patterns(net, 8, seed=2)
+            edited = session.build_program(net, patterns)
+            stats = session.stats()
+            assert stats["engine_compiles"] == 2
+            assert stats["cached_netlists"] == 1
+            if workers > 1:
+                assert stats["contexts_evicted"] == 1
+        reference = Program.build(net, patterns)
+        assert edited.universe_size == reference.universe_size == 12
+        np.testing.assert_array_equal(edited.coverage_curve, reference.coverage_curve)
 
     def test_tester_cached_per_program(self, chip, recipe, patterns):
         with Session(workers=1) as session:

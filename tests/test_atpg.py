@@ -13,6 +13,7 @@ from repro.circuit.netlist import Netlist
 from repro.faults.collapse import collapse_equivalent
 from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import StuckAtFault, full_fault_universe
+from repro.utils.rng import make_rng
 
 
 class TestRandomPatterns:
@@ -27,6 +28,40 @@ class TestRandomPatterns:
     def test_reproducible(self):
         net = c17()
         assert random_patterns(net, 5, seed=3) == random_patterns(net, 5, seed=3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_uniform_matches_per_element_formula(self, seed):
+        net = ripple_carry_adder(3)
+        rng = make_rng(seed)
+        bits = rng.integers(0, 2, size=(70, len(net.inputs)))
+        expected = [
+            {name: int(bits[k, i]) for i, name in enumerate(net.inputs)}
+            for k in range(70)
+        ]
+        patterns = random_patterns(net, 70, seed=seed)
+        assert patterns == expected
+        assert all(type(v) is int for p in patterns for v in p.values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("kind", ["scalar", "sequence", "mapping"])
+    def test_weighted_matches_per_element_formula(self, seed, kind):
+        net = ripple_carry_adder(3)
+        probs = [0.1 + 0.8 * i / len(net.inputs) for i in range(len(net.inputs))]
+        weights = {
+            "scalar": 0.3,
+            "sequence": probs,
+            "mapping": dict(zip(net.inputs, probs)),
+        }[kind]
+        if kind == "scalar":
+            probs = [0.3] * len(net.inputs)
+        draws = make_rng(seed).random(size=(70, len(net.inputs)))
+        expected = [
+            {name: int(draws[k, i] < probs[i]) for i, name in enumerate(net.inputs)}
+            for k in range(70)
+        ]
+        patterns = weighted_random_patterns(net, 70, weights=weights, seed=seed)
+        assert patterns == expected
+        assert all(type(v) is int for p in patterns for v in p.values())
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):

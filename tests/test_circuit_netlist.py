@@ -113,6 +113,23 @@ class TestNetlist:
         assert net.inputs == ["a", "b"]
         assert net.outputs == ["z"]
 
+    def test_revision_counts_structural_edits(self):
+        net = Netlist()
+        assert net.revision == 0
+        net.add_input("a")
+        net.add_gate("z", GateType.NOT, ["a"])
+        net.set_outputs(["z"])
+        assert net.revision == 3
+        net.validate()
+        net.levels()
+        net.fanout("a")
+        assert net.revision == 3
+        with pytest.raises(ValueError):
+            net.add_input("a")
+        assert net.revision == 3
+        with pytest.raises(AttributeError):
+            net.revision = 0
+
     def test_duplicate_signal_raises(self):
         net = Netlist()
         net.add_input("a")

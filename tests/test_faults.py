@@ -1,5 +1,6 @@
 """Tests for fault model, collapsing, fault simulation, and sampling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,9 +9,18 @@ from repro.circuit.gates import GateType
 from repro.circuit.generators import c17, random_circuit
 from repro.circuit.library import ripple_carry_adder
 from repro.circuit.netlist import Netlist
-from repro.faults.collapse import collapse_equivalent, equivalence_classes
+from repro.faults.collapse import (
+    collapse_equivalent,
+    collapsed_indices,
+    equivalence_classes,
+)
 from repro.faults.fault_sim import FaultSimulator
-from repro.faults.model import StuckAtFault, checkpoint_faults, full_fault_universe
+from repro.faults.model import (
+    StuckAtFault,
+    checkpoint_faults,
+    fault_site_lookup,
+    full_fault_universe,
+)
 from repro.faults.sampling import sample_coverage
 
 
@@ -93,6 +103,57 @@ class TestUniverse:
         full = sim.run(patterns, faults=full_fault_universe(net))
         assert cp.coverage == 1.0
         assert full.coverage == 1.0
+
+
+def and_then_or():
+    """AND(a, b), to be extended by an OR that gives ``a`` a second sink."""
+    net = Netlist("grow")
+    net.add_input("a")
+    net.add_input("b")
+    net.add_gate("g", GateType.AND, ["a", "b"])
+    net.set_outputs(["g"])
+    return net
+
+
+class TestEditedNetlist:
+    """Per-netlist memos follow the netlist's revision, not its identity."""
+
+    def test_memos_rebuild_after_edit(self):
+        net = and_then_or()
+        assert len(full_fault_universe(net)) == 6
+        assert len(fault_site_lookup(net)) == 6
+        assert len(collapsed_indices(net)[1]) == 6
+        net.add_gate("h", GateType.OR, ["a", "g"])
+        net.set_outputs(["h"])
+        fresh = and_then_or()
+        fresh.add_gate("h", GateType.OR, ["a", "g"])
+        fresh.set_outputs(["h"])
+        universe = full_fault_universe(net)
+        assert len(universe) == 12
+        assert universe == full_fault_universe(fresh)
+        assert fault_site_lookup(net) == fault_site_lookup(fresh)
+        assert equivalence_classes(net) == equivalence_classes(fresh)
+        for ours, theirs in zip(collapsed_indices(net), collapsed_indices(fresh)):
+            assert np.array_equal(ours, theirs)
+
+    def test_universe_is_a_fresh_list_of_shared_faults(self):
+        net = c17()
+        first, second = full_fault_universe(net), full_fault_universe(net)
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert len(full_fault_universe(net)) == 34
+
+    def test_collapse_arrays_are_read_only(self):
+        net = c17()
+        reps, class_of = collapsed_indices(net)
+        assert not reps.flags.writeable and not class_of.flags.writeable
+        # Each representative sits in its own class, in class order.
+        assert np.array_equal(class_of[reps], np.arange(len(reps)))
+        universe = full_fault_universe(net)
+        assert sorted(
+            (universe[r] for r in reps), key=lambda f: f.sort_key
+        ) == collapse_equivalent(net)
 
 
 class TestCollapse:
