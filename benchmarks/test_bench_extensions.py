@@ -3,16 +3,16 @@
 * mixed-Poisson (Griffin, the paper's ref [15]) versus the shifted
   Poisson on the clustered Monte-Carlo fab;
 * SCOAP-guided versus level-guided PODEM;
-* deductive versus serial fault simulation (same answer, different cost
-  structure);
 * cost-optimal coverage from the economics model.
+
+The agreement of deductive simulation and critical path tracing with the
+fault simulator is a test-suite check (``tests/test_oracle_agreement.py``).
 """
 
 import numpy as np
 from bench_utils import run_once
 
 from repro.atpg.podem import PodemGenerator
-from repro.atpg.random_gen import random_patterns
 from repro.atpg.scoap import ScoapAnalysis
 from repro.circuit.generators import random_circuit
 from repro.core.economics import TestEconomics, TestLengthModel
@@ -21,8 +21,6 @@ from repro.core.mixed_poisson import MixedPoissonFaultModel
 from repro.core.quality import QualityModel
 from repro.experiments import config
 from repro.faults.collapse import collapse_equivalent
-from repro.faults.deductive import DeductiveFaultSimulator
-from repro.faults.fault_sim import FaultSimulator
 from repro.utils.tables import TextTable
 
 
@@ -112,38 +110,6 @@ def test_bench_podem_guidance(benchmark):
     print()
     print(table.render())
     assert rows[0][1] == rows[1][1]  # identical detection verdicts
-
-
-def _engine_comparison():
-    from repro.faults.critical_path import CriticalPathTracer
-    from repro.faults.model import full_fault_universe
-
-    net = config.make_chip()
-    patterns = random_patterns(net, 32, seed=5)
-    serial = FaultSimulator(net)
-    deductive = DeductiveFaultSimulator(net)
-    tracer = CriticalPathTracer(net, stem_analysis="exact")
-    serial_result = serial.run(patterns)
-    deductive_result = deductive.run(patterns)
-    deductive_agrees = all(
-        deductive_result[fault] == det
-        for fault, det in zip(serial_result.faults, serial_result.first_detect)
-    )
-    cpt_coverage = tracer.coverage(patterns, full_fault_universe(net))
-    return serial_result.coverage, deductive_agrees, cpt_coverage
-
-
-def test_bench_three_engines(benchmark):
-    """Three independent fault-coverage algorithms, one answer: serial
-    parallel-pattern, deductive, and exact critical path tracing."""
-    coverage, deductive_agrees, cpt_coverage = run_once(
-        benchmark, _engine_comparison
-    )
-    print(f"\ncanonical chip, 32 patterns: serial coverage {coverage:.4f}, "
-          f"deductive agrees: {deductive_agrees}, "
-          f"critical-path coverage {cpt_coverage:.4f}")
-    assert deductive_agrees
-    assert abs(cpt_coverage - coverage) < 1e-12
 
 
 def _economics_sweep():

@@ -5,11 +5,15 @@ experiment leans on, so regressions in the substrate show up here rather
 than as mysteriously slow experiments.
 
 ``test_bench_engine_speedup`` times the fault-parallel ``batch`` engine
-against the fault-at-a-time ``compiled`` engine on the same
-circuit/pattern workload, asserts bit-identical results and the claimed
-speedup, and writes ``BENCH_faultsim.json`` so the fault-sim hot path has
-a tracked perf record.
+against the fault-at-a-time ``compiled`` engine (the word-level oracle of
+``tests/compiled_oracle.py``) on the same circuit/pattern workload,
+asserts bit-identical results and the claimed speedup, and writes
+``BENCH_faultsim.json`` so the fault-sim hot path has a tracked perf
+record.
 """
+
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +24,12 @@ from repro.circuit.generators import c17
 from repro.experiments import config
 from repro.faults.collapse import collapse_equivalent
 from repro.faults.fault_sim import FaultSimulator
-from repro.simulator.parallel_sim import CompiledCircuit
+from repro.simulator import BatchCompiledCircuit
 from repro.simulator.values import pack_patterns
+
+# The word-level engine lives with the tests it serves as an oracle for.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from compiled_oracle import CompiledEngine  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +39,11 @@ def chip():
 
 def test_bench_good_simulation(benchmark, chip):
     """64-pattern good-machine pass over the canonical chip."""
-    compiled = CompiledCircuit(chip)
+    batch = BatchCompiledCircuit(chip)
     patterns = random_patterns(chip, 64, seed=1)
     words = pack_patterns(chip.inputs, patterns)
-    out = benchmark(compiled.simulate, words)
-    assert len(out) == len(chip.outputs)
+    values = benchmark(batch.run_batch, words, [])
+    assert len(batch.output_words(values)) == len(chip.outputs)
 
 
 def test_bench_fault_simulation_collapsed(benchmark, chip):
@@ -78,7 +86,7 @@ def test_bench_engine_speedup(request, chip):
     faults = collapse_equivalent(chip)
     patterns = random_patterns(chip, 64, seed=2)
     batch_sim = FaultSimulator(chip, engine="batch")
-    compiled_sim = FaultSimulator(chip, engine="compiled")
+    compiled_sim = FaultSimulator(chip, engine=CompiledEngine(chip))
 
     # Same repeats for both engines, so scheduler noise cannot bias the
     # recorded ratio toward either side.

@@ -9,9 +9,9 @@ machines the curve is meaningless, so the bench records a skip marker
 instead of failing (see ``bench_utils.require_cpus``).
 
 ``test_bench_payload_bytes`` measures what the pool pipe actually
-*carries*: shard payload bytes per stage under the SoA wire format
-versus the legacy pickled-object shards, via the executor's
-``ipc_bytes_out`` counters.  Byte counts are deterministic, so this
+*carries*: shard payload bytes per stage under the SoA wire format, via
+the executor's ``ipc_bytes_out`` counters, versus the pickled-object
+shards of the same shard plans, sized the way the pool counts a task.  Byte counts are deterministic, so this
 bench runs on any machine (CPU count only changes pool size, never
 payload bytes) and merges a ``payload_bytes`` section into
 ``BENCH_parallel.json`` without touching the scaling curve.
@@ -21,6 +21,8 @@ validates either record and enforces the reduction bar.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -35,9 +37,16 @@ from bench_utils import (
 from repro.atpg.random_gen import random_patterns
 from repro.experiments import config
 from repro.faults.fault_sim import FaultSimulator
+from repro.faults.model import full_fault_universe
 from repro.manufacturing.lot import fabricate_lot
-from repro.runtime import ParallelExecutor
+from repro.runtime import ParallelExecutor, ShardPlan
+from repro.runtime.wire import payload_nbytes
+from repro.simulator.values import WORD_BITS, pack_patterns
 from repro.tester.tester import WaferTester
+
+# The word-level oracles live with the tests they serve.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from compiled_oracle import CompiledEngine, lot_records  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 
@@ -52,6 +61,7 @@ SIM_PATTERNS = 512
 # byte counting, not timing).
 PAYLOAD_LOT_CHIPS = 100 if QUICK else 4000
 PAYLOAD_SIM_PATTERNS = 32 if QUICK else 128
+PAYLOAD_WORKERS = 2
 
 
 def test_bench_parallel_scaling(request):
@@ -124,57 +134,80 @@ def test_bench_parallel_scaling(request):
         assert speedup[2] >= 1.2
 
 
-def _stage_payload_bytes(payload_format):
-    """Shard-payload bytes each pipeline stage ships, per wire format.
+def _payload_workload():
+    chip = config.make_chip()
+    program = config.make_program(chip)
+    patterns = random_patterns(chip, PAYLOAD_SIM_PATTERNS, seed=9)
+    lot = fabricate_lot(
+        chip,
+        config.make_recipe(),
+        PAYLOAD_LOT_CHIPS,
+        dies_per_wafer=DIES_PER_WAFER,
+        seed=5,
+    )
+    return chip, program, patterns, lot
+
+
+def _stage_payload_bytes(chip, program, patterns, lot):
+    """Shard-payload bytes each pipeline stage ships over the pool pipe.
 
     Runs ``test_lot`` and ``fault_sim`` on a persistent 2-worker pool:
     the first call per stage warms the pool (ships the shard context),
     the second is measured — its ``ipc_bytes_out`` delta is purely the
     per-lot shard payloads, the bytes that scale with lot size.
     """
-    chip = config.make_chip()
-    recipe = config.make_recipe()
-    program = config.make_program(chip)
-    patterns = random_patterns(chip, PAYLOAD_SIM_PATTERNS, seed=9)
-    lot = fabricate_lot(
-        chip,
-        recipe,
-        PAYLOAD_LOT_CHIPS,
-        dies_per_wafer=DIES_PER_WAFER,
-        seed=5,
-    )
-
     stage_bytes = {}
-    with ParallelExecutor(2, persistent=True) as executor:
-        tester = WaferTester(
-            program, executor=executor, payload_format=payload_format
-        )
+    with ParallelExecutor(PAYLOAD_WORKERS, persistent=True) as executor:
+        tester = WaferTester(program, executor=executor)
         tester.test_lot(lot.chips)  # warm: ships the compiled context
         before = executor.ipc_bytes_out
         records = tester.test_lot(lot.chips)
         stage_bytes["test_lot"] = executor.ipc_bytes_out - before
 
-        simulator = FaultSimulator(
-            chip, executor=executor, payload_format=payload_format
-        )
+        simulator = FaultSimulator(chip, executor=executor)
         simulator.run(patterns)  # warm
         before = executor.ipc_bytes_out
         sim = simulator.run(patterns)
         stage_bytes["fault_sim"] = executor.ipc_bytes_out - before
-    return stage_bytes, (records, sim.first_detect)
+    return stage_bytes, (records, sim)
+
+
+def _object_payload_bytes(chip, patterns, lot):
+    """The pickled-object baseline: the bytes the same shard plans would
+    ship as chip-object shards and ``(blocks, fault-object shard)`` tasks.
+
+    Each task is sized with :func:`repro.runtime.wire.payload_nbytes`,
+    the count the pool records per task.
+    """
+    plan = ShardPlan.balanced(len(lot), PAYLOAD_WORKERS)
+    test_lot = sum(payload_nbytes(shard) for shard in plan.split(list(lot.chips)))
+    blocks = tuple(
+        (pack_patterns(chip.inputs, patterns[start : start + WORD_BITS]),
+         len(patterns[start : start + WORD_BITS]))
+        for start in range(0, len(patterns), WORD_BITS)
+    )
+    universe = full_fault_universe(chip)
+    plan = ShardPlan.balanced(len(universe), PAYLOAD_WORKERS)
+    fault_sim = sum(
+        payload_nbytes((blocks, shard)) for shard in plan.split(universe)
+    )
+    return {"test_lot": test_lot, "fault_sim": fault_sim}
 
 
 def test_bench_payload_bytes():
     """Pool-pipe payload bytes: SoA wire format vs pickled-object shards.
 
-    Asserts the two formats produce bit-identical results and that the
+    Asserts the pooled results equal the word-level oracles and that the
     SoA ``test_lot`` payload is at least 10x smaller than the pickled
     chip-object baseline (the PR-6 acceptance bar; quick mode asserts a
     relaxed 5x because tiny lots amortize fixed framing overhead worse).
     """
-    soa_bytes, soa_results = _stage_payload_bytes("soa")
-    object_bytes, object_results = _stage_payload_bytes("objects")
-    assert soa_results == object_results  # wire format never changes results
+    chip, program, patterns, lot = _payload_workload()
+    soa_bytes, (records, sim) = _stage_payload_bytes(chip, program, patterns, lot)
+    # The wire format never changes results.
+    assert records == lot_records(program, lot.chips)
+    assert sim == FaultSimulator(chip, engine=CompiledEngine(chip)).run(patterns)
+    object_bytes = _object_payload_bytes(chip, patterns, lot)
 
     stages = []
     for stage in ("test_lot", "fault_sim"):
@@ -196,7 +229,7 @@ def test_bench_payload_bytes():
                 "lot_chips": PAYLOAD_LOT_CHIPS,
                 "dies_per_wafer": DIES_PER_WAFER,
                 "sim_patterns": PAYLOAD_SIM_PATTERNS,
-                "workers": 2,
+                "workers": PAYLOAD_WORKERS,
             },
             "stages": stages,
         }

@@ -13,11 +13,13 @@ argument —
   fault-parallel NumPy engine: one ``(num_faults + 1, num_signals)``
   ``uint64`` array per 64-pattern block, row 0 the good machine, one
   faulty machine per other row, every gate evaluated once for all faults;
-* ``engine="compiled"`` is the classical one-fault-at-a-time word loop;
-* ``engine="event"`` is the scalar reference implementation.
+* ``engine="batch-jit"`` runs the same kernel compiled by numba, and
+  ``engine="batch-gpu"`` on a CUDA device through CuPy (each falls back
+  to the NumPy executor, with a warning, when its package is missing);
+* ``engine="auto"`` times the available backends once and picks one.
 
-All three produce bit-identical results — swap ``ENGINE`` below to see
-the wall-clock difference on this flow.
+All of them produce bit-identical results — swap ``ENGINE`` below to
+see the wall-clock difference on this flow.
 
 Run:  python examples/atpg_flow.py
 """
@@ -27,7 +29,7 @@ from repro.circuit.generators import array_multiplier
 from repro.faults import FaultSimulator, collapse_equivalent, full_fault_universe
 from repro.tester import TestProgram
 
-ENGINE = "batch"  # or "compiled" / "event" — identical results, different speed
+ENGINE = "batch"  # or "batch-jit" / "batch-gpu" / "auto" — identical results
 
 
 def main() -> None:

@@ -104,7 +104,7 @@ class _CacheEntry:
     # Testers are keyed by id(program); the anchor pins the program so
     # the id stays stable (and correct) for the entry's lifetime.
     anchor: Any = field(default=None, repr=False)
-    # Engines: the netlist revision they were compiled at.
+    # Engines and fab contexts: the netlist revision they were built at.
     revision: int | None = None
 
 
@@ -115,7 +115,9 @@ class Session:
     ----------
     engine:
         Fault-simulation engine name for everything the session runs:
-        ``"batch"`` (default), ``"compiled"``, or ``"event"``.
+        ``"batch"`` (default), ``"batch-jit"``, ``"batch-gpu"`` or
+        ``"auto"`` — the kernel backend (see
+        :data:`repro.simulator.ENGINES`).
     workers:
         Worker processes for the sharded stages: an integer, ``"auto"``
         (one per visible CPU, the default), or ``1`` for a fully serial
@@ -315,8 +317,7 @@ class Session:
             program,
             engine=self.engine,
             executor=self._executor,
-            batch_circuit=getattr(engine, "batch", None),
-            compiled_circuit=getattr(engine, "compiled", None),
+            batch_circuit=engine.batch,
         )
         self._insert(
             key,
@@ -439,7 +440,13 @@ class Session:
         # by the manufacturing layer) as an LRU entry so the budgets
         # also bound worker-resident fabrication contexts.
         key = ("fab", netlist, recipe, dies_per_wafer)
-        if self._touch(key) is None:
+        entry = self._touch(key)
+        if entry is not None and entry.revision != netlist.revision:
+            # The netlist was edited since its wafer was built: drop the
+            # stale context here and in the pool workers.
+            self._drop(key)
+            entry = None
+        if entry is None:
             context, token = _cached_fab_context(
                 netlist, recipe, dies_per_wafer
             )
@@ -450,6 +457,7 @@ class Session:
                     obj=context,
                     token=token,
                     nbytes=self._payload_nbytes_if_budgeted(context),
+                    revision=netlist.revision,
                 ),
             )
         return fabricate_lot(

@@ -1,8 +1,8 @@
 """Gate types and their boolean evaluation.
 
 Evaluation is defined on Python ints used as 64-bit words so the same
-tables serve both the scalar event-driven simulator (word = 0 or 1) and the
-bit-parallel simulator (word = 64 packed patterns).
+tables serve both scalar evaluation (word = 0 or 1) and bit-parallel
+evaluation (word = 64 packed patterns).
 """
 
 from __future__ import annotations

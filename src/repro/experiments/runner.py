@@ -6,7 +6,7 @@ Installed as the ``repro-experiments`` console script::
     repro-experiments fig1 fig6              # run a subset
     repro-experiments --list                 # print the experiment names
     repro-experiments --output-dir results/  # also write one .txt each
-    repro-experiments --engine compiled      # pre-batching fault-sim engine
+    repro-experiments --engine batch-jit     # numba kernel backend
     repro-experiments --workers auto         # process-sharded Monte Carlo
     repro-experiments --server 127.0.0.1:7642  # run on a repro-server
     repro-experiments --server 127.0.0.1:7641  # on a repro-router federation
@@ -128,10 +128,8 @@ def main(argv: list[str] | None = None) -> int:
             "fault-simulation engine for the Monte-Carlo experiments "
             "(default: batch, the fault-parallel NumPy engine; "
             "'batch-jit'/'batch-gpu' run the kernel backends when "
-            "numba/CuPy are installed, 'auto' picks per shape). Note: "
-            "lot testing needs multi-fault word-level machines, so with "
-            "'event' the wafer tester falls back to the serial compiled "
-            "loop; 'event' governs the coverage-curve fault simulation."
+            "numba/CuPy are installed, 'auto' picks per shape). Every "
+            "engine gives bit-identical reports."
         ),
     )
     parser.add_argument(

@@ -2,7 +2,7 @@
 
 Enumerates the fault universe of a netlist (stem faults on every signal,
 branch faults on every fanout pin), collapses it by structural equivalence,
-and simulates it against pattern sequences with the 64-way parallel-pattern
+and simulates it against pattern sequences with the fault-parallel batch
 engine — producing exactly the artifact the paper's calibration procedure
 needs: cumulative fault coverage as a function of test-pattern number.
 """
@@ -10,8 +10,6 @@ needs: cumulative fault coverage as a function of test-pattern number.
 from repro.faults.model import StuckAtFault, full_fault_universe, checkpoint_faults
 from repro.faults.collapse import collapse_equivalent, equivalence_classes
 from repro.faults.fault_sim import FaultSimulator, FaultSimResult
-from repro.faults.deductive import DeductiveFaultSimulator
-from repro.faults.critical_path import CriticalPathTracer
 from repro.faults.sampling import sample_coverage, SampledCoverage
 
 __all__ = [
@@ -22,8 +20,6 @@ __all__ = [
     "equivalence_classes",
     "FaultSimulator",
     "FaultSimResult",
-    "DeductiveFaultSimulator",
-    "CriticalPathTracer",
     "sample_coverage",
     "SampledCoverage",
 ]

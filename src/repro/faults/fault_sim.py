@@ -7,19 +7,17 @@ is *compacted* between blocks, so the cost is dominated by hard-to-detect
 faults, the same economics as the serial fault simulators the paper's
 LAMP reference implemented in hardware description.
 
-The engine is selectable (see :func:`repro.simulator.make_engine`):
-
-* ``"batch"`` (default) — fault-parallel evaluation of the lowered
-  kernel IR: every gate is evaluated once per block for *all* remaining
-  faults simultaneously, one machine per row of a ``(num_faults + 1,
-  num_signals)`` ``uint64`` matrix.  Faults that belong to the
-  netlist's universe reach it as an array of universe indices, so each
-  block's injection tables are gathers, not per-fault lookups;
-* ``"compiled"`` — the classical fault-at-a-time word-level loop;
-* ``"event"`` — scalar reference, pattern at a time.
-
-All engines produce bit-identical :class:`FaultSimResult` values; the
-differential test suite enforces it.
+The engine is fault-parallel evaluation of the lowered kernel IR: every
+gate is evaluated once per block for *all* remaining faults
+simultaneously, one machine per row of a ``(num_faults + 1,
+num_signals)`` ``uint64`` matrix.  Faults that belong to the netlist's
+universe reach it as an array of universe indices, so each block's
+injection tables are gathers, not per-fault lookups.  The engine names
+(``"batch"``, ``"batch-jit"``, ``"batch-gpu"``, ``"auto"``; see
+:func:`repro.simulator.make_engine`) pick the kernel backend, and all of
+them produce bit-identical :class:`FaultSimResult` values.  The
+differential test suite enforces that against reference simulators
+handed in as :class:`~repro.simulator.Engine` instances.
 
 :meth:`FaultSimulator.run` takes faults as objects or, object-free, as
 an integer array of :func:`~repro.faults.model.full_fault_universe`
@@ -56,7 +54,6 @@ from repro.runtime import (
     resolve_workers,
 )
 from repro.simulator import Engine, make_engine
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
 
 __all__ = [
@@ -215,8 +212,7 @@ def _scan_blocks(
     The one copy of the drop loop, shared by the serial path (lazy block
     packing, early exit once every fault is detected) and the sharded
     workers (each scans its own fault shard with per-shard compaction).
-    ``faults`` is a fault list, or an integer array of universe indices
-    for a ``site_indexed`` engine.
+    ``faults`` is a fault list or an integer array of universe indices.
     """
     first_detect: list[int | None] = [None] * len(faults)
     remaining = list(range(len(faults)))
@@ -289,19 +285,12 @@ def _simulate_fault_shard(
 ) -> list[int | None]:
     """Worker: scan the task's pattern blocks against its fault shard.
 
-    The fault shard is either a list of :class:`StuckAtFault` objects or
-    (the SoA wire format) an ``int32`` array of fault-universe indices.
-    A ``site_indexed`` engine consumes the indices as they are; any
-    other engine gets them rehydrated through the netlist's cached
-    universe — deterministic enumeration, so the decoded shard is
-    bit-identical to the encoded one.
+    The fault shard is an ``int32`` array of fault-universe indices (the
+    SoA wire format) or, when the run carries a fault outside the
+    universe, a list of :class:`StuckAtFault` objects; the engine takes
+    either as it is.
     """
     blocks, faults = task
-    if isinstance(faults, np.ndarray) and not getattr(
-        context.engine, "site_indexed", False
-    ):
-        universe = full_fault_universe(context.engine.netlist)
-        faults = [universe[i] for i in faults.tolist()]
     return _scan_blocks(context.engine, blocks, faults)
 
 
@@ -325,9 +314,10 @@ def _checked_indices(faults: np.ndarray | None, universe_size: int) -> np.ndarra
 class FaultSimulator:
     """Single-stuck-at fault simulator with a selectable block engine.
 
-    ``engine`` is ``"batch"`` (default), ``"compiled"``, ``"event"``, or a
-    ready :class:`~repro.simulator.Engine` instance to share a compiled
-    engine across simulators.  ``workers`` shards the fault list over a
+    ``engine`` is an engine name (default ``"batch"``; see
+    :data:`repro.simulator.ENGINES`) or a ready
+    :class:`~repro.simulator.Engine` instance to share a compiled engine
+    across simulators.  ``workers`` shards the fault list over a
     process pool (``1`` = serial, ``"auto"`` = one per CPU); results are
     bit-identical at every setting (see :mod:`repro.runtime`).
     ``executor`` injects a long-lived :class:`ParallelExecutor` (a
@@ -341,38 +331,11 @@ class FaultSimulator:
         engine: str | Engine = "batch",
         workers: int | str = 1,
         executor: ParallelExecutor | None = None,
-        payload_format: str = "soa",
     ):
-        if payload_format not in ("soa", "objects"):
-            raise ValueError(
-                f"payload_format must be 'soa' or 'objects', "
-                f"got {payload_format!r}"
-            )
         self.netlist = netlist
         self.engine = make_engine(netlist, engine)
         self.workers = workers
         self.executor = executor
-        # "soa" ships fault shards as int32 universe-index arrays over
-        # the pool pipe (a batch engine consumes them as they are);
-        # "objects" ships pickled StuckAtFault lists — the
-        # differential-test baseline.
-        self.payload_format = payload_format
-        self._compiled: CompiledCircuit | None = None
-
-    @property
-    def compiled(self) -> CompiledCircuit:
-        """Word-level single-pattern circuit backing :meth:`detects`.
-
-        Built lazily (``run`` never needs it), reusing the engine's own
-        compilation when the engine is word-level already.
-        """
-        if self._compiled is None:
-            engine_compiled = getattr(self.engine, "compiled", None)
-            if isinstance(engine_compiled, CompiledCircuit):
-                self._compiled = engine_compiled
-            else:
-                self._compiled = CompiledCircuit(self.netlist)
-        return self._compiled
 
     def run(
         self,
@@ -385,8 +348,9 @@ class FaultSimulator:
         ``faults`` defaults to the full universe.  It is a sequence of
         fault objects, or a 1-D integer array of
         :func:`~repro.faults.model.full_fault_universe` indices — the
-        object-free form, which a ``site_indexed`` engine consumes as it
-        is and any other engine gets rehydrated through the universe.
+        object-free form the engine consumes as it is.  A fault list is
+        mapped to indices too, unless it holds a fault outside the
+        universe; that run keeps fault objects throughout.
         ``patterns`` is any sliceable sequence of patterns — a list of
         dicts, a list of 0/1 tuples, or a 2D NumPy array with one row per
         pattern.  Patterns are processed in 64-wide blocks with fault
@@ -427,16 +391,8 @@ class FaultSimulator:
                 self.workers if workers is None else workers
             )
         plan = ShardPlan.balanced(num_faults, num_workers)
-        site_indexed = getattr(self.engine, "site_indexed", False)
-        if fault_list is not None and (
-            site_indexed or (plan.num_shards > 1 and self.payload_format == "soa")
-        ):
+        if fault_list is not None:
             indices = self._universe_indices(fault_list)
-
-        def objects() -> list[StuckAtFault]:
-            if fault_list is not None:
-                return fault_list
-            return [universe[i] for i in indices.tolist()]
 
         if plan.num_shards > 1:
             blocks = []
@@ -445,10 +401,10 @@ class FaultSimulator:
                 blocks.append((pack_patterns(input_names, block), len(block)))
             blocks = tuple(blocks)
             context = _FaultShardContext(engine=self.engine)
-            if self.payload_format == "soa" and indices is not None:
+            if indices is not None:
                 shards = [indices[start:stop] for start, stop in plan.bounds()]
             else:
-                shards = plan.split(objects())
+                shards = plan.split(fault_list)
             tasks = [(blocks, shard) for shard in shards]
             if use_injected:
                 shard_detects = self.executor.map_shards(
@@ -473,7 +429,7 @@ class FaultSimulator:
             first_detect = _scan_blocks(
                 self.engine,
                 lazy_blocks(),
-                indices if site_indexed and indices is not None else objects(),
+                fault_list if indices is None else indices,
             )
 
         if fault_list is not None:
@@ -485,12 +441,11 @@ class FaultSimulator:
     def _universe_indices(self, faults: list[StuckAtFault]) -> np.ndarray | None:
         """``faults`` as ``int32`` fault-universe indices, or ``None``.
 
-        The SoA form of a fault list: what ``"soa"`` shard payloads carry
-        over the pool pipe and what a ``site_indexed`` engine consumes.
-        ``None`` when any fault lies outside this netlist's universe
-        (caller-supplied ad-hoc faults); the run then keeps fault objects
-        throughout, so results never depend on which faults were
-        encodable.
+        The SoA form of a fault list: what shard payloads carry over the
+        pool pipe and what the engine consumes.  ``None`` when any fault
+        lies outside this netlist's universe (caller-supplied ad-hoc
+        faults); the run then keeps fault objects throughout, so results
+        never depend on which faults were encodable.
         """
         lookup = fault_site_lookup(self.netlist)
         try:
@@ -507,8 +462,6 @@ class FaultSimulator:
         pattern: Mapping[str, int] | Sequence[int],
         fault: StuckAtFault,
     ) -> bool:
-        """True iff a single pattern detects a single fault."""
-        words = pack_patterns(self.netlist.inputs, [pattern])
-        good = self.compiled.simulate(words)
-        faulty = self.compiled.simulate(words, **fault.injection_args())
-        return any((good[name] ^ faulty[name]) & 1 for name in good)
+        """True iff a single pattern detects a single fault: a one-pattern,
+        one-fault :meth:`run` in this process."""
+        return self.run([pattern], faults=[fault], workers=1).num_detected == 1

@@ -64,7 +64,9 @@ class StuckAtFault:
         )
 
     def injection_args(self) -> dict:
-        """Keyword arguments for ``CompiledCircuit.simulate``."""
+        """The fault as one stuck-at keyword argument of a word-level
+        ``simulate`` call: ``stuck_pin=(gate, pin, value)`` for a branch,
+        ``stuck_signal=(signal, value)`` for a stem."""
         if self.is_branch:
             return {"stuck_pin": (self.gate, self.pin, self.value)}
         return {"stuck_signal": (self.signal, self.value)}

@@ -21,8 +21,9 @@ bit-identical at every worker count (see :mod:`repro.runtime`).  Shard
 workers return their columns, and the coordinator concatenates them.
 The expensive :class:`~repro.defects.layout.ChipLayout` (a full
 fault-site placement) and its :class:`~repro.manufacturing.wafer.Wafer`
-are cached per netlist, so call sites that fabricate many lots under one
-recipe levelize the layout once.
+are cached per netlist revision, so call sites that fabricate many lots
+under one recipe levelize the layout once, and an edited netlist gets a
+fresh layout.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.defects.layout import ChipLayout
-from repro.faults.model import fault_site_lookup
+from repro.faults.model import fault_site_lookup, netlist_memo
 from repro.manufacturing.process import ProcessRecipe
 from repro.manufacturing.wafer import FabricatedChip, LotColumns, Wafer, _concat
 from repro.runtime import (
@@ -210,22 +211,22 @@ class FabricatedLot:
         return float(self._counts()[1].mean())
 
 
-# Per-netlist caches of the fault-site placement and the wafer built on
-# it, keyed by the parameters that shape them.  A netlist is assumed
-# frozen once fabrication starts (the same contract every compiled
-# simulator relies on); weak keys let dead netlists drop their layouts.
-_LAYOUT_CACHE: "weakref.WeakKeyDictionary[Netlist, dict[float, ChipLayout]]" = (
-    weakref.WeakKeyDictionary()
-)
-_WAFER_CACHE: (
-    "weakref.WeakKeyDictionary[Netlist, dict[tuple[ProcessRecipe, int], Wafer]]"
-) = weakref.WeakKeyDictionary()
-# Shard context + token per (netlist, recipe, dies): persistent pools key
-# context shipping on the token, so repeated fabrication under one
-# session ships the pre-built wafer to the workers exactly once.
-_FAB_CONTEXT_CACHE: (
-    "weakref.WeakKeyDictionary[Netlist, dict[tuple[ProcessRecipe, int], tuple]]"
-) = weakref.WeakKeyDictionary()
+# One memo entry per netlist: the fault-site placements, the wafers built
+# on them and the fab shard contexts, keyed inside by the parameters that
+# shape them.  Weak keys let dead netlists drop their entries, and the
+# revision stamp (see netlist_memo) rebuilds all of them — the context
+# with a fresh token, so persistent pools re-ship it — once the netlist
+# is edited.
+_FAB_CACHE: "weakref.WeakKeyDictionary[Netlist, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _fab_memo(netlist: Netlist, key: tuple, build):
+    """``build()``, memoised under ``key`` for the netlist's revision."""
+    entries = netlist_memo(_FAB_CACHE, netlist, lambda _: {})
+    value = entries.get(key)
+    if value is None:
+        value = entries[key] = build()
+    return value
 
 
 def _cached_layout(netlist: Netlist, chip_area: float) -> ChipLayout:
@@ -235,26 +236,24 @@ def _cached_layout(netlist: Netlist, chip_area: float) -> ChipLayout:
     shipped as arrays is rebuilt against this layout), so a site index
     always resolves against the same placement object per process.
     """
-    layouts = _LAYOUT_CACHE.setdefault(netlist, {})
-    layout = layouts.get(chip_area)
-    if layout is None:
-        layout = ChipLayout(netlist, area=chip_area)
-        layouts[chip_area] = layout
-    return layout
+    return _fab_memo(
+        netlist, ("layout", chip_area), lambda: ChipLayout(netlist, area=chip_area)
+    )
 
 
 def _cached_wafer(
     netlist: Netlist, recipe: ProcessRecipe, dies_per_wafer: int
 ) -> Wafer:
     """The wafer for (netlist, recipe, dies), levelizing the layout once."""
-    layout = _cached_layout(netlist, recipe.chip_area)
-    wafers = _WAFER_CACHE.setdefault(netlist, {})
-    key = (recipe, dies_per_wafer)
-    wafer = wafers.get(key)
-    if wafer is None:
-        wafer = Wafer(recipe, layout, dies_per_wafer=dies_per_wafer)
-        wafers[key] = wafer
-    return wafer
+    return _fab_memo(
+        netlist,
+        ("wafer", recipe, dies_per_wafer),
+        lambda: Wafer(
+            recipe,
+            _cached_layout(netlist, recipe.chip_area),
+            dies_per_wafer=dies_per_wafer,
+        ),
+    )
 
 
 # Fabrication shards per pool worker (see fabricate_lot).
@@ -272,20 +271,23 @@ class _FabShardContext:
 def _cached_fab_context(
     netlist: Netlist, recipe: ProcessRecipe, dies_per_wafer: int
 ) -> "tuple[_FabShardContext, tuple]":
-    """The fab shard context and its token for (netlist, recipe, dies)."""
-    contexts = _FAB_CONTEXT_CACHE.setdefault(netlist, {})
-    key = (recipe, dies_per_wafer)
-    entry = contexts.get(key)
-    if entry is None:
-        entry = (
+    """The fab shard context and its token for (netlist, recipe, dies).
+
+    Persistent pools key context shipping on the token, so repeated
+    fabrication under one session ships the pre-built wafer to the
+    workers exactly once per netlist revision.
+    """
+    return _fab_memo(
+        netlist,
+        ("context", recipe, dies_per_wafer),
+        lambda: (
             _FabShardContext(
                 wafer=_cached_wafer(netlist, recipe, dies_per_wafer),
                 dies_per_wafer=dies_per_wafer,
             ),
             new_context_token(),
-        )
-        contexts[key] = entry
-    return entry
+        ),
+    )
 
 
 def pack_lot_chips(

@@ -1,35 +1,28 @@
 """Logic simulation substrate.
 
-Three simulator families over the same
-:class:`~repro.circuit.netlist.Netlist` model, all exchangeable behind
-the :class:`Engine` protocol:
-
-* :mod:`repro.simulator.event_sim` — a scalar event-driven simulator; the
-  readable reference implementation, also used to cross-check the fast
-  paths (``engine="event"``).
-* :mod:`repro.simulator.parallel_sim` — a levelized compiled simulator that
-  packs 64 test patterns per machine word, the classical parallel-pattern
-  technique used by fault simulators of the paper's era, simulating one
-  fault at a time (``engine="compiled"``).
-* :mod:`repro.simulator.batch_sim` — the fault-parallel batched circuit:
-  a ``uint64`` value matrix of shape ``(num_machines + 1, num_signals)``
-  whose row 0 is the good machine and whose other rows each carry one
-  injected fault set, so every gate is evaluated once per 64-pattern
-  block for *all* machines at once.  The netlist is lowered to the flat
-  kernel IR of :mod:`repro.simulator.kernels` and run by one of its
-  backends: the NumPy executor (``engine="batch"``, the default
-  everywhere), numba (``engine="batch-jit"``, a row-parallel compiled
-  kernel), CuPy (``engine="batch-gpu"``, one CUDA launch per block), or
-  a shape-aware autotuner that calibrates once per process and picks
-  the fastest available backend per netlist fingerprint and batch size
-  (``engine="auto"``).  numba and CuPy are optional; those engines
-  degrade to the NumPy executor when they are missing.
+One simulator over the :class:`~repro.circuit.netlist.Netlist` model:
+:mod:`repro.simulator.batch_sim`, the fault-parallel batched circuit.
+It holds a ``uint64`` value matrix of shape ``(num_machines + 1,
+num_signals)`` whose row 0 is the good machine and whose other rows each
+carry one injected fault set, so every gate is evaluated once per
+64-pattern block for *all* machines at once.  The netlist is lowered to
+the flat kernel IR of :mod:`repro.simulator.kernels` and run by one of
+its backends, each an engine name: the NumPy executor
+(``engine="batch"``, the default everywhere), numba
+(``engine="batch-jit"``, a row-parallel compiled kernel), CuPy
+(``engine="batch-gpu"``, one CUDA launch per block), or a shape-aware
+autotuner that calibrates once per process and picks the fastest
+available backend per netlist fingerprint and batch size
+(``engine="auto"``).  numba and CuPy are optional; those engines
+degrade to the NumPy executor when they are missing.
 
 Anything that fault-simulates (:class:`~repro.faults.fault_sim.FaultSimulator`,
 :class:`~repro.tester.tester.WaferTester`, PODEM fault dropping, the
-experiment harness) accepts an ``engine`` argument — either one of the
-names above or a ready :class:`Engine` instance — and routes its inner
-loop through :meth:`Engine.detect_block`.
+experiment harness) accepts one of the names above.  The fault
+simulator also takes a ready :class:`Engine` instance and routes its
+inner loop through :meth:`Engine.detect_block`; that is how the test
+suite diffs the kernel against its reference simulators, which live
+in ``tests/``.
 """
 
 from __future__ import annotations
@@ -38,8 +31,6 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.circuit.netlist import Netlist
 from repro.simulator.values import WORD_BITS, pack_patterns, unpack_outputs
-from repro.simulator.event_sim import EventEngine, EventSimulator
-from repro.simulator.parallel_sim import CompiledCircuit, CompiledEngine
 from repro.simulator.batch_sim import (
     AutoBatchEngine,
     BatchCompiledCircuit,
@@ -52,10 +43,6 @@ __all__ = [
     "WORD_BITS",
     "pack_patterns",
     "unpack_outputs",
-    "EventSimulator",
-    "EventEngine",
-    "CompiledCircuit",
-    "CompiledEngine",
     "BatchCompiledCircuit",
     "BatchEngine",
     "JitBatchEngine",
@@ -79,10 +66,9 @@ class Engine(Protocol):
     :func:`make_engine` can reject an engine handed to a simulator of a
     *different* circuit, which would otherwise silently corrupt coverage.
 
-    An engine that also sets ``site_indexed = True`` (the batch family)
-    accepts, in place of fault objects, an integer array of
+    ``faults`` is a sequence of fault objects or an integer array of
     :func:`~repro.faults.model.full_fault_universe` indices; the fault
-    simulator then passes universe members that way.
+    simulator passes universe members the second way.
     """
 
     name: str
@@ -107,8 +93,6 @@ class Engine(Protocol):
 
 ENGINES = {
     "batch": BatchEngine,
-    "compiled": CompiledEngine,
-    "event": EventEngine,
     "batch-jit": JitBatchEngine,
     "batch-gpu": GpuBatchEngine,
     "auto": AutoBatchEngine,

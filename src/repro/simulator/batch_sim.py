@@ -21,8 +21,7 @@ NumPy executor for ``engine="batch"``, numba for ``batch-jit``, CuPy for
 ``batch-gpu``, the autotuner's pick for ``auto`` — one class, four
 backends, one set of injection tables.
 
-Fault injection follows the same semantics as
-:class:`~repro.simulator.parallel_sim.CompiledCircuit`:
+Fault injection follows the stuck-at model's two site kinds:
 
 * **stem faults** force the signal's word *after* its driver evaluates
   (primary-input stems are forced at load time);
@@ -306,14 +305,12 @@ class BatchEngine:
     Satisfies the :class:`~repro.simulator.Engine` protocol; each fault
     becomes one single-fault machine row of a
     :class:`BatchCompiledCircuit` batch.  ``faults`` may be fault objects
-    or (``site_indexed``) an integer array of
-    :func:`~repro.faults.model.full_fault_universe` indices, which
-    skips every per-fault lookup.
+    or an integer array of :func:`~repro.faults.model.full_fault_universe`
+    indices, which skips every per-fault lookup.
     """
 
     name = "batch"
     backend = "numpy"
-    site_indexed = True
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist

@@ -27,7 +27,7 @@ arrays in two layouts: grouped by row (the per-machine walk a
 row-parallel JIT kernel wants) and grouped by gate (the scatter a
 vectorized NumPy/GPU executor wants).  Both layouts preserve insertion
 order among duplicates, so a doubly-forced site resolves last-wins,
-as in the word-level reference engine.
+as in the word-level reference simulator the test suite keeps.
 
 The program's :attr:`~KernelProgram.fingerprint` is a content hash of
 the lowered arrays.  JIT compilation caches and the autotuner's

@@ -14,12 +14,14 @@ chips drop out of the batch as soon as they fail.  The lot enters as a
 they are, eager chips mapped through the fault-universe lookup once per
 lot — and each block's injection tables are gathered from it, so no
 fault object (and, for a column-backed lot, no chip object) is built on
-the test path.  ``engine="compiled"`` keeps the serial
-chip-at-a-time loop as the word-level reference.
+the test path.  The engine name (``"batch"``, ``"batch-jit"``,
+``"batch-gpu"``, ``"auto"``) picks the kernel backend.
 
 Above the engine sits the process axis: ``workers > 1`` cuts the chip
 list into contiguous shards and tests each shard in a worker process
 (carrying the pre-compiled circuit, so workers never re-levelize).
+Shards travel as packed ``(site index, polarity)`` arrays; a lot
+carrying a fault outside the universe travels as chip objects instead.
 Chips are independent machines, so the merged records are bit-identical
 to the serial run at every worker count (see :mod:`repro.runtime`).
 """
@@ -31,12 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults.model import (
-    StuckAtFault,
-    fault_site_lookup,
-    full_fault_universe,
-    materialize_site_faults,
-)
+from repro.faults.model import StuckAtFault, fault_site_lookup
 from repro.manufacturing.lot import FabricatedLot
 from repro.manufacturing.wafer import FabricatedChip, _concat
 from repro.runtime import (
@@ -48,7 +45,6 @@ from repro.runtime import (
 from repro.simulator import ENGINES, make_engine
 from repro.simulator.batch_sim import BatchCompiledCircuit
 from repro.simulator.kernels.ir import InjectionTables, SiteTable
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
 from repro.tester.program import TestProgram
 
@@ -226,50 +222,16 @@ def _records(lot: FabricatedLot, first_fail: np.ndarray) -> list[ChipTestRecord]
     ]
 
 
-def _word_level_first_fail(
-    compiled: CompiledCircuit,
-    blocks: Sequence[tuple[dict[str, int], int]],
-    good: Sequence[dict[str, int]],
-    faults: Sequence[StuckAtFault],
-) -> int | None:
-    """Serial word-level first-fail scan of one chip's multi-fault machine:
-    the first failing pattern, or ``None`` if the chip passes."""
-    stems = []
-    pins = []
-    for fault in faults:
-        if fault.is_branch:
-            pins.append((fault.gate, fault.pin, fault.value))
-        else:
-            stems.append((fault.signal, fault.value))
-    if not stems and not pins:
-        return None
-
-    offset = 0
-    for (words, block_len), good_words in zip(blocks, good):
-        observed = compiled.simulate(words, stuck_signals=stems, stuck_pins=pins)
-        fail_word = 0
-        for name, good_word in good_words.items():
-            fail_word |= good_word ^ observed[name]
-        (first_bit,) = first_detecting_bits([fail_word], block_len)
-        if first_bit is not None:
-            return offset + first_bit
-        offset += block_len
-    return None
-
-
 @dataclass(frozen=True)
 class _LotShardContext:
-    """Per-pool worker context: compiled circuit(s) plus packed blocks.
+    """Per-pool worker context: the compiled circuit plus packed blocks.
 
-    Exactly one of ``batch`` / ``compiled`` is set, selecting the engine
-    the shard worker replays; both ship pre-compiled arrays so workers
-    never re-levelize the netlist.
+    The circuit ships pre-compiled, so workers never re-levelize the
+    netlist.
     """
 
     blocks: tuple[tuple[dict[str, int], int], ...]
-    batch: BatchCompiledCircuit | None = None
-    compiled: CompiledCircuit | None = None
-    good: tuple[dict[str, int], ...] = ()
+    batch: BatchCompiledCircuit
 
 
 @dataclass(frozen=True)
@@ -327,36 +289,11 @@ def _test_lot_shard(context: _LotShardContext, shard) -> np.ndarray:
     :class:`FabricatedChip` objects.  Returns the shard's first-fail
     codes (``-1`` = passed) — one small array back over the pipe.
     """
-    if context.batch is not None:
-        if isinstance(shard, _SoAChipShard):
-            lot = _LotSites.of_shard(context.batch, shard)
-        else:
-            lot = _LotSites.of_lot(context.batch, FabricatedLot(None, shard))
-        return _first_fail_codes(context.batch, context.blocks, lot)
     if isinstance(shard, _SoAChipShard):
-        universe = full_fault_universe(context.compiled.netlist)
-        offsets = shard.fault_offsets.tolist()
-        site_indices = (shard.coded_sites >> 1).tolist()
-        polarities = (shard.coded_sites & 1).tolist()
-        fault_lists = [
-            materialize_site_faults(
-                universe,
-                site_indices[offsets[k] : offsets[k + 1]],
-                polarities[offsets[k] : offsets[k + 1]],
-            )
-            for k in range(len(offsets) - 1)
-        ]
+        lot = _LotSites.of_shard(context.batch, shard)
     else:
-        fault_lists = [chip.faults for chip in shard]
-    first_fails = [
-        _word_level_first_fail(
-            context.compiled, context.blocks, context.good, faults
-        )
-        for faults in fault_lists
-    ]
-    return np.array(
-        [-1 if fail is None else fail for fail in first_fails], dtype=np.int64
-    )
+        lot = _LotSites.of_lot(context.batch, FabricatedLot(None, shard))
+    return _first_fail_codes(context.batch, context.blocks, lot)
 
 
 class WaferTester:
@@ -369,88 +306,48 @@ class WaferTester:
         workers: int | str = 1,
         executor: ParallelExecutor | None = None,
         batch_circuit: BatchCompiledCircuit | None = None,
-        compiled_circuit: CompiledCircuit | None = None,
-        payload_format: str = "soa",
     ):
-        """``engine="batch"`` (and the kernel-backed names ``batch-jit``,
-        ``batch-gpu``, ``auto``) tests the lot chip-parallel;
-        ``"compiled"``/``"event"`` fall back to the serial chip-at-a-time
-        word-level loop.
+        """``engine`` names the kernel backend the lot is tested on
+        chip-parallel (see :data:`repro.simulator.ENGINES`).
         ``workers`` shards the chip list over a process pool (``1`` =
-        serial, ``"auto"`` = one per CPU) under either engine.
+        serial, ``"auto"`` = one per CPU).
         ``executor`` injects a long-lived pool (a
         :class:`repro.api.Session` owns one): the tester's shard context
         is then shipped to the workers once, keyed by a context token,
-        and reused by every subsequent ``test_lot``.  ``batch_circuit`` /
-        ``compiled_circuit`` hand the tester circuits something else
-        already compiled for this netlist (a session engine cache),
-        skipping re-levelization.  ``payload_format`` selects what shard
-        tasks carry over the pool pipe: ``"soa"`` (default) ships chips
-        as packed ``(site index, polarity)`` arrays the worker tests
-        without building fault objects — bit-identical results, a
-        fraction of the bytes;
-        ``"objects"`` ships pickled chip objects (the differential-test
-        baseline)."""
+        and reused by every subsequent ``test_lot``.  ``batch_circuit``
+        hands the tester a circuit already compiled for this netlist (a
+        session engine cache), skipping re-levelization."""
         if engine not in ENGINES:
             raise ValueError(
                 f"tester engine must be one of "
                 f"{', '.join(repr(name) for name in sorted(ENGINES))}, "
                 f"got {engine!r}"
             )
-        if payload_format not in ("soa", "objects"):
+        if batch_circuit is not None and batch_circuit.netlist is not program.netlist:
             raise ValueError(
-                f"payload_format must be 'soa' or 'objects', "
-                f"got {payload_format!r}"
+                f"injected circuit was compiled for netlist "
+                f"{batch_circuit.netlist.name!r}, not {program.netlist.name!r}"
             )
-        for circuit in (batch_circuit, compiled_circuit):
-            if circuit is not None and circuit.netlist is not program.netlist:
-                raise ValueError(
-                    f"injected circuit was compiled for netlist "
-                    f"{circuit.netlist.name!r}, not {program.netlist.name!r}"
-                )
         self.program = program
         self.engine = engine
         self.workers = workers
         self.executor = executor
-        self.payload_format = payload_format
         inputs = program.netlist.inputs
-        # Pre-pack pattern blocks once.  Both compiled circuits and the
-        # good-machine responses are lazy: the batched lot path carries the
-        # good machine as row 0 of each batch and never touches the serial
-        # word-level circuit, and vice versa.
+        # Pre-pack pattern blocks once; the batch circuit is lazy.
         self._blocks: list[tuple[dict[str, int], int]] = []
         patterns = program.patterns
         for start in range(0, len(patterns), WORD_BITS):
             block = patterns[start : start + WORD_BITS]
             words = pack_patterns(inputs, block)
             self._blocks.append((words, len(block)))
-        self._compiled_circuit: CompiledCircuit | None = compiled_circuit
         self._batch: BatchCompiledCircuit | None = batch_circuit
-        self._good: list[dict[str, int]] | None = None
         self._shard_context: _LotShardContext | None = None
         self._context_token = new_context_token()
 
-    @property
-    def _compiled(self) -> CompiledCircuit:
-        if self._compiled_circuit is None:
-            self._compiled_circuit = CompiledCircuit(self.program.netlist)
-        return self._compiled_circuit
-
-    def _good_responses(self) -> list[dict[str, int]]:
-        if self._good is None:
-            self._good = [
-                self._compiled.simulate(words) for words, _ in self._blocks
-            ]
-        return self._good
-
     def test_chip(self, chip: FabricatedChip) -> ChipTestRecord:
-        """Test one chip, stopping at its first failing pattern."""
-        first_fail = _word_level_first_fail(
-            self._compiled, self._blocks, self._good_responses(), chip.faults
-        )
-        return ChipTestRecord(
-            chip.chip_id, is_good=chip.is_good, first_fail=first_fail
-        )
+        """Test one chip, stopping at its first failing pattern: a
+        one-chip :meth:`test_lot` in this process."""
+        return self.test_lot([chip], workers=1)[0]
 
     def test_lot(
         self,
@@ -496,8 +393,6 @@ class WaferTester:
                 with ParallelExecutor(num_workers) as executor:
                     codes = executor.map_shards(_test_lot_shard, context, tasks)
             return _records(lot, np.concatenate(codes))
-        if self.engine in ("compiled", "event"):
-            return [self.test_chip(chip) for chip in lot.chips]
         batch = self._batch_circuit
         return _records(
             lot,
@@ -505,19 +400,16 @@ class WaferTester:
         )
 
     def _shard_tasks(self, lot: FabricatedLot, plan: ShardPlan) -> list:
-        """Encode chip shards for the pool pipe per ``payload_format``.
+        """Encode chip shards for the pool pipe.
 
-        ``"soa"`` packs every shard as a :class:`_SoAChipShard`; if any
-        chip's faults cannot be mapped into this program's fault
-        universe, the whole lot falls back to object shards so results
-        never depend on which chips were encodable.
+        Every shard is packed as a :class:`_SoAChipShard`; if any chip's
+        faults cannot be mapped into this program's fault universe, the
+        whole lot falls back to object shards so results never depend on
+        which chips were encodable.
         """
-        if self.payload_format == "soa":
-            packed = _pack_soa_shards(
-                self.program.netlist, lot, plan.bounds()
-            )
-            if packed is not None:
-                return packed
+        packed = _pack_soa_shards(self.program.netlist, lot, plan.bounds())
+        if packed is not None:
+            return packed
         return plan.split(list(lot.chips))
 
     def _lot_shard_context(self) -> _LotShardContext:
@@ -528,16 +420,9 @@ class WaferTester:
         skips re-shipping the compiled circuit and packed blocks.
         """
         if self._shard_context is None:
-            if self.engine not in ("compiled", "event"):
-                self._shard_context = _LotShardContext(
-                    blocks=tuple(self._blocks), batch=self._batch_circuit
-                )
-            else:
-                self._shard_context = _LotShardContext(
-                    blocks=tuple(self._blocks),
-                    compiled=self._compiled,
-                    good=tuple(self._good_responses()),
-                )
+            self._shard_context = _LotShardContext(
+                blocks=tuple(self._blocks), batch=self._batch_circuit
+            )
         return self._shard_context
 
     @property

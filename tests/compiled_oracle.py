@@ -1,4 +1,4 @@
-"""Levelized compiled simulator, 64 patterns per word.
+"""Differential oracle: the levelized word-level simulator.
 
 The netlist is compiled once into flat arrays (gate opcode, input indices,
 output index, in topological order); each :meth:`CompiledCircuit.simulate`
@@ -10,17 +10,34 @@ Single stuck-at faults are injected at simulation time, either on a signal
 evaluates) or on a specific gate input pin (branch fault: only that gate
 sees the forced value).  This distinction is what makes fanout-branch
 faults distinct fault sites, as the stuck-at model requires.
+
+Three oracles are built on it, each the straightforward loop the product's
+batch kernel replaced:
+
+* :class:`CompiledEngine` — fault-at-a-time block engine; hand an
+  instance to ``FaultSimulator(netlist, engine=...)`` to diff a coverage
+  run against the kernel;
+* :func:`first_fail` — one chip's multi-fault machine scanned block by
+  block, the wafer tester's first-fail reference;
+* :func:`lot_records` — :func:`first_fail` over a chip list, in the
+  :class:`~repro.tester.tester.ChipTestRecord` form ``WaferTester.test_lot``
+  returns.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.circuit.gates import WORD_MASK, GateType, evaluate_word
 from repro.circuit.netlist import Netlist
+from repro.faults.model import full_fault_universe
 from repro.simulator.sites import validate_pin_site, validate_stem_site, validate_stuck_value
+from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
+from repro.tester.tester import ChipTestRecord
 
-__all__ = ["CompiledCircuit", "CompiledEngine"]
+__all__ = ["CompiledCircuit", "CompiledEngine", "first_fail", "lot_records"]
 
 _ZERO = 0
 _ONES = WORD_MASK
@@ -160,8 +177,9 @@ class CompiledEngine:
 
     Satisfies the :class:`~repro.simulator.Engine` protocol.  One good
     pass plus one full resimulation per fault — the pre-batching fault
-    simulator inner loop, kept as the word-level reference the batch
-    engine must match bit for bit.
+    simulator inner loop, the word-level reference the batch engine must
+    match bit for bit.  ``faults`` may be fault objects or an integer
+    array of fault-universe indices, as the fault simulator passes them.
     """
 
     name = "compiled"
@@ -176,6 +194,9 @@ class CompiledEngine:
         num_patterns: int,
         faults: Sequence,
     ) -> list[int]:
+        if isinstance(faults, np.ndarray):
+            universe = full_fault_universe(self.netlist)
+            faults = [universe[i] for i in faults.tolist()]
         good = self.compiled.simulate(input_words)
         detect_words: list[int] = []
         for fault in faults:
@@ -187,3 +208,54 @@ class CompiledEngine:
                 word |= good_word ^ faulty[name]
             detect_words.append(word)
         return detect_words
+
+
+def first_fail(
+    compiled: CompiledCircuit,
+    blocks: Sequence[tuple[Mapping[str, int], int]],
+    good: Sequence[Mapping[str, int]],
+    faults: Sequence,
+) -> int | None:
+    """Serial word-level first-fail scan of one chip's multi-fault machine
+    against the good machine's per-block responses ``good``: the first
+    failing pattern, or ``None`` if the chip passes."""
+    stems = []
+    pins = []
+    for fault in faults:
+        if fault.is_branch:
+            pins.append((fault.gate, fault.pin, fault.value))
+        else:
+            stems.append((fault.signal, fault.value))
+    if not stems and not pins:
+        return None
+
+    offset = 0
+    for (words, block_len), good_words in zip(blocks, good):
+        observed = compiled.simulate(words, stuck_signals=stems, stuck_pins=pins)
+        fail_word = 0
+        for name, good_word in good_words.items():
+            fail_word |= good_word ^ observed[name]
+        (first_bit,) = first_detecting_bits([fail_word], block_len)
+        if first_bit is not None:
+            return offset + first_bit
+        offset += block_len
+    return None
+
+
+def lot_records(program, chips) -> list[ChipTestRecord]:
+    """First-fail records of ``chips`` under ``program``, chip at a time."""
+    compiled = CompiledCircuit(program.netlist)
+    patterns = program.patterns
+    blocks = []
+    for start in range(0, len(patterns), WORD_BITS):
+        block = patterns[start : start + WORD_BITS]
+        blocks.append((pack_patterns(program.netlist.inputs, block), len(block)))
+    good = [compiled.simulate(words) for words, _ in blocks]
+    return [
+        ChipTestRecord(
+            chip.chip_id,
+            is_good=chip.is_good,
+            first_fail=first_fail(compiled, blocks, good, chip.faults),
+        )
+        for chip in chips
+    ]

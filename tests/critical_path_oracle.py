@@ -1,6 +1,6 @@
-"""Critical path tracing (Abramovici, Menon & Miller 1983).
+"""Differential oracle: critical path tracing (Abramovici, Menon & Miller 1983).
 
-The third coverage engine: instead of simulating faults (serial) or
+A third coverage technique: instead of simulating faults (serial) or
 propagating fault lists (deductive), trace *criticality* backward from the
 primary outputs.  A line is critical under a pattern when complementing
 its value complements some output; the pattern then detects exactly the
@@ -29,8 +29,9 @@ from typing import Mapping, Sequence
 from repro.circuit.gates import GateType, evaluate_word
 from repro.circuit.netlist import Netlist
 from repro.faults.model import StuckAtFault
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import pack_patterns
+
+from compiled_oracle import CompiledCircuit
 
 __all__ = ["CriticalPathTracer"]
 

@@ -1,4 +1,4 @@
-"""Deductive fault simulation (Armstrong 1972 — the LAMP-era technique).
+"""Differential oracle: deductive fault simulation (Armstrong 1972).
 
 Instead of re-simulating the circuit once per fault, a deductive simulator
 propagates *fault lists*: for each signal, the set of single stuck-at
@@ -25,7 +25,8 @@ Local faults are then added: the output's own stuck-at-(not v) fault, and
 on each input pin whose *branch* is a distinct site, the branch fault that
 would complement that pin.  The result is validated against the serial
 parallel-pattern simulator in the test suite — two independent engines,
-one answer.
+one answer.  It is the LAMP-era technique, kept as an independent
+cross-check of the product's batch kernel and of critical path tracing.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from typing import Mapping, Sequence
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.faults.model import StuckAtFault, full_fault_universe
-from repro.simulator.event_sim import EventSimulator
+
+from event_oracle import EventSimulator
 
 __all__ = ["DeductiveFaultSimulator"]
 

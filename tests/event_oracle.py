@@ -1,8 +1,11 @@
-"""Scalar event-driven logic simulator.
+"""Differential oracle: the scalar event-driven logic simulator.
 
 The reference engine: simple, obviously correct, and able to report
-activity statistics (events per pattern).  The bit-parallel compiled
-simulator is validated against it property-style in the test suite.
+activity statistics (events per pattern).  The word-level and batch
+simulators are validated against it property-style in the test suite;
+hand an :class:`EventEngine` instance to
+``FaultSimulator(netlist, engine=...)`` to diff a coverage run against
+the kernel pattern by pattern.
 """
 
 from __future__ import annotations
@@ -10,8 +13,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.circuit.gates import GateType, evaluate_word
 from repro.circuit.netlist import Netlist
+from repro.faults.model import full_fault_universe
 from repro.simulator.sites import validate_fault_site
 from repro.simulator.values import unpack_outputs
 
@@ -118,7 +124,8 @@ class EventEngine:
     machine is a fresh scalar topological pass with the fault injected
     using the same semantics as the word-level engines (stem forced after
     its driver evaluates, pin forced only inside the sink gate).  Slow and
-    obviously correct — the cross-check for both fast paths.
+    obviously correct — the cross-check for both fast paths.  ``faults``
+    may be fault objects or an integer array of fault-universe indices.
     """
 
     name = "event"
@@ -152,6 +159,9 @@ class EventEngine:
         num_patterns: int,
         faults: Sequence,
     ) -> list[int]:
+        if isinstance(faults, np.ndarray):
+            universe = full_fault_universe(self.netlist)
+            faults = [universe[i] for i in faults.tolist()]
         for fault in faults:
             validate_fault_site(self.netlist, fault)
         patterns = unpack_outputs(input_words, num_patterns)

@@ -32,6 +32,8 @@ from repro.runtime import ParallelExecutor, new_context_token
 from repro.tester.program import TestProgram as Program
 from repro.tester.tester import WaferTester
 
+from compiled_oracle import CompiledEngine, lot_records
+
 
 @pytest.fixture(scope="module")
 def chip():
@@ -204,18 +206,21 @@ class TestBitIdentity:
             assert result.records == legacy_records
 
     def test_engines_agree_through_sessions(self, chip, recipe, patterns):
-        results = {}
-        for engine in ("batch", "compiled"):
+        """Sessions on the kernel engines against the word-level oracles."""
+        lot = fabricate_lot(chip, recipe, 12, dies_per_wafer=4, seed=3)
+        program = Program.build(chip, patterns, engine=CompiledEngine(chip))
+        reference = (tuple(program.coverage_curve), tuple(lot_records(program, lot.chips)))
+        for engine in ("batch", "auto"):
             with Session(engine=engine, workers=1) as session:
                 program = session.build_program(chip, patterns)
-                lot = session.fabricate(
+                assert session.fabricate(
                     chip, recipe, 12, dies_per_wafer=4, seed=3
-                )
-                results[engine] = (
+                ) == lot
+                result = (
                     tuple(program.coverage_curve),
                     session.test(lot, program).records,
                 )
-        assert results["batch"] == results["compiled"]
+            assert result == reference, engine
 
 
 # -------------------------------------------------------------- lifecycle
@@ -266,7 +271,7 @@ def _double(context, task):
 class TestDeprecationShims:
     def test_make_program_engine_kwarg_warns(self, chip):
         with pytest.warns(DeprecationWarning, match="session="):
-            legacy = config.make_program(num_patterns=16, engine="compiled")
+            legacy = config.make_program(num_patterns=16, engine="auto")
         fresh = config.make_program(num_patterns=16)
         np.testing.assert_array_equal(
             legacy.coverage_curve, fresh.coverage_curve

@@ -1,10 +1,11 @@
 """Tests for the fault-parallel batched engine and engine selection.
 
-The centerpiece is the differential property test: ``batch``,
-``compiled``, and ``event`` engines must produce identical
-``first_detect`` vectors and coverage curves on randomly generated
-circuits, including fanout-branch pin faults and multi-block (>64
-pattern) runs.
+The centerpiece is the differential property test: the kernel engines
+and the ``compiled`` and ``event`` oracles (``tests/compiled_oracle.py``,
+``tests/event_oracle.py``, handed to the fault simulator as engine
+instances) must produce identical ``first_detect`` vectors and coverage
+curves on randomly generated circuits, including fanout-branch pin
+faults and multi-block (>64 pattern) runs.
 """
 
 import warnings
@@ -22,21 +23,30 @@ from repro.experiments import config
 from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import StuckAtFault, full_fault_universe
 from repro.manufacturing.lot import fabricate_lot
+from repro.manufacturing.wafer import FabricatedChip
 from repro.simulator import (
+    ENGINES,
     BatchCompiledCircuit,
     BatchEngine,
-    CompiledEngine,
     Engine,
-    EventEngine,
     make_engine,
 )
-from repro.simulator.event_sim import EventSimulator
 from repro.simulator.kernels import cupy_available
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import pack_patterns
+from repro.tester.program import TestProgram
 from repro.tester.tester import WaferTester
 
 from batch_oracle import InterpretedBatchCircuit
+from compiled_oracle import CompiledCircuit, CompiledEngine, lot_records
+from event_oracle import EventEngine, EventSimulator
+
+# The reference engines, by the names the differential suites use.
+ORACLES = {"compiled": CompiledEngine, "event": EventEngine}
+
+
+def engine_for(net, name):
+    """An engine name the product knows, or an oracle instance for ``net``."""
+    return ORACLES[name](net) if name in ORACLES else name
 
 
 def fanout_net():
@@ -160,9 +170,19 @@ class TestInterpretedOracle:
 class TestEngineSelection:
     def test_factory_names(self):
         net = c17()
-        assert isinstance(make_engine(net, "batch"), BatchEngine)
-        assert isinstance(make_engine(net, "compiled"), CompiledEngine)
-        assert isinstance(make_engine(net, "event"), EventEngine)
+        for name in ENGINES:
+            engine = make_engine(net, name)
+            assert isinstance(engine, BatchEngine) and engine.name == name
+        for oracle in ORACLES.values():
+            engine = oracle(net)
+            assert make_engine(net, engine) is engine
+
+    def test_engine_names(self):
+        """One simulator in the product: only the kernel backends."""
+        assert set(ENGINES) == {"batch", "batch-jit", "batch-gpu", "auto"}
+        for name in ORACLES:
+            with pytest.raises(ValueError, match="unknown engine"):
+                make_engine(c17(), name)
 
     def test_factory_unknown_name(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -174,8 +194,10 @@ class TestEngineSelection:
 
     def test_engines_satisfy_protocol(self):
         net = c17()
-        for name in ("batch", "compiled", "event", "batch-jit", "batch-gpu", "auto"):
+        for name in ENGINES:
             assert isinstance(make_engine(net, name), Engine)
+        for oracle in ORACLES.values():
+            assert isinstance(oracle(net), Engine)
 
     def test_instance_passes_through(self):
         net = c17()
@@ -195,7 +217,8 @@ class TestEngineSelection:
             FaultSimulator(c17(), engine=BatchEngine(fanout_net()))
 
 
-# Kernel-backed engines join the differential suite unconditionally:
+# The oracles and the kernel-backed engines run the differential suite
+# unconditionally:
 # without numba batch-jit runs the NumPy kernel executor like batch, with
 # numba the compiled kernel; auto calibrates between them.  batch-gpu
 # only differs from that fallback where a device exists.
@@ -208,7 +231,9 @@ def _run_all_engines(net, patterns, faults=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # jit/gpu fallbacks
         return {
-            name: FaultSimulator(net, engine=name).run(patterns, faults=faults)
+            name: FaultSimulator(net, engine=engine_for(net, name)).run(
+                patterns, faults=faults
+            )
             for name in _DIFFERENTIAL_ENGINES
         }
 
@@ -257,7 +282,7 @@ class TestDifferentialEngines:
         chip = config.make_chip()
         patterns = random_patterns(chip, 96, seed=7)
         batch = FaultSimulator(chip, engine="batch").run(patterns)
-        compiled = FaultSimulator(chip, engine="compiled").run(patterns)
+        compiled = FaultSimulator(chip, engine=CompiledEngine(chip)).run(patterns)
         assert batch.faults == compiled.faults
         assert batch.first_detect == compiled.first_detect
         assert np.array_equal(batch.coverage_curve(), compiled.coverage_curve())
@@ -303,12 +328,14 @@ class TestEventEngineSiteValidation:
     on bogus fault sites — not silently report them undetected."""
 
     def test_unknown_stem_raises(self):
-        sim = FaultSimulator(c17(), engine="event")
+        net = c17()
+        sim = FaultSimulator(net, engine=EventEngine(net))
         with pytest.raises(ValueError, match="no signal"):
             sim.run([(0, 0, 0, 0, 0)], faults=[StuckAtFault("typo", 1)])
 
     def test_unknown_gate_raises(self):
-        sim = FaultSimulator(c17(), engine="event")
+        net = c17()
+        sim = FaultSimulator(net, engine=EventEngine(net))
         with pytest.raises(ValueError, match="no gate"):
             sim.run(
                 [(0, 0, 0, 0, 0)],
@@ -316,7 +343,8 @@ class TestEventEngineSiteValidation:
             )
 
     def test_bad_pin_raises(self):
-        sim = FaultSimulator(c17(), engine="event")
+        net = c17()
+        sim = FaultSimulator(net, engine=EventEngine(net))
         with pytest.raises(ValueError, match="pin"):
             sim.run(
                 [(0, 0, 0, 0, 0)],
@@ -330,7 +358,7 @@ class TestBatchedWaferTester:
         program = config.make_program(chip, num_patterns=32)
         lot = fabricate_lot(chip, config.make_recipe(), 60, seed=5)
         batched = WaferTester(program, engine="batch").test_lot(lot.chips)
-        serial = WaferTester(program, engine="compiled").test_lot(lot.chips)
+        serial = lot_records(program, lot.chips)
         assert batched == serial
 
     def test_unknown_engine_raises(self):
@@ -338,17 +366,61 @@ class TestBatchedWaferTester:
         with pytest.raises(ValueError, match="tester engine"):
             WaferTester(program, engine="warp")
 
-    def test_non_batch_engines_use_serial_path(self):
-        """'compiled' and 'event' are reference modes: they must not run
-        the lot through the batch circuit under test (and the batch
-        circuit is built lazily, so it stays unbuilt)."""
-        chip = config.make_chip()
-        program = config.make_program(chip, num_patterns=16)
-        lot = fabricate_lot(chip, config.make_recipe(), 20, seed=9)
-        for engine in ("compiled", "event"):
-            tester = WaferTester(program, engine=engine)
-            tester.test_lot(lot.chips)
-            assert tester._batch is None, engine
+    def test_unknown_engine_lists_kernel_engines(self):
+        program = config.make_program(num_patterns=4)
+        for name in ORACLES:
+            with pytest.raises(ValueError, match="'batch-jit'"):
+                WaferTester(program, engine=name)
+
+
+class TestSingleChecksAgainstOracles:
+    """``FaultSimulator.detects`` (a one-pattern, one-fault run) and
+    ``WaferTester.test_chip`` (a one-chip lot) against the oracles on
+    exhaustive c17, an ad-hoc branch fault outside the universe
+    included."""
+
+    # Signal "1" has one sink, so its branch is not a universe site.
+    ADHOC = StuckAtFault("1", 1, gate="10", pin=0)
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return c17()
+
+    @pytest.fixture(scope="class")
+    def patterns(self, net):
+        return [
+            {n: (i >> k) & 1 for k, n in enumerate(net.inputs)}
+            for i in range(32)
+        ]
+
+    def test_adhoc_fault_is_outside_universe(self, net):
+        assert self.ADHOC not in full_fault_universe(net)
+
+    def test_detects_matches_oracle(self, net, patterns):
+        simulator = FaultSimulator(net)
+        oracle = CompiledEngine(net)
+        for fault in [*full_fault_universe(net), self.ADHOC]:
+            for pattern in patterns:
+                words = pack_patterns(net.inputs, [pattern])
+                (word,) = oracle.detect_block(words, 1, [fault])
+                assert simulator.detects(pattern, fault) == bool(word & 1), fault
+
+    def test_test_chip_matches_oracle(self, net, patterns):
+        program = TestProgram.build(net, patterns)
+        universe = full_fault_universe(net)
+        machines = [
+            (),
+            *((fault,) for fault in universe),
+            (self.ADHOC,),
+            (self.ADHOC, universe[5]),
+            (universe[0], universe[9], universe[20]),
+        ]
+        chips = [FabricatedChip(k, (), faults) for k, faults in enumerate(machines)]
+        tester = WaferTester(program)
+        records = [tester.test_chip(chip) for chip in chips]
+        assert records == lot_records(program, chips)
+        assert records[0].passed and records[0].is_good
+        assert all(not r.passed for r in records[1 : len(universe) + 1])
 
 
 class TestPodemFaultDrop:

@@ -16,7 +16,8 @@ from repro.circuit.library import (
     parity_tree,
     ripple_carry_adder,
 )
-from repro.simulator.event_sim import EventSimulator
+
+from event_oracle import EventSimulator
 
 
 class TestBenchParser:

@@ -10,7 +10,8 @@ from repro.circuit.generators import (
     synthetic_chip,
 )
 from repro.circuit.library import ripple_carry_adder
-from repro.simulator.event_sim import EventSimulator
+
+from event_oracle import EventSimulator
 
 
 class TestRandomCircuit:

@@ -7,9 +7,10 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit.bench import parse_bench, write_bench
 from repro.circuit.generators import random_circuit
 from repro.circuit.library import barrel_shifter, gray_converters, priority_encoder
-from repro.simulator.event_sim import EventSimulator
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import pack_patterns
+
+from compiled_oracle import CompiledCircuit
+from event_oracle import EventSimulator
 
 
 class TestBarrelShifter:

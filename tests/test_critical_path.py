@@ -1,4 +1,4 @@
-"""Tests for critical path tracing — the third coverage engine."""
+"""Tests for the critical path tracing oracle — a third coverage technique."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +8,11 @@ from repro.circuit.gates import GateType
 from repro.circuit.generators import c17, random_circuit
 from repro.circuit.library import parity_tree, ripple_carry_adder
 from repro.circuit.netlist import Netlist
-from repro.faults.critical_path import CriticalPathTracer
-from repro.faults.deductive import DeductiveFaultSimulator
 from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import full_fault_universe
+
+from critical_path_oracle import CriticalPathTracer
+from deductive_oracle import DeductiveFaultSimulator
 
 
 class TestCriticalLines:

@@ -1,5 +1,6 @@
-"""Tests for deductive fault simulation — validated against the serial
-parallel-pattern engine (two independent algorithms, one answer)."""
+"""Tests for the deductive fault-simulation oracle — validated against
+the fault simulator's batch engine (two independent algorithms, one
+answer)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,10 @@ from repro.circuit.gates import GateType
 from repro.circuit.generators import c17, random_circuit
 from repro.circuit.library import parity_tree, ripple_carry_adder
 from repro.circuit.netlist import Netlist
-from repro.faults.deductive import DeductiveFaultSimulator
 from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import StuckAtFault
+
+from deductive_oracle import DeductiveFaultSimulator
 
 
 class TestSinglePattern:

@@ -14,8 +14,9 @@ from repro.atpg.scoap import ScoapAnalysis
 from repro.circuit.gates import GateType
 from repro.circuit.generators import array_multiplier, c17, synthetic_chip
 from repro.circuit.netlist import Netlist
-from repro.faults.critical_path import CriticalPathTracer
 from repro.faults.model import full_fault_universe
+
+from critical_path_oracle import CriticalPathTracer
 
 
 def scan_fanout(netlist, name):

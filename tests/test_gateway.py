@@ -566,5 +566,5 @@ class TestRunnerIntegration:
 
         with pytest.raises(SystemExit):
             runner_main(
-                ["fig1", "--server", "http://127.0.0.1:1", "--engine", "event"]
+                ["fig1", "--server", "http://127.0.0.1:1", "--engine", "auto"]
             )

@@ -44,6 +44,7 @@ from repro.simulator.kernels.jit_exec import eval_rows, get_kernel
 from repro.simulator.values import pack_patterns
 
 from batch_oracle import InterpretedBatchCircuit
+from compiled_oracle import CompiledEngine
 
 needs_numba = pytest.mark.skipif(
     not numba_available(), reason="numba is not installed"
@@ -395,7 +396,7 @@ class TestPickling:
 
 
 def _available_engine_names():
-    names = ["batch", "compiled", "batch-jit", "auto"]
+    names = ["batch", "batch-jit", "auto"]
     if cupy_available():
         names.append("batch-gpu")
     return names
@@ -414,7 +415,7 @@ class TestDifferentialAllBackends:
         universe = full_fault_universe(net)
         assert any(f.is_branch for f in universe)
         patterns = random_patterns(net, 96, seed=seed + 1)
-        reference = FaultSimulator(net, engine="batch").run(
+        reference = FaultSimulator(net, engine=CompiledEngine(net)).run(
             patterns, faults=universe
         )
         for name in _available_engine_names():

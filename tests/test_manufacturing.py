@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.circuit.gates import GateType
 from repro.circuit.generators import c17, synthetic_chip
+from repro.circuit.netlist import Netlist
 from repro.defects.layout import ChipLayout
-from repro.manufacturing.lot import fabricate_lot
+from repro.faults.model import full_fault_universe
+from repro.manufacturing.lot import _cached_layout, _cached_wafer, fabricate_lot
 from repro.manufacturing.process import ProcessRecipe
 from repro.manufacturing.wafer import FabricatedChip, Wafer
 from repro.yieldmodels.density import DeltaDensity, GammaDensity
@@ -193,3 +197,63 @@ class TestFabricateLot:
         lot = fabricate_lot(net, recipe, 10, seed=1)
         with pytest.raises(ValueError, match="no defective"):
             lot.empirical_n0()
+
+
+def and_gate():
+    """AND(a, b); :func:`grow` gives ``a`` a second sink."""
+    net = Netlist("grow")
+    net.add_input("a")
+    net.add_input("b")
+    net.add_gate("g", GateType.AND, ["a", "b"])
+    net.set_outputs(["g"])
+    return net
+
+
+def grow(net):
+    net.add_gate("h", GateType.OR, ["a", "g"])
+    net.set_outputs(["h"])
+    return net
+
+
+class TestEditedNetlist:
+    """Fabrication caches follow the netlist's revision, not its identity:
+    a lot fabricated after an edit equals a fresh netlist's lot."""
+
+    RECIPE = ProcessRecipe(defect_density=3.0, mean_defect_radius=0.3)
+
+    def test_layout_rebuilt_after_edit(self):
+        net = and_gate()
+        fabricate_lot(net, self.RECIPE, 10, seed=1)
+        stale = _cached_layout(net, self.RECIPE.chip_area)
+        assert stale.num_sites == 6
+        grow(net)
+        layout = _cached_layout(net, self.RECIPE.chip_area)
+        assert layout is not stale
+        assert layout.num_sites == len(full_fault_universe(net)) == 12
+        lot = fabricate_lot(net, self.RECIPE, 10, seed=1)
+        assert lot.layout.num_sites == 12
+
+    def test_wafer_rebuilt_after_edit(self):
+        net = and_gate()
+        stale = _cached_wafer(net, self.RECIPE, 10)
+        fabricate_lot(net, self.RECIPE, 30, dies_per_wafer=10, seed=2)
+        grow(net)
+        wafer = _cached_wafer(net, self.RECIPE, 10)
+        assert wafer is not stale and wafer.layout.num_sites == 12
+        lot = fabricate_lot(net, self.RECIPE, 30, dies_per_wafer=10, seed=2)
+        fresh = fabricate_lot(grow(and_gate()), self.RECIPE, 30, dies_per_wafer=10, seed=2)
+        assert any(chip.faults for chip in fresh.chips)
+        assert lot == fresh
+
+    def test_pool_contexts_reshipped_after_edit(self):
+        net = and_gate()
+        with Session(workers=2) as session:
+            session.fabricate(net, self.RECIPE, 60, dies_per_wafer=10, seed=3)
+            grow(net)
+            lot = session.fabricate(net, self.RECIPE, 60, dies_per_wafer=10, seed=3)
+            # The stale context left the session and its workers.
+            stats = session.stats()
+            assert stats["cached_fab_contexts"] == 1
+            assert stats["contexts_evicted"] == 1
+        fresh = fabricate_lot(grow(and_gate()), self.RECIPE, 60, dies_per_wafer=10, seed=3)
+        assert lot == fresh

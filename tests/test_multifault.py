@@ -11,8 +11,9 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit.gates import GateType
 from repro.circuit.generators import c17, random_circuit
 from repro.circuit.netlist import Netlist
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import pack_patterns
+
+from compiled_oracle import CompiledCircuit
 
 
 def and_or_net():

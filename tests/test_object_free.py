@@ -5,8 +5,9 @@ gathered from per-site tables — from a lot's ``(site index, polarity)``
 arrays, from fault objects mapped through the universe lookup, and from
 ad-hoc sites outside the universe through the same resolver.  Every one
 of those inputs must give first-fail records (and first-detect vectors)
-identical to ``engine="compiled"``, at one worker and through the pool,
-on the NumPy kernel and on the numba kernel where it is installed.
+identical to the word-level oracles of ``tests/compiled_oracle.py``, at
+one worker and through the pool, on the NumPy kernel and on the numba
+kernel where it is installed.
 """
 
 import pickle
@@ -20,12 +21,19 @@ from repro.atpg.random_gen import random_patterns
 from repro.experiments import config
 from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import StuckAtFault, full_fault_universe
-from repro.manufacturing.lot import fabricate_lot, pack_lot_chips, unpack_lot_chips
+from repro.manufacturing.lot import (
+    FabricatedLot,
+    fabricate_lot,
+    pack_lot_chips,
+    unpack_lot_chips,
+)
 from repro.manufacturing.wafer import FabricatedChip
 from repro.runtime import ParallelExecutor
 from repro.simulator import BatchCompiledCircuit
 from repro.simulator.kernels import InjectionTables
-from repro.tester.tester import WaferTester
+from repro.tester.tester import WaferTester, _pack_soa_shards
+
+from compiled_oracle import CompiledEngine, lot_records
 
 ENGINES = ("batch", "auto", "batch-jit")
 
@@ -104,7 +112,7 @@ def adhoc_chips(chip, lot):
 
 
 def reference_records(program, chips):
-    return WaferTester(program, engine="compiled").test_lot(chips)
+    return lot_records(program, chips)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -130,11 +138,19 @@ def test_adhoc_and_double_forces_match_compiled(chip, program, lot, pool, engine
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_objects_payload_matches_soa(chip, program, lot, pool, engine):
-    reference = reference_records(program, lot.chips)
-    tester = WaferTester(
-        program, engine=engine, executor=pool, payload_format="objects"
+    """One ad-hoc chip sends the whole lot over the pipe as chip objects;
+    the other chips' records equal the SoA run's."""
+    tester = WaferTester(program, engine=engine, executor=pool)
+    soa = tester.test_lot(lot.chips)
+    base = lot.chips[0]
+    adhoc = FabricatedChip(
+        base.chip_id, base.defects, (fanout_one_branch(chip, 1),)
     )
-    assert tester.test_lot(lot.chips) == reference
+    mixed = [*lot.chips, adhoc]
+    assert _pack_soa_shards(chip, FabricatedLot.of_chips(mixed), [(0, len(mixed))]) is None
+    objects = tester.test_lot(mixed)
+    assert objects[:-1] == soa == reference_records(program, lot.chips)
+    assert objects[-1:] == reference_records(program, [adhoc])
 
 
 @pytest.mark.parametrize(
@@ -171,7 +187,9 @@ def test_fault_sim_universe_and_adhoc_faults(chip, engine, workers):
     universe = full_fault_universe(chip)
     mixed = universe[:200] + [fanout_one_branch(chip, 0), fanout_one_branch(chip, 1)]
     for faults in (universe, mixed):
-        reference = FaultSimulator(chip, engine="compiled").run(patterns, faults=faults)
+        reference = FaultSimulator(chip, engine=CompiledEngine(chip)).run(
+            patterns, faults=faults
+        )
         result = FaultSimulator(chip, engine=engine, workers=workers).run(
             patterns, faults=faults
         )

@@ -8,6 +8,9 @@ sorted representative objects → ``FaultSimulator.run`` on the objects →
 ``FaultSimResult.expand`` through the class dict.  Coverage curves must
 be equal bit for bit on every engine, collapsed or not, serially and
 through a pool; and a warm build must construct no fault object at all.
+The ``compiled`` and ``event`` cases run the references on the oracle
+engines of ``tests/compiled_oracle.py`` and ``tests/event_oracle.py``,
+and diff the product's batch sessions against them.
 """
 
 import functools
@@ -25,6 +28,10 @@ from repro.faults.fault_sim import FaultSimulator
 from repro.faults.model import StuckAtFault, full_fault_universe
 from repro.tester.program import TestProgram
 
+from compiled_oracle import CompiledEngine
+from event_oracle import EventEngine
+
+ORACLES = {"compiled": CompiledEngine, "event": EventEngine}
 NETLISTS = {
     "canonical": config.make_chip,
     "mult4": lambda: array_multiplier(4),
@@ -51,9 +58,14 @@ def case_reference(name, engine, num_patterns, collapse):
     return object_reference(netlist, patterns, engine, collapse)
 
 
+def engine_for(netlist, name):
+    """An engine name the product knows, or an oracle instance for ``netlist``."""
+    return ORACLES[name](netlist) if name in ORACLES else name
+
+
 def object_reference(netlist, patterns, engine, collapse):
     """``(curve, universe size)`` the object way: classes, objects, expand."""
-    simulator = FaultSimulator(netlist, engine=engine)
+    simulator = FaultSimulator(netlist, engine=engine_for(netlist, engine))
     if collapse:
         classes = equivalence_classes(netlist)
         reps = sorted(classes, key=lambda f: f.sort_key)
@@ -98,7 +110,9 @@ class TestAgainstObjectReference:
     def test_direct_build(self, netlists, name, engine, num_patterns, collapse):
         netlist = netlists[name]
         patterns = random_patterns(netlist, num_patterns, seed=PATTERN_SEED)
-        program = TestProgram.build(netlist, patterns, collapse=collapse, engine=engine)
+        program = TestProgram.build(
+            netlist, patterns, collapse=collapse, engine=engine_for(netlist, engine)
+        )
         assert_same_program(
             program, *case_reference(name, engine, num_patterns, collapse)
         )
@@ -109,7 +123,10 @@ class TestAgainstObjectReference:
     ):
         netlist = netlists[name]
         patterns = random_patterns(netlist, num_patterns, seed=PATTERN_SEED)
-        program = sessions(engine, workers).build_program(
+        # Sessions run product engines only; an oracle case diffs the
+        # batch session against the oracle's reference.
+        session_engine = "batch" if engine in ORACLES else engine
+        program = sessions(session_engine, workers).build_program(
             netlist, patterns, collapse=collapse
         )
         assert_same_program(
@@ -130,7 +147,7 @@ def test_random_circuits_match_object_reference(
 ):
     netlist = random_circuit(5, num_gates, 3, seed=seed)
     patterns = random_patterns(netlist, num_patterns, seed=seed + 1)
-    program = TestProgram.build(netlist, patterns, collapse=collapse, engine=engine)
+    program = TestProgram.build(netlist, patterns, collapse=collapse)
     assert_same_program(
         program, *object_reference(netlist, patterns, engine, collapse)
     )
@@ -148,7 +165,9 @@ class TestIndexRun:
         patterns = random_patterns(netlist, num_patterns, seed=1)
         universe = full_fault_universe(netlist)
         reps, _ = collapsed_indices(netlist)
-        simulator = FaultSimulator(netlist, engine=engine, workers=workers)
+        simulator = FaultSimulator(
+            netlist, engine=engine_for(netlist, engine), workers=workers
+        )
         by_index = simulator.run(patterns, faults=reps)
         by_object = simulator.run(patterns, faults=[universe[i] for i in reps])
         assert by_index == by_object
@@ -156,17 +175,27 @@ class TestIndexRun:
         assert by_index.first_detect == by_object.first_detect
         assert by_index.detects.dtype == np.int64
 
-    def test_objects_payload_rehydrates_index_shards(self):
+    def test_object_shards_match_index_shards(self):
+        """A fault outside the universe sends the whole run over the pipe
+        as fault objects; the universe members' first detects equal the
+        index-shard run's."""
         netlist = array_multiplier(3)
         patterns = random_patterns(netlist, 70, seed=2)
+        universe = full_fault_universe(netlist)
         reps, _ = collapsed_indices(netlist)
-        results = [
-            FaultSimulator(netlist, workers=2, payload_format=fmt).run(
-                patterns, faults=reps
-            )
-            for fmt in ("soa", "objects")
-        ]
-        assert results[0] == results[1]
+        simulator = FaultSimulator(netlist, workers=2)
+        by_index = simulator.run(patterns, faults=reps)
+        signal, (gate, pin) = next(
+            (name, sinks[0])
+            for name in netlist.signals
+            if len(sinks := netlist.fanout(name)) == 1
+        )
+        adhoc = StuckAtFault(signal, 1, gate=gate, pin=pin)
+        assert adhoc not in universe
+        by_object = simulator.run(
+            patterns, faults=[universe[i] for i in reps] + [adhoc]
+        )
+        assert by_object.first_detect[:-1] == by_index.first_detect
 
     def test_default_universe_is_index_run(self):
         netlist = array_multiplier(3)

@@ -22,6 +22,14 @@ class TestRunnerCli:
         assert main(["nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["compiled", "event"])
+    def test_reference_engines_are_not_options(self, engine, capsys):
+        """The reference simulators are test oracles, not CLI engines."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fig1", "--engine", engine])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_output_dir_writes_files(self, tmp_path, capsys):
         assert main(["fig6", "--output-dir", str(tmp_path)]) == 0
         report = (tmp_path / "fig6.txt").read_text()

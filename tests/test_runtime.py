@@ -21,6 +21,8 @@ from repro.tester.program import TestProgram as Program
 from repro.tester.tester import WaferTester
 from repro.yieldmodels.density import GammaDensity
 
+from compiled_oracle import CompiledEngine, lot_records
+
 
 @pytest.fixture(scope="module")
 def chip():
@@ -153,9 +155,11 @@ class TestWorkerCountDeterminism:
 
     def test_fault_sim_compiled_engine_sharded(self, chip):
         patterns = random_patterns(chip, 20, seed=5)
-        serial = FaultSimulator(chip, engine="compiled").run(patterns)
-        sharded = FaultSimulator(chip, engine="compiled", workers=3).run(patterns)
+        engine = CompiledEngine(chip)
+        serial = FaultSimulator(chip, engine=engine).run(patterns)
+        sharded = FaultSimulator(chip, engine=engine, workers=3).run(patterns)
         assert sharded.first_detect == serial.first_detect
+        assert sharded == FaultSimulator(chip).run(patterns)
 
     def test_coverage_curve_identical(self, chip, program):
         sharded = Program.build(
@@ -178,10 +182,8 @@ class TestWorkerCountDeterminism:
         assert sharded == serial
 
     def test_tester_word_level_engine_sharded(self, program, lot):
-        serial = WaferTester(program, engine="compiled").test_lot(lot.chips)
-        sharded = WaferTester(program, engine="compiled").test_lot(
-            lot.chips, workers=3
-        )
+        serial = lot_records(program, lot.chips)
+        sharded = WaferTester(program).test_lot(lot.chips, workers=3)
         assert sharded == serial
         batched = WaferTester(program).test_lot(lot.chips, workers=2)
         assert batched == serial

@@ -10,9 +10,10 @@ from repro.circuit.gates import GateType
 from repro.circuit.generators import c17, random_circuit
 from repro.circuit.library import ripple_carry_adder
 from repro.circuit.netlist import Netlist
-from repro.simulator.event_sim import EventSimulator
-from repro.simulator.parallel_sim import CompiledCircuit
 from repro.simulator.values import WORD_BITS, pack_patterns, unpack_outputs
+
+from compiled_oracle import CompiledCircuit
+from event_oracle import EventSimulator
 
 
 class TestPackPatterns:

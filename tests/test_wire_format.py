@@ -4,7 +4,8 @@ The wire format is an *encoding*, never a semantic: every boundary that
 ships ``(site, polarity)`` arrays instead of pickled object trees — the
 tester's lot shards, the fault simulator's fault shards, the executor's
 zero-copy frames, the server's binary protocol — must produce results
-bit-identical to the legacy object payloads at any worker count.  These
+bit-identical to the object payloads (the fallback for faults outside
+the universe) and to the word-level oracles at any worker count.  These
 tests pin that down, plus the transport edge cases: shared-memory
 hygiene (``/dev/shm`` holds nothing after a run), recovery when a worker
 is SIGKILLed mid-dispatch with shared-memory frames in flight, and the
@@ -25,8 +26,10 @@ import pytest
 from repro.atpg.random_gen import random_patterns
 from repro.circuit.generators import c17
 from repro.faults.fault_sim import FaultSimulator
+from repro.faults.model import StuckAtFault, full_fault_universe
 from repro.manufacturing.lot import fabricate_lot
 from repro.manufacturing.process import ProcessRecipe
+from repro.manufacturing.wafer import FabricatedChip
 from repro.runtime import ParallelExecutor, new_context_token
 from repro.runtime import wire
 from repro.server import protocol
@@ -46,6 +49,8 @@ from repro.server.protocol import (
 from repro.server.testing import running_server
 from repro.tester.program import TestProgram
 from repro.tester.tester import WaferTester
+
+from compiled_oracle import CompiledEngine, lot_records
 
 SHM_DIR = Path("/dev/shm")
 
@@ -82,30 +87,41 @@ def program(chip):
 
 
 class TestPayloadDifferential:
-    """SoA shard payloads versus legacy object shards: bit-identical."""
+    """SoA shard payloads versus the object fallback: bit-identical.
+
+    Shards travel as ``(site, polarity)`` arrays unless the run carries a
+    fault outside the netlist's universe (an ad-hoc site such as a
+    fanout-1 branch); then the whole run travels as pickled objects.
+    """
+
+    # Signal "1" of c17 has one sink, so its branch is not a universe site.
+    ADHOC = StuckAtFault("1", 1, gate="10", pin=0)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_test_lot_identical_across_formats(self, lot, program, workers):
-        records = {
-            fmt: WaferTester(program, payload_format=fmt).test_lot(
-                lot.chips, workers=workers
-            )
-            for fmt in ("soa", "objects")
-        }
-        assert records["soa"] == records["objects"]
+        tester = WaferTester(program)
+        soa = tester.test_lot(lot.chips, workers=workers)
+        base = lot.chips[0]
+        adhoc = FabricatedChip(base.chip_id, base.defects, (self.ADHOC,))
+        objects = tester.test_lot([*lot.chips, adhoc], workers=workers)
+        assert objects[:-1] == soa == lot_records(program, lot.chips)
+        assert objects[-1:] == lot_records(program, [adhoc])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fault_sim_identical_across_formats(self, chip, workers):
         patterns = random_patterns(chip, 40, seed=7)
-        results = {
-            fmt: FaultSimulator(chip, payload_format=fmt).run(
-                patterns, workers=workers
-            )
-            for fmt in ("soa", "objects")
-        }
-        assert results["soa"].first_detect == results["objects"].first_detect
+        universe = full_fault_universe(chip)
+        simulator = FaultSimulator(chip)
+        soa = simulator.run(patterns, workers=workers)
+        objects = simulator.run(
+            patterns, faults=[*universe, self.ADHOC], workers=workers
+        )
+        assert objects.first_detect[:-1] == soa.first_detect
         assert np.array_equal(
-            results["soa"].coverage_curve(), results["objects"].coverage_curve()
+            objects.coverage_curve(),
+            FaultSimulator(chip, engine=CompiledEngine(chip))
+            .run(patterns, faults=[*universe, self.ADHOC])
+            .coverage_curve(),
         )
 
     def test_eager_chips_take_the_lookup_path(self, lot, program):
@@ -115,16 +131,32 @@ class TestPayloadDifferential:
         import pickle
 
         eager_chips = pickle.loads(pickle.dumps(lot.chips))
-        tester = WaferTester(program, payload_format="soa")
+        tester = WaferTester(program)
         assert tester.test_lot(eager_chips, workers=2) == tester.test_lot(
             lot.chips, workers=2
         )
 
-    def test_payload_format_is_validated(self, program, chip):
-        with pytest.raises(ValueError):
-            WaferTester(program, payload_format="csv")
-        with pytest.raises(ValueError):
-            FaultSimulator(chip, payload_format="csv")
+    def test_object_fallback_validates_sites(self, lot, program, chip):
+        """A bogus site cannot ride the object fallback into a worker
+        unchecked: lot and fault shards reject it like the serial path."""
+        base = lot.chips[0]
+        patterns = random_patterns(chip, 8, seed=1)
+        for bogus in (
+            StuckAtFault("no-such-signal", 1),
+            StuckAtFault("10", 1, gate="no-such-gate", pin=0),
+            StuckAtFault("10", 1, gate="22", pin=9),
+        ):
+            chips = [
+                *lot.chips[1:6],
+                FabricatedChip(base.chip_id, base.defects, (bogus,)),
+            ]
+            for workers in (1, 2):
+                with pytest.raises(ValueError):
+                    WaferTester(program).test_lot(chips, workers=workers)
+                with pytest.raises(ValueError):
+                    FaultSimulator(chip).run(
+                        patterns, faults=[self.ADHOC, bogus], workers=workers
+                    )
 
     def test_lot_arrays_roundtrip_is_lossless(self, chip, lot):
         arrays = pack_lot(chip, lot)
