@@ -15,8 +15,8 @@ experiment — amortize one expensive setup:
   share the session's per-netlist engine cache.
 
 ``Session(workers=1)`` is a zero-overhead serial facade (no pool is ever
-created), which is what the deprecation shims build when legacy
-``engine=`` / ``workers=`` kwargs are used.
+created), which is what :func:`resolve_session` builds for a caller
+that passes no session.
 
 Bounded caches
 --------------
@@ -38,7 +38,6 @@ changes *where bytes live*, never what is computed.
 from __future__ import annotations
 
 import pickle
-import warnings
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -523,41 +522,11 @@ class Session:
 
 
 @contextmanager
-def resolve_session(
-    session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
-    owner: str = "this function",
-) -> Iterator[Session]:
-    """Yield the caller's session, or a throwaway one built from kwargs.
-
-    The single deprecation shim behind every migrated call site: passing
-    ``session`` uses it as-is (and never closes it); passing the legacy
-    ``engine=`` / ``workers=`` kwargs instead emits a
-    :class:`DeprecationWarning` and wraps them in a short-lived session
-    that is closed on exit; passing neither yields a serial throwaway
-    session, preserving the historical serial-by-default behavior.
-    """
+def resolve_session(session: Session | None = None) -> Iterator[Session]:
+    """Yield the caller's session as-is (never closing it), or a serial
+    throwaway session that is closed on exit."""
     if session is not None:
-        if engine is not None or workers is not None:
-            raise TypeError(
-                f"{owner} takes either session= or the deprecated "
-                f"engine=/workers= kwargs, not both"
-            )
         yield session
         return
-    if engine is not None or workers is not None:
-        warnings.warn(
-            f"passing engine=/workers= to {owner} is deprecated; pass "
-            f"session=repro.api.Session(engine=..., workers=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    throwaway = Session(
-        engine="batch" if engine is None else engine,
-        workers=1 if workers is None else workers,
-    )
-    try:
+    with Session(workers=1) as throwaway:
         yield throwaway
-    finally:
-        throwaway.close()

@@ -1,15 +1,16 @@
-"""Gate types and their boolean evaluation.
+"""Gate types and their structural properties.
 
-Evaluation is defined on Python ints used as 64-bit words so the same
-tables serve both scalar evaluation (word = 0 or 1) and bit-parallel
-evaluation (word = 64 packed patterns).
+Each :class:`GateType` knows its arity bounds, whether it inverts, and
+its controlling value — what netlist validation, fault collapsing and
+PODEM read.  Signal values are 64-bit words (64 packed patterns),
+masked with :data:`WORD_MASK`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["GateType", "WORD_MASK", "evaluate_word"]
+__all__ = ["GateType", "WORD_MASK"]
 
 # All word arithmetic is on 64-bit unsigned words.
 WORD_MASK = (1 << 64) - 1
@@ -78,38 +79,3 @@ class GateType(Enum):
         if self is GateType.NOR:
             return 0
         return None
-
-
-def evaluate_word(gate_type: GateType, inputs: list[int]) -> int:
-    """Evaluate a gate on 64-bit words (bitwise across packed patterns).
-
-    Raises on arity violations — silent arity bugs corrupt every downstream
-    fault-coverage number, so they must fail loudly.
-    """
-    n = len(inputs)
-    if n < gate_type.min_inputs:
-        raise ValueError(f"{gate_type.name} needs >= {gate_type.min_inputs} inputs, got {n}")
-    max_in = gate_type.max_inputs
-    if max_in is not None and n > max_in:
-        raise ValueError(f"{gate_type.name} takes <= {max_in} inputs, got {n}")
-
-    if gate_type is GateType.INPUT:
-        raise ValueError("INPUT pseudo-gates are not evaluated")
-    if gate_type is GateType.BUF:
-        return inputs[0] & WORD_MASK
-    if gate_type is GateType.NOT:
-        return ~inputs[0] & WORD_MASK
-
-    acc = inputs[0]
-    if gate_type in (GateType.AND, GateType.NAND):
-        for v in inputs[1:]:
-            acc &= v
-    elif gate_type in (GateType.OR, GateType.NOR):
-        for v in inputs[1:]:
-            acc |= v
-    else:  # XOR / XNOR
-        for v in inputs[1:]:
-            acc ^= v
-    if gate_type.inverting:
-        acc = ~acc
-    return acc & WORD_MASK

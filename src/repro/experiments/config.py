@@ -8,9 +8,8 @@ the paper.
 
 Execution policy lives in a :class:`repro.api.Session`: pass ``session=``
 to :func:`make_lot` / :func:`make_program` to run them through its worker
-pool and compiled-circuit caches.  The legacy ``engine=`` / ``workers=``
-kwargs still work as deprecation shims that wrap a throwaway session; by
-default everything runs serially, bit-identical to any other setting.
+pool and compiled-circuit caches.  Without one they run on a serial
+throwaway session, bit-identical to any other setting.
 """
 
 from __future__ import annotations
@@ -105,21 +104,17 @@ def make_lot(
     seed: int = LOT_SEED,
     *,
     session: Session | None = None,
-    workers: int | str | None = None,
 ) -> FabricatedLot:
     """Fabricate the canonical lot.
 
     Small wafers (16 dies) so even a 277-chip lot spans many density
     realizations; one or two shared wafer-level draws would make the lot
     yield wildly noisy under clustering.  ``session`` supplies the worker
-    pool (``workers`` is a deprecated shim); the lot is bit-identical at
-    any worker count.
+    pool; the lot is bit-identical at any worker count.
     """
     if chip is None:
         chip = make_chip()
-    with resolve_session(
-        session, workers=workers, owner="make_lot()"
-    ) as session:
+    with resolve_session(session) as session:
         return session.fabricate(
             chip, make_recipe(), num_chips, dies_per_wafer=16, seed=seed
         )
@@ -131,20 +126,15 @@ def make_program(
     seed: int = PATTERN_SEED,
     *,
     session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
 ) -> TestProgram:
     """The canonical test program: random patterns, fault-simulated.
 
     ``session`` supplies the fault-simulation engine and worker pool
-    (all engines produce identical programs); the ``engine`` /
-    ``workers`` kwargs are deprecated shims wrapping a throwaway session.
+    (all engines produce identical programs).
     """
     if chip is None:
         chip = make_chip()
-    with resolve_session(
-        session, engine=engine, workers=workers, owner="make_program()"
-    ) as session:
+    with resolve_session(session) as session:
         return session.build_program(
             chip, random_patterns(chip, num_patterns, seed=seed)
         )

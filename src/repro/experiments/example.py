@@ -44,8 +44,6 @@ def run(
     mc_lot_size: int = 4000,
     *,
     session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
 ) -> ExampleResult:
     """Compute the Section 7 numbers and validate r(f) by Monte Carlo.
 
@@ -53,9 +51,8 @@ def run(
     ``n0`` once from the lot's first-fail curve (a *calibration* lot), then
     predict the escape rate of truncated programs on a fresh *production*
     lot and compare with the observed escapes.  ``session`` supplies the
-    fault-simulation engine and worker pool (the ``engine`` / ``workers``
-    kwargs are deprecated shims); results are engine- and
-    worker-count-independent.
+    fault-simulation engine and worker pool (a serial throwaway session
+    by default); results are engine- and worker-count-independent.
     """
     from repro.core.estimation import estimate_n0_least_squares
 
@@ -63,9 +60,7 @@ def run(
     required = {r: model.required_coverage(r) for r in PAPER_VALUES}
     wadsack = {r: model.wadsack_required_coverage(r) for r in PAPER_VALUES}
 
-    with resolve_session(
-        session, engine=engine, workers=workers, owner="example.run()"
-    ) as session:
+    with resolve_session(session) as session:
         chip = config.make_chip()
         program = config.make_program(chip, session=session)
 

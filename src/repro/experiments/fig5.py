@@ -57,15 +57,13 @@ def run(
     seed: int = config.LOT_SEED,
     *,
     session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
 ) -> Fig5Result:
     """Estimate n0 from the paper's Table 1 and from a fresh MC lot.
 
     ``session`` supplies the fault-simulation engine and worker pool for
-    the program's coverage curve, fabrication, and the lot tester; the
-    ``engine`` / ``workers`` kwargs are deprecated shims.  Results are
-    engine- and worker-count-independent.
+    the program's coverage curve, fabrication, and the lot tester (a
+    serial throwaway session by default).  Results are engine- and
+    worker-count-independent.
     """
     paper_ls = estimate_n0_least_squares(TABLE1_POINTS, TABLE1_YIELD)
     paper_slope = estimate_n0_slope(TABLE1_POINTS, yield_=TABLE1_YIELD)
@@ -74,9 +72,7 @@ def run(
         TABLE1_POINTS, TABLE1_YIELD, TABLE1_LOT_SIZE, seed=0
     )
 
-    with resolve_session(
-        session, engine=engine, workers=workers, owner="fig5.run()"
-    ) as session:
+    with resolve_session(session) as session:
         chip = config.make_chip()
         program = config.make_program(chip, session=session)
         lot = config.make_lot(chip, seed=seed, session=session)

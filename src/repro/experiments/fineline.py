@@ -39,15 +39,13 @@ def run(
     seed: int = config.LOT_SEED,
     *,
     session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
 ) -> FinelineResult:
     """Run the analytic shrink study and the fab cross-check.
 
     ``session`` supplies the fault-simulation engine and worker pool for
     the test program build, each shrink's fabrication, and the first-fail
-    testing; the ``engine`` / ``workers`` kwargs are deprecated shims.
-    Results are engine- and worker-count-independent.
+    testing (a serial throwaway session by default).  Results are engine-
+    and worker-count-independent.
     """
     base = ShrinkStudy(
         yield_model=NegativeBinomialYield(clustering=2.0),
@@ -70,9 +68,7 @@ def run(
     # layout (modeled by a *larger* footprint relative to the cell pitch).
     # Each shrink's lot is also first-fail-tested against the canonical
     # program, tying the n0 mechanism to an observed tester quantity.
-    with resolve_session(
-        session, engine=engine, workers=workers, owner="fineline.run()"
-    ) as session:
+    with resolve_session(session) as session:
         chip = config.make_chip()
         program = config.make_program(chip, session=session)
         fab_rows = []

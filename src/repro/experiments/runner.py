@@ -55,26 +55,21 @@ def run_experiment(
     name: str,
     *,
     session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
 ) -> str:
     """Run one experiment by name and return its rendered report.
 
     ``session`` supplies execution policy — engine and worker pool — for
     the experiments that simulate (fig5, table1, example, fineline); the
     purely analytic ones accept and ignore it.  Every ``run`` takes the
-    session directly, so there is no per-experiment kwarg sniffing.  The
-    ``engine`` / ``workers`` kwargs are deprecated shims wrapping a
-    throwaway session.
+    session directly, so there is no per-experiment kwarg sniffing.
+    Without one, a serial throwaway session runs the experiment.
     """
     if name not in EXPERIMENTS:
         raise KeyError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
         )
     run, render = EXPERIMENTS[name]
-    with resolve_session(
-        session, engine=engine, workers=workers, owner="run_experiment()"
-    ) as session:
+    with resolve_session(session) as session:
         return render(run(session=session))
 
 

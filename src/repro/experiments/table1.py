@@ -44,24 +44,20 @@ def run(
     seed: int = config.LOT_SEED,
     *,
     session: Session | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
 ) -> Table1Result:
     """Fit the paper's rows and regenerate the experiment by Monte Carlo.
 
     ``session`` supplies the fault-simulation engine and worker pool for
-    the program's coverage curve, fabrication, and the lot tester; the
-    ``engine`` / ``workers`` kwargs are deprecated shims.  Results are
-    engine- and worker-count-independent.
+    the program's coverage curve, fabrication, and the lot tester (a
+    serial throwaway session by default).  Results are engine- and
+    worker-count-independent.
     """
     model_fractions = [
         reject_fraction(p.coverage, TABLE1_YIELD, PAPER_N0_FIT)
         for p in TABLE1_POINTS
     ]
 
-    with resolve_session(
-        session, engine=engine, workers=workers, owner="table1.run()"
-    ) as session:
+    with resolve_session(session) as session:
         chip = config.make_chip()
         program = config.make_program(
             chip, num_patterns=num_patterns, session=session

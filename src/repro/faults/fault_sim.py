@@ -10,19 +10,21 @@ LAMP reference implemented in hardware description.
 The engine is fault-parallel evaluation of the lowered kernel IR: every
 gate is evaluated once per block for *all* remaining faults
 simultaneously, one machine per row of a ``(num_faults + 1,
-num_signals)`` ``uint64`` matrix.  Faults that belong to the netlist's
-universe reach it as an array of universe indices, so each block's
-injection tables are gathers, not per-fault lookups.  The engine names
+num_signals)`` ``uint64`` matrix.  Faults reach it as an array of
+universe indices, so each block's injection tables are gathers, not
+per-fault lookups.  The engine names
 (``"batch"``, ``"batch-jit"``, ``"batch-gpu"``, ``"auto"``; see
 :func:`repro.simulator.make_engine`) pick the kernel backend, and all of
 them produce bit-identical :class:`FaultSimResult` values.  The
 differential test suite enforces that against reference simulators
 handed in as :class:`~repro.simulator.Engine` instances.
 
-:meth:`FaultSimulator.run` takes faults as objects or, object-free, as
-an integer array of :func:`~repro.faults.model.full_fault_universe`
-indices; the result then carries its first-detects as an ``int64``
-array and materialises fault objects only when asked.  That is how
+:meth:`FaultSimulator.run` takes faults as an integer array of
+:func:`~repro.faults.model.full_fault_universe` indices or as objects,
+which :func:`~repro.faults.model.universe_indices` encodes at the
+boundary (a fault outside the universe is a ``ValueError``).  The result
+carries its first-detects as an ``int64`` array and materialises fault
+objects only when asked.  That is how
 :meth:`repro.tester.program.TestProgram.build` runs a collapsed
 simulation on the representatives of
 :func:`~repro.faults.collapse.collapsed_indices` and expands it with one
@@ -44,8 +46,8 @@ import numpy as np
 from repro.circuit.netlist import Netlist
 from repro.faults.model import (
     StuckAtFault,
-    fault_site_lookup,
     full_fault_universe,
+    universe_indices,
 )
 from repro.runtime import (
     ParallelExecutor,
@@ -96,10 +98,9 @@ class FaultSimResult:
     array: ``detects[i]`` is the 0-based index of the first pattern that
     detects fault ``i``, or ``-1`` if the sequence misses it.  The
     object views are ``faults`` and ``first_detect`` (the same vector
-    with ``None`` for a miss).  A run on universe indices (see
-    :meth:`FaultSimulator.run`) materialises them from the memoised
-    fault universe on first access only, so counts, coverage and the
-    curve never touch a fault object.
+    with ``None`` for a miss).  A :meth:`FaultSimulator.run` result
+    materialises them from the memoised fault universe on first access
+    only, so counts, coverage and the curve never touch a fault object.
     """
 
     def __init__(
@@ -205,27 +206,22 @@ class FaultSimResult:
 def _scan_blocks(
     engine: Engine,
     blocks: Iterable[tuple[Mapping[str, int], int]],
-    faults: Sequence[StuckAtFault] | np.ndarray,
+    faults: np.ndarray,
 ) -> list[int | None]:
     """Pattern-block scan with cross-block fault dropping.
 
     The one copy of the drop loop, shared by the serial path (lazy block
     packing, early exit once every fault is detected) and the sharded
     workers (each scans its own fault shard with per-shard compaction).
-    ``faults`` is a fault list or an integer array of universe indices.
+    ``faults`` is an integer array of universe indices.
     """
     first_detect: list[int | None] = [None] * len(faults)
     remaining = list(range(len(faults)))
-    indexed = isinstance(faults, np.ndarray)
     offset = 0
     for words, block_len in blocks:
         if not remaining:
             break
-        detect_words = engine.detect_block(
-            words,
-            block_len,
-            faults[remaining] if indexed else [faults[fi] for fi in remaining],
-        )
+        detect_words = engine.detect_block(words, block_len, faults[remaining])
         # Compact the batch: only still-undetected faults ride into the
         # next block.
         still_remaining: list[int] = []
@@ -281,15 +277,10 @@ def engine_context_token(engine: Engine) -> tuple:
 
 def _simulate_fault_shard(
     context: _FaultShardContext,
-    task: "tuple[tuple[tuple[dict[str, int], int], ...], object]",
+    task: "tuple[tuple[tuple[dict[str, int], int], ...], np.ndarray]",
 ) -> list[int | None]:
-    """Worker: scan the task's pattern blocks against its fault shard.
-
-    The fault shard is an ``int32`` array of fault-universe indices (the
-    SoA wire format) or, when the run carries a fault outside the
-    universe, a list of :class:`StuckAtFault` objects; the engine takes
-    either as it is.
-    """
+    """Worker: scan the task's pattern blocks against its fault shard,
+    an ``int32`` array of fault-universe indices (the SoA wire format)."""
     blocks, faults = task
     return _scan_blocks(context.engine, blocks, faults)
 
@@ -345,12 +336,11 @@ class FaultSimulator:
     ) -> FaultSimResult:
         """Fault-simulate ``patterns`` in order against ``faults``.
 
-        ``faults`` defaults to the full universe.  It is a sequence of
-        fault objects, or a 1-D integer array of
-        :func:`~repro.faults.model.full_fault_universe` indices — the
-        object-free form the engine consumes as it is.  A fault list is
-        mapped to indices too, unless it holds a fault outside the
-        universe; that run keeps fault objects throughout.
+        ``faults`` defaults to the full universe.  It is a 1-D integer
+        array of :func:`~repro.faults.model.full_fault_universe` indices
+        — the form the engine consumes — or a sequence of fault objects,
+        encoded by :func:`~repro.faults.model.universe_indices`: a fault
+        outside the universe raises ``ValueError``.
         ``patterns`` is any sliceable sequence of patterns — a list of
         dicts, a list of 0/1 tuples, or a 2D NumPy array with one row per
         pattern.  Patterns are processed in 64-wide blocks with fault
@@ -368,16 +358,11 @@ class FaultSimulator:
         """
         if len(patterns) == 0:
             raise ValueError("need at least one pattern")
-        universe: list[StuckAtFault] | None = None
-        fault_list: list[StuckAtFault] | None = None
-        indices: np.ndarray | None = None
+        universe = full_fault_universe(self.netlist)
         if faults is None or isinstance(faults, np.ndarray):
-            universe = full_fault_universe(self.netlist)
             indices = _checked_indices(faults, len(universe))
-            num_faults = len(indices)
         else:
-            fault_list = list(faults)
-            num_faults = len(fault_list)
+            indices = universe_indices(self.netlist, faults)
         input_names = self.netlist.inputs
 
         # An explicit per-run ``workers`` takes precedence over an
@@ -390,9 +375,7 @@ class FaultSimulator:
             num_workers = resolve_workers(
                 self.workers if workers is None else workers
             )
-        plan = ShardPlan.balanced(num_faults, num_workers)
-        if fault_list is not None:
-            indices = self._universe_indices(fault_list)
+        plan = ShardPlan.balanced(len(indices), num_workers)
 
         if plan.num_shards > 1:
             blocks = []
@@ -401,11 +384,9 @@ class FaultSimulator:
                 blocks.append((pack_patterns(input_names, block), len(block)))
             blocks = tuple(blocks)
             context = _FaultShardContext(engine=self.engine)
-            if indices is not None:
-                shards = [indices[start:stop] for start, stop in plan.bounds()]
-            else:
-                shards = plan.split(fault_list)
-            tasks = [(blocks, shard) for shard in shards]
+            tasks = [
+                (blocks, indices[start:stop]) for start, stop in plan.bounds()
+            ]
             if use_injected:
                 shard_detects = self.executor.map_shards(
                     _simulate_fault_shard,
@@ -426,36 +407,11 @@ class FaultSimulator:
                     block = patterns[start : start + WORD_BITS]
                     yield pack_patterns(input_names, block), len(block)
 
-            first_detect = _scan_blocks(
-                self.engine,
-                lazy_blocks(),
-                fault_list if indices is None else indices,
-            )
+            first_detect = _scan_blocks(self.engine, lazy_blocks(), indices)
 
-        if fault_list is not None:
-            return FaultSimResult(fault_list, first_detect, len(patterns))
         return FaultSimResult.from_indices(
             universe, indices, _detect_array(first_detect), len(patterns)
         )
-
-    def _universe_indices(self, faults: list[StuckAtFault]) -> np.ndarray | None:
-        """``faults`` as ``int32`` fault-universe indices, or ``None``.
-
-        The SoA form of a fault list: what shard payloads carry over the
-        pool pipe and what the engine consumes.  ``None`` when any fault
-        lies outside this netlist's universe (caller-supplied ad-hoc
-        faults); the run then keeps fault objects throughout, so results
-        never depend on which faults were encodable.
-        """
-        lookup = fault_site_lookup(self.netlist)
-        try:
-            return np.fromiter(
-                (lookup[fault] for fault in faults),
-                dtype=np.int32,
-                count=len(faults),
-            )
-        except KeyError:
-            return None
 
     def detects(
         self,

@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
+
+import numpy as np
 
 from repro.circuit.netlist import Netlist
+from repro.simulator.sites import validate_fault_site
 
 __all__ = [
     "StuckAtFault",
     "full_fault_universe",
     "fault_site_lookup",
+    "universe_indices",
     "netlist_memo",
     "materialize_site_faults",
     "checkpoint_faults",
@@ -62,14 +66,6 @@ class StuckAtFault:
             self.gate if self.gate is not None else "",
             self.pin if self.pin is not None else -1,
         )
-
-    def injection_args(self) -> dict:
-        """The fault as one stuck-at keyword argument of a word-level
-        ``simulate`` call: ``stuck_pin=(gate, pin, value)`` for a branch,
-        ``stuck_signal=(signal, value)`` for a stem."""
-        if self.is_branch:
-            return {"stuck_pin": (self.gate, self.pin, self.value)}
-        return {"stuck_signal": (self.signal, self.value)}
 
     def __str__(self) -> str:
         site = (
@@ -150,6 +146,29 @@ def fault_site_lookup(netlist: Netlist) -> dict[StuckAtFault, int]:
         netlist,
         lambda n: {fault: index for index, fault in enumerate(full_fault_universe(n))},
     )
+
+
+def universe_indices(
+    netlist: Netlist, faults: Iterable[StuckAtFault]
+) -> np.ndarray:
+    """``faults`` as an ``int32`` array of :func:`full_fault_universe` indices.
+
+    The one fault encoding below the API: the fault simulator, the
+    tester, the batch circuit and the lot encoders all turn fault
+    objects into universe indices here.  A fault that misses the lookup
+    is validated first, so a bogus site raises the same ``ValueError``
+    as every engine; a legal site outside the universe (a branch of a
+    fanout-1 signal, electrically its stem) raises ``ValueError`` too.
+    """
+    lookup = fault_site_lookup(netlist)
+    try:
+        return np.fromiter((lookup[fault] for fault in faults), dtype=np.int32)
+    except KeyError as exc:
+        (fault,) = exc.args
+        validate_fault_site(netlist, fault)
+        raise ValueError(
+            f"fault {fault} is not in the fault universe of {netlist.name!r}"
+        ) from None
 
 
 def materialize_site_faults(

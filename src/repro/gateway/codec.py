@@ -235,13 +235,12 @@ def patterns_from_json(obj: Any) -> list[dict[str, int]]:
 
 
 def lot_to_json(netlist: Netlist, lot: FabricatedLot) -> dict:
-    """A fabricated lot in SoA form: eight base64 arrays + the recipe."""
+    """A fabricated lot in SoA form: eight base64 arrays + the recipe.
+
+    A fault outside the netlist's fault universe raises ``ValueError``
+    (see :func:`~repro.manufacturing.lot.pack_lot_chips`).
+    """
     payload = pack_lot_chips(netlist, lot)
-    if payload is None:
-        raise ValueError(
-            "lot contains faults outside the netlist universe; it cannot "
-            "be JSON-encoded against this netlist"
-        )
     return {
         "fingerprint": netlist_fingerprint(netlist),
         "chip_area": lot.recipe.chip_area,

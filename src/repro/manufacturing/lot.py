@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.circuit.netlist import Netlist
 from repro.defects.layout import ChipLayout
-from repro.faults.model import fault_site_lookup, netlist_memo
+from repro.faults.model import netlist_memo, universe_indices
 from repro.manufacturing.process import ProcessRecipe
 from repro.manufacturing.wafer import FabricatedChip, LotColumns, Wafer, _concat
 from repro.runtime import (
@@ -292,50 +292,56 @@ def _cached_fab_context(
 
 def pack_lot_chips(
     netlist: Netlist, lot: "FabricatedLot | Sequence[FabricatedChip]"
-) -> LotColumns | None:
+) -> LotColumns:
     """Encode a lot (or any chip sequence) as :class:`LotColumns`.
 
-    The socket-boundary encoder: a column-backed lot laid out against
-    ``netlist`` hands over its columns as they are; otherwise each chip
-    contributes its arrays (array-backed chips on ``netlist``) or is
-    mapped fault-by-fault through :func:`fault_site_lookup` (eager
-    chips, e.g. a lot that crossed a pickle boundary).  Returns ``None``
-    when any fault does not belong to ``netlist``'s universe — the
-    caller falls back to the legacy pickled-object encoding.
+    The one lot encoder, shared by the wafer tester, its pool shards,
+    the binary server protocol and the HTTP gateway: a column-backed lot
+    laid out against ``netlist`` hands over its columns as they are;
+    otherwise each chip contributes its arrays (array-backed chips on
+    ``netlist``) or its faults are encoded by :func:`universe_indices`
+    (eager chips, e.g. a lot that crossed a pickle boundary).  A fault
+    outside ``netlist``'s universe raises ``ValueError``.
     """
     if isinstance(lot, FabricatedLot):
         columns = lot.columns_for(netlist)
         if columns is not None:
             return columns
         lot = lot.chips
-    lookup = None
     xs, ys, radii, sites, pols = [], [], [], [], []
-    for chip in lot:
+    eager: list[tuple[int, FabricatedChip]] = []
+    for k, chip in enumerate(lot):
         data = chip._data
         if data is not None and data.layout.netlist is netlist:
-            cxs, cys, cradii = data.xs, data.ys, data.radii
-            csites, cpols = data.site_indices, data.polarities
+            xs.append(data.xs)
+            ys.append(data.ys)
+            radii.append(data.radii)
+            sites.append(data.site_indices)
+            pols.append(data.polarities)
         else:
-            if lookup is None:
-                lookup = fault_site_lookup(netlist)
-            try:
-                csites = np.array(
-                    [lookup[fault] for fault in chip.faults], dtype=np.int32
-                )
-            except KeyError:
-                return None
-            cpols = np.array(
-                [fault.value for fault in chip.faults], dtype=np.uint8
-            )
-            defects = chip.defects
-            cxs = np.array([d.x for d in defects], dtype=float)
-            cys = np.array([d.y for d in defects], dtype=float)
-            cradii = np.array([d.radius for d in defects], dtype=float)
-        xs.append(cxs)
-        ys.append(cys)
-        radii.append(cradii)
-        sites.append(csites)
-        pols.append(cpols)
+            eager.append((k, chip))
+            for chunks in (xs, ys, radii, sites, pols):
+                chunks.append(None)  # filled in below
+    if eager:
+        # Eager chips' faults and defects are encoded in one pass each,
+        # then split per chip.
+        faults = [fault for _, chip in eager for fault in chip.faults]
+        codes = universe_indices(netlist, faults)
+        values = np.fromiter(
+            (fault.value for fault in faults), dtype=np.uint8, count=len(faults)
+        )
+        coords = np.array(
+            [(d.x, d.y, d.radius) for _, chip in eager for d in chip.defects],
+            dtype=float,
+        ).reshape(-1, 3)
+        fault_start = defect_start = 0
+        for k, chip in eager:
+            fault_stop = fault_start + len(chip.faults)
+            defect_stop = defect_start + len(chip.defects)
+            sites[k] = codes[fault_start:fault_stop]
+            pols[k] = values[fault_start:fault_stop]
+            xs[k], ys[k], radii[k] = coords[defect_start:defect_stop].T
+            fault_start, defect_start = fault_stop, defect_stop
 
     def offsets(chunks):
         out = np.zeros(len(chunks) + 1, dtype=np.int64)

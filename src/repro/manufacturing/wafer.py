@@ -152,23 +152,6 @@ class FabricatedChip:
             )
         return self._faults
 
-    def fault_site_arrays(self, netlist=None):
-        """``(site_indices, polarities)`` arrays, or ``None``.
-
-        The SoA wire encoders' fast path: an array-backed chip exposes
-        its fault hits without materializing objects.  ``None`` for
-        eagerly constructed chips (the encoder falls back to the
-        per-fault lookup) and, when ``netlist`` is given, for chips laid
-        out against a *different* netlist — a site index is only
-        meaningful relative to one netlist's fault universe.
-        """
-        data = self._data
-        if data is None:
-            return None
-        if netlist is not None and data.layout.netlist is not netlist:
-            return None
-        return data.site_indices, data.polarities
-
     @property
     def fault_count(self) -> int:
         """Logical-fault count — O(1), no materialization."""

@@ -450,16 +450,13 @@ class Client:
                 params["lot_id"] = lot_handle
             else:
                 chips = lot if isinstance(lot, FabricatedLot) else tuple(lot)
-                upload: Any = None
                 if self._binary and isinstance(chips, FabricatedLot):
                     # Whole lots go up as SoA arrays keyed on the
                     # program's netlist (the server resolves the program
                     # — registering its netlist if uploaded — before
                     # the chips).
-                    upload = pack_lot(program.netlist, chips)
-                params["chips"] = self._pack(
-                    upload if upload is not None else chips
-                )
+                    chips = pack_lot(program.netlist, chips)
+                params["chips"] = self._pack(chips)
             return params
 
         result = self._pipeline_request("test_lot", build_params)

@@ -494,23 +494,20 @@ class LotArrays:
     payload: Any
 
 
-def pack_lot(netlist: Netlist, lot: Any) -> LotArrays | None:
-    """Convert a lot to SoA wire form, or ``None`` if any chip can't be.
+def pack_lot(netlist: Netlist, lot: Any) -> LotArrays:
+    """Convert a lot to SoA wire form through
+    :func:`~repro.manufacturing.lot.pack_lot_chips`.
 
-    A column-backed lot ships its columns as they are.  All-or-nothing
-    on purpose: a mixed encoding would make receiver-side chip identity
-    depend on which chips happened to be array-backed.
+    A column-backed lot ships its columns as they are; a fault outside
+    the netlist's fault universe raises ``ValueError``.
     """
     from repro.manufacturing.lot import pack_lot_chips
 
-    payload = pack_lot_chips(netlist, lot)
-    if payload is None:
-        return None
     return LotArrays(
         fingerprint=netlist_fingerprint(netlist),
         chip_area=lot.recipe.chip_area,
         recipe=lot.recipe,
-        payload=payload,
+        payload=pack_lot_chips(netlist, lot),
     )
 
 

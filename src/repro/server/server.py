@@ -310,9 +310,7 @@ class LotServer(ServingApp):
             result = lot_summary(self._lots.add(lot), lot)
             if return_lot:
                 if binary:
-                    # SoA wire form when every chip encodes; the pickled
-                    # object fallback still rides the binary frame.
-                    result["lot"] = WireObj(pack_lot(netlist, lot) or lot)
+                    result["lot"] = WireObj(pack_lot(netlist, lot))
                 else:
                     result["lot"] = pack_obj(lot)
             return result

@@ -66,9 +66,10 @@ class Engine(Protocol):
     :func:`make_engine` can reject an engine handed to a simulator of a
     *different* circuit, which would otherwise silently corrupt coverage.
 
-    ``faults`` is a sequence of fault objects or an integer array of
-    :func:`~repro.faults.model.full_fault_universe` indices; the fault
-    simulator passes universe members the second way.
+    ``faults`` is an integer array of
+    :func:`~repro.faults.model.full_fault_universe` indices — what the
+    fault simulator always passes — or, for direct callers, a sequence
+    of fault objects of that universe.
     """
 
     name: str

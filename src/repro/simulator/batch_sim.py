@@ -34,9 +34,9 @@ gathered from the circuit's per-site
 :func:`~repro.faults.model.full_fault_universe` position, with every
 site validated when the table is built.  Callers holding ``(row, site
 index, polarity)`` arrays (the wafer tester, the fault simulator) build
-tables with no per-fault Python work; fault-object machines resolve
-through the same table, and ad-hoc sites outside the universe through
-the same resolver.
+tables with no per-fault Python work; fault-object machines are encoded
+by :func:`~repro.faults.model.universe_indices` and gather from the
+same table, so a fault outside the universe is a ``ValueError``.
 
 Detection is a column gather of the primary outputs: XOR every faulty row
 against row 0 and OR-reduce across outputs, yielding one 64-bit detect
@@ -124,44 +124,19 @@ class BatchCompiledCircuit:
             )
         return self._site_table
 
-    def sites_of(self, faults: Sequence) -> tuple[np.ndarray, SiteTable]:
-        """``(site indices, table)`` for fault objects.
-
-        Universe members map to their universe index; any other site (an
-        ad-hoc fault such as a fanout-1 branch) is resolved and validated
-        by :func:`~repro.simulator.kernels.ir.resolve_sites` and appended
-        to a copy of the table, so both kinds gather from one table.
-        """
-        from repro.faults.model import fault_site_lookup
-
-        lookup = fault_site_lookup(self.netlist)
-        table = self.site_table
-        base = len(table)
-        extra: list = []
-        sites = np.empty(len(faults), dtype=np.intp)
-        for k, fault in enumerate(faults):
-            index = lookup.get(fault)
-            if index is None:
-                index = base + len(extra)
-                extra.append(fault)
-            sites[k] = index
-        if extra:
-            table = table.extended(
-                resolve_sites(self.netlist, self._index, self.program, extra)
-            )
-        return sites, table
-
     def machine_tables(self, machines: Sequence[Sequence]) -> InjectionTables:
-        """Injection tables for fault-object machines (one row each)."""
+        """Injection tables for fault-object machines (one row each); a
+        fault outside the fault universe raises ``ValueError``."""
+        from repro.faults.model import universe_indices
+
         counts = [len(machine) for machine in machines]
         faults = [fault for machine in machines for fault in machine]
-        sites, table = self.sites_of(faults)
         return InjectionTables.from_sites(
             len(machines) + 1,
             np.repeat(np.arange(1, len(machines) + 1), counts),
-            sites,
+            universe_indices(self.netlist, faults),
             [fault.value for fault in faults],
-            table,
+            self.site_table,
         )
 
     def single_fault_tables(self, sites: np.ndarray) -> InjectionTables:
@@ -239,7 +214,8 @@ class BatchCompiledCircuit:
         ``input_words`` is one packed 64-pattern word per primary input, as
         produced by :func:`~repro.simulator.values.pack_patterns`.
         ``machines`` is either prebuilt :class:`InjectionTables` or a
-        sequence of fault sets, each injected *simultaneously* into its
+        sequence of fault sets (fault-universe members, see
+        :meth:`machine_tables`), each injected *simultaneously* into its
         own row.  Returns the full ``(num_rows, num_signals)`` value
         matrix.
         """
@@ -304,9 +280,10 @@ class BatchEngine:
 
     Satisfies the :class:`~repro.simulator.Engine` protocol; each fault
     becomes one single-fault machine row of a
-    :class:`BatchCompiledCircuit` batch.  ``faults`` may be fault objects
-    or an integer array of :func:`~repro.faults.model.full_fault_universe`
-    indices, which skips every per-fault lookup.
+    :class:`BatchCompiledCircuit` batch.  ``faults`` is an integer array
+    of :func:`~repro.faults.model.full_fault_universe` indices (what the
+    fault simulator passes) or fault objects, encoded by
+    :func:`~repro.faults.model.universe_indices`.
     """
 
     name = "batch"
@@ -324,10 +301,11 @@ class BatchEngine:
     ) -> list[int]:
         if len(faults) == 0:
             return []
-        if isinstance(faults, np.ndarray):
-            tables = self.batch.single_fault_tables(faults)
-        else:
-            tables = self.batch.machine_tables([(fault,) for fault in faults])
+        if not isinstance(faults, np.ndarray):
+            from repro.faults.model import universe_indices
+
+            faults = universe_indices(self.netlist, faults)
+        tables = self.batch.single_fault_tables(faults)
         return self.batch.detect_words(input_words, tables).tolist()
 
 

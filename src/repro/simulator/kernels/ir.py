@@ -231,21 +231,6 @@ class SiteTable:
     def __len__(self) -> int:
         return int(self.kind.shape[0])
 
-    def extended(self, other: "SiteTable") -> "SiteTable":
-        """This table with ``other``'s entries appended (indices shift by
-        ``len(self)``) — how ad-hoc sites join one call's gathers."""
-        return SiteTable(
-            *(
-                np.concatenate((mine, theirs))
-                for mine, theirs in (
-                    (self.kind, other.kind),
-                    (self.a, other.a),
-                    (self.b, other.b),
-                    (self.value, other.value),
-                )
-            )
-        )
-
 
 def resolve_sites(
     netlist: Netlist,
@@ -255,9 +240,9 @@ def resolve_sites(
 ) -> SiteTable:
     """Validate and resolve ``faults`` into a :class:`SiteTable`.
 
-    The one per-site resolver: a circuit runs it once over its fault
-    universe, and over any ad-hoc fault outside it (a fanout-1 branch,
-    say) when a caller passes one.  ``faults`` are objects with the
+    The one per-site resolver: a circuit runs it once, over its fault
+    universe, and every later injection gathers from that table by
+    universe index.  ``faults`` are objects with the
     :class:`~repro.faults.model.StuckAtFault` site attributes; a bogus
     site raises the same ``ValueError`` as every other engine.
     """

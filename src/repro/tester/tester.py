@@ -10,19 +10,21 @@ still-passing defective chip is one row of a
 :class:`~repro.simulator.batch_sim.BatchCompiledCircuit` batch, so one
 vectorized pass per 64-pattern block tests the whole lot at once, and
 chips drop out of the batch as soon as they fail.  The lot enters as a
-``(site index, polarity)`` CSR — a column-backed lot's hit arrays as
-they are, eager chips mapped through the fault-universe lookup once per
-lot — and each block's injection tables are gathered from it, so no
-fault object (and, for a column-backed lot, no chip object) is built on
-the test path.  The engine name (``"batch"``, ``"batch-jit"``,
-``"batch-gpu"``, ``"auto"``) picks the kernel backend.
+``(site index, polarity)`` CSR: the hit arrays of
+:func:`~repro.manufacturing.lot.pack_lot_chips`, the lot encoder the
+server and gateway put on the wire (a column-backed lot's arrays as
+they are, eager chips' faults through
+:func:`~repro.faults.model.universe_indices`, so a fault outside the
+fault universe is a ``ValueError``).  Each block's injection tables are
+gathered from it, so no fault object (and, for a column-backed lot, no
+chip object) is built on the test path.  The engine name (``"batch"``,
+``"batch-jit"``, ``"batch-gpu"``, ``"auto"``) picks the kernel backend.
 
 Above the engine sits the process axis: ``workers > 1`` cuts the chip
 list into contiguous shards and tests each shard in a worker process
 (carrying the pre-compiled circuit, so workers never re-levelize).
-Shards travel as packed ``(site index, polarity)`` arrays; a lot
-carrying a fault outside the universe travels as chip objects instead.
-Chips are independent machines, so the merged records are bit-identical
+Shards travel as packed ``(site index, polarity)`` arrays.  Chips are
+independent machines, so the merged records are bit-identical
 to the serial run at every worker count (see :mod:`repro.runtime`).
 """
 
@@ -33,9 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults.model import StuckAtFault, fault_site_lookup
-from repro.manufacturing.lot import FabricatedLot
-from repro.manufacturing.wafer import FabricatedChip, _concat
+from repro.manufacturing.lot import FabricatedLot, pack_lot_chips
+from repro.manufacturing.wafer import FabricatedChip
 from repro.runtime import (
     ParallelExecutor,
     ShardPlan,
@@ -44,7 +45,7 @@ from repro.runtime import (
 )
 from repro.simulator import ENGINES, make_engine
 from repro.simulator.batch_sim import BatchCompiledCircuit
-from repro.simulator.kernels.ir import InjectionTables, SiteTable
+from repro.simulator.kernels.ir import InjectionTables
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
 from repro.tester.program import TestProgram
 
@@ -73,91 +74,32 @@ class ChipTestRecord:
         return self.passed and not self.is_good
 
 
-def _chip_sites(
-    netlist, lot: FabricatedLot, sites_of
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(offsets, site indices, polarities)`` CSR of a lot.
-
-    A column-backed lot laid out against ``netlist`` hands over its hit
-    arrays as they are; otherwise array-backed chips contribute their
-    arrays and the faults of eager (or unpickled) chips are mapped by
-    one ``sites_of(faults)`` call per lot.
-    """
-    columns = lot.columns_for(netlist)
-    if columns is not None:
-        return columns.hit_offsets, columns.site_indices, columns.polarities
-    chips = lot.chips
-    site_chunks: list = []
-    pol_chunks: list = []
-    eager: list[tuple[int, tuple[StuckAtFault, ...]]] = []
-    for k, chip in enumerate(chips):
-        arrays = chip.fault_site_arrays(netlist)
-        if arrays is None:
-            eager.append((k, chip.faults))
-            arrays = (None, None)  # filled in below
-        site_chunks.append(arrays[0])
-        pol_chunks.append(arrays[1])
-    if eager:
-        faults = [fault for _, chip_faults in eager for fault in chip_faults]
-        sites = sites_of(faults)
-        polarities = np.fromiter(
-            (fault.value for fault in faults), dtype=np.uint8, count=len(faults)
-        )
-        start = 0
-        for k, chip_faults in eager:
-            stop = start + len(chip_faults)
-            site_chunks[k] = sites[start:stop]
-            pol_chunks[k] = polarities[start:stop]
-            start = stop
-    offsets = np.zeros(len(chips) + 1, dtype=np.int64)
-    np.cumsum([chunk.size for chunk in site_chunks], out=offsets[1:])
-    return (
-        offsets,
-        _concat(site_chunks, np.intp),
-        _concat(pol_chunks, np.uint8),
-    )
-
-
 @dataclass(frozen=True)
 class _LotSites:
     """A chip list as a ``(site index, polarity)`` CSR against one circuit.
 
     Chip ``k``'s faults are ``sites[offsets[k]:offsets[k + 1]]`` (with
-    the matching ``polarities``), indexing ``table`` — the circuit's
-    site table, extended with any ad-hoc sites the lot carries.
+    the matching ``polarities``), indexing the circuit's fault universe
+    and so its :attr:`~BatchCompiledCircuit.site_table`.
     """
 
     offsets: np.ndarray
     sites: np.ndarray
     polarities: np.ndarray
-    table: SiteTable
 
     @classmethod
-    def of_lot(
-        cls, batch: BatchCompiledCircuit, lot: FabricatedLot
-    ) -> "_LotSites":
-        """Gather a lot against ``batch``'s site table; ad-hoc sites of
-        eager chips extend a copy of the table."""
-        table = batch.site_table
-
-        def sites_of(faults):
-            nonlocal table
-            sites, table = batch.sites_of(faults)
-            return sites
-
-        offsets, sites, polarities = _chip_sites(batch.netlist, lot, sites_of)
-        return cls(offsets, sites, polarities, table)
+    def of_lot(cls, netlist, lot: FabricatedLot) -> "_LotSites":
+        """The hit arrays of :func:`pack_lot_chips`, the wire encoder."""
+        columns = pack_lot_chips(netlist, lot)
+        return cls(columns.hit_offsets, columns.site_indices, columns.polarities)
 
     @classmethod
-    def of_shard(
-        cls, batch: BatchCompiledCircuit, shard: "_SoAChipShard"
-    ) -> "_LotSites":
+    def of_shard(cls, shard: "_SoAChipShard") -> "_LotSites":
         """Decode a shard payload's coded sites (no fault objects)."""
         return cls(
             offsets=shard.fault_offsets,
             sites=shard.coded_sites >> 1,
             polarities=shard.coded_sites & 1,
-            table=batch.site_table,
         )
 
 
@@ -192,7 +134,7 @@ def _first_fail_codes(
             np.repeat(np.arange(1, remaining.size + 1), row_counts),
             lot.sites[entries],
             lot.polarities[entries],
-            lot.table,
+            batch.site_table,
         )
         fail_words = batch.detect_words(words, tables)
         passing: list[int] = []
@@ -251,28 +193,17 @@ class _SoAChipShard:
     coded_sites: np.ndarray
 
 
-def _pack_soa_shards(
-    netlist, lot: FabricatedLot, bounds
-) -> list[_SoAChipShard] | None:
+def _pack_soa_shards(netlist, lot: FabricatedLot, bounds) -> list[_SoAChipShard]:
     """Encode a lot as one :class:`_SoAChipShard` per ``(start, stop)``.
 
-    Eager chips' faults go through :func:`fault_site_lookup`; the lot is
-    encoded in one pass and cut into shards by slicing.  Returns
-    ``None`` when any fault does not belong to ``netlist``'s universe —
-    the caller then ships the object payload for the whole lot.
+    The lot is encoded once by :meth:`_LotSites.of_lot` and cut into
+    shards by slicing.
     """
-    lookup = fault_site_lookup(netlist)
-
-    def sites_of(faults):
-        return np.fromiter(
-            (lookup[fault] for fault in faults), dtype=np.int32, count=len(faults)
-        )
-
-    try:
-        offsets, sites, polarities = _chip_sites(netlist, lot, sites_of)
-    except KeyError:
-        return None
-    coded = (sites.astype(np.int32) << np.int32(1)) | polarities.astype(np.int32)
+    lot_sites = _LotSites.of_lot(netlist, lot)
+    offsets = lot_sites.offsets
+    coded = (lot_sites.sites.astype(np.int32) << np.int32(1)) | (
+        lot_sites.polarities.astype(np.int32)
+    )
     return [
         _SoAChipShard(
             fault_offsets=offsets[start : stop + 1] - offsets[start],
@@ -282,17 +213,13 @@ def _pack_soa_shards(
     ]
 
 
-def _test_lot_shard(context: _LotShardContext, shard) -> np.ndarray:
+def _test_lot_shard(context: _LotShardContext, shard: _SoAChipShard) -> np.ndarray:
     """Worker: first-fail test one chip shard with the shipped circuit.
 
-    The shard is an :class:`_SoAChipShard` or a list of
-    :class:`FabricatedChip` objects.  Returns the shard's first-fail
-    codes (``-1`` = passed) — one small array back over the pipe.
+    Returns the shard's first-fail codes (``-1`` = passed) — one small
+    array back over the pipe.
     """
-    if isinstance(shard, _SoAChipShard):
-        lot = _LotSites.of_shard(context.batch, shard)
-    else:
-        lot = _LotSites.of_lot(context.batch, FabricatedLot(None, shard))
+    lot = _LotSites.of_shard(shard)
     return _first_fail_codes(context.batch, context.blocks, lot)
 
 
@@ -365,7 +292,9 @@ class WaferTester:
         call reuses its pool and its worker count; the tester's shard
         context travels to the workers only on the first lot, later lots
         ship just their chip shards.  An explicit ``workers`` always
-        wins, on a one-shot pool of that size.
+        wins, on a one-shot pool of that size.  A fault outside the
+        program netlist's fault universe raises ``ValueError`` before
+        any chip is tested.
         """
         lot = chips if isinstance(chips, FabricatedLot) else FabricatedLot.of_chips(chips)
         # An explicit per-call ``workers`` takes precedence over an
@@ -381,7 +310,7 @@ class WaferTester:
         plan = ShardPlan.balanced(len(lot), num_workers)
         if plan.num_shards > 1:
             context = self._lot_shard_context()
-            tasks = self._shard_tasks(lot, plan)
+            tasks = _pack_soa_shards(self.program.netlist, lot, plan.bounds())
             if use_injected:
                 codes = self.executor.map_shards(
                     _test_lot_shard,
@@ -396,21 +325,10 @@ class WaferTester:
         batch = self._batch_circuit
         return _records(
             lot,
-            _first_fail_codes(batch, self._blocks, _LotSites.of_lot(batch, lot)),
+            _first_fail_codes(
+                batch, self._blocks, _LotSites.of_lot(self.program.netlist, lot)
+            ),
         )
-
-    def _shard_tasks(self, lot: FabricatedLot, plan: ShardPlan) -> list:
-        """Encode chip shards for the pool pipe.
-
-        Every shard is packed as a :class:`_SoAChipShard`; if any chip's
-        faults cannot be mapped into this program's fault universe, the
-        whole lot falls back to object shards so results never depend on
-        which chips were encodable.
-        """
-        packed = _pack_soa_shards(self.program.netlist, lot, plan.bounds())
-        if packed is not None:
-            return packed
-        return plan.split(list(lot.chips))
 
     def _lot_shard_context(self) -> _LotShardContext:
         """The tester's shard context, built once and token-stable.

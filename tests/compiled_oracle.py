@@ -30,17 +30,68 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import WORD_MASK, GateType, evaluate_word
+from repro.circuit.gates import WORD_MASK, GateType
 from repro.circuit.netlist import Netlist
 from repro.faults.model import full_fault_universe
 from repro.simulator.sites import validate_pin_site, validate_stem_site, validate_stuck_value
 from repro.simulator.values import WORD_BITS, first_detecting_bits, pack_patterns
 from repro.tester.tester import ChipTestRecord
 
-__all__ = ["CompiledCircuit", "CompiledEngine", "first_fail", "lot_records"]
+__all__ = [
+    "CompiledCircuit",
+    "CompiledEngine",
+    "evaluate_word",
+    "first_fail",
+    "injection_args",
+    "lot_records",
+]
 
 _ZERO = 0
 _ONES = WORD_MASK
+
+
+def evaluate_word(gate_type: GateType, inputs: list[int]) -> int:
+    """Evaluate a gate on 64-bit words (bitwise across packed patterns).
+
+    Raises on arity violations — silent arity bugs corrupt every downstream
+    fault-coverage number, so they must fail loudly.
+    """
+    n = len(inputs)
+    if n < gate_type.min_inputs:
+        raise ValueError(f"{gate_type.name} needs >= {gate_type.min_inputs} inputs, got {n}")
+    max_in = gate_type.max_inputs
+    if max_in is not None and n > max_in:
+        raise ValueError(f"{gate_type.name} takes <= {max_in} inputs, got {n}")
+
+    if gate_type is GateType.INPUT:
+        raise ValueError("INPUT pseudo-gates are not evaluated")
+    if gate_type is GateType.BUF:
+        return inputs[0] & WORD_MASK
+    if gate_type is GateType.NOT:
+        return ~inputs[0] & WORD_MASK
+
+    acc = inputs[0]
+    if gate_type in (GateType.AND, GateType.NAND):
+        for v in inputs[1:]:
+            acc &= v
+    elif gate_type in (GateType.OR, GateType.NOR):
+        for v in inputs[1:]:
+            acc |= v
+    else:  # XOR / XNOR
+        for v in inputs[1:]:
+            acc ^= v
+    if gate_type.inverting:
+        acc = ~acc
+    return acc & WORD_MASK
+
+
+def injection_args(fault) -> dict:
+    """A stuck-at fault as one keyword argument of
+    :meth:`CompiledCircuit.simulate`: ``stuck_pin=(gate, pin, value)``
+    for a branch, ``stuck_signal=(signal, value)`` for a stem."""
+    if fault.is_branch:
+        return {"stuck_pin": (fault.gate, fault.pin, fault.value)}
+    return {"stuck_signal": (fault.signal, fault.value)}
 
 
 class CompiledCircuit:
@@ -201,7 +252,7 @@ class CompiledEngine:
         detect_words: list[int] = []
         for fault in faults:
             faulty = self.compiled.simulate(
-                input_words, **fault.injection_args()
+                input_words, **injection_args(fault)
             )
             word = 0
             for name, good_word in good.items():

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from repro.circuit.gates import GateType, evaluate_word
+from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.faults.model import StuckAtFault
 from repro.simulator.values import pack_patterns
 
-from compiled_oracle import CompiledCircuit
+from compiled_oracle import CompiledCircuit, evaluate_word
 
 __all__ = ["CriticalPathTracer"]
 

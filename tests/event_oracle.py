@@ -15,11 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.circuit.gates import GateType, evaluate_word
+from repro.circuit.gates import GateType
 from repro.circuit.netlist import Netlist
 from repro.faults.model import full_fault_universe
 from repro.simulator.sites import validate_fault_site
 from repro.simulator.values import unpack_outputs
+
+from compiled_oracle import evaluate_word
 
 __all__ = ["EventSimulator", "EventEngine"]
 

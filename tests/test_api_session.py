@@ -24,7 +24,7 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit.gates import GateType
 from repro.circuit.generators import c17
 from repro.circuit.netlist import Netlist
-from repro.experiments import config, fig5
+from repro.experiments import config
 from repro.experiments.runner import run_experiment
 from repro.manufacturing.lot import fabricate_lot
 from repro.manufacturing.process import ProcessRecipe
@@ -265,36 +265,10 @@ def _double(context, task):
     return [context * value for value in task]
 
 
-# ------------------------------------------------------ deprecation shims
+# ------------------------------------------------------- session defaults
 
 
 class TestDeprecationShims:
-    def test_make_program_engine_kwarg_warns(self, chip):
-        with pytest.warns(DeprecationWarning, match="session="):
-            legacy = config.make_program(num_patterns=16, engine="auto")
-        fresh = config.make_program(num_patterns=16)
-        np.testing.assert_array_equal(
-            legacy.coverage_curve, fresh.coverage_curve
-        )
-
-    def test_make_lot_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="session="):
-            legacy = config.make_lot(num_chips=8, workers=2)
-        assert legacy.chips == config.make_lot(num_chips=8).chips
-
-    def test_experiment_run_workers_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="session="):
-            fig5.run(workers=2)
-
-    def test_run_experiment_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="session="):
-            run_experiment("fig1", engine="batch")
-
-    def test_session_and_legacy_kwargs_are_exclusive(self):
-        with Session(workers=1) as session:
-            with pytest.raises(TypeError, match="not both"):
-                fig5.run(session=session, workers=2)
-
     def test_resolve_session_leaves_callers_session_open(self):
         with Session(workers=1) as session:
             with resolve_session(session) as resolved:
@@ -312,12 +286,10 @@ class TestDeprecationShims:
 
 class TestExperimentsThroughSessions:
     def test_differential_report_session_vs_legacy(self):
-        # The pre-redesign path (throwaway serial session via the shim
-        # machinery, engine fixed) must render byte-identical reports to
-        # an explicit session at any worker count.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_experiment("fig5", workers=1)
+        # The session-less path (a serial throwaway session) must render
+        # byte-identical reports to an explicit session at any worker
+        # count.
+        legacy = run_experiment("fig5")
         with Session(workers=1) as session:
             serial = session.run_experiment("fig5")
         with Session(workers=2) as session:

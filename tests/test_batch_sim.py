@@ -8,6 +8,7 @@ curves on randomly generated circuits, including fanout-branch pin
 faults and multi-block (>64 pattern) runs.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.tester.program import TestProgram
 from repro.tester.tester import WaferTester
 
 from batch_oracle import InterpretedBatchCircuit
-from compiled_oracle import CompiledCircuit, CompiledEngine, lot_records
+from compiled_oracle import CompiledCircuit, CompiledEngine, injection_args, lot_records
 from event_oracle import EventEngine, EventSimulator
 
 # The reference engines, by the names the differential suites use.
@@ -79,7 +80,7 @@ class TestBatchCompiledCircuit:
         words = pack_patterns(net.inputs, patterns)
         values = batch.run_batch(words, [(f,) for f in faults])
         for row, fault in enumerate(faults, start=1):
-            expected = compiled.simulate(words, **fault.injection_args())
+            expected = compiled.simulate(words, **injection_args(fault))
             assert batch.output_words(values, row=row) == expected, fault
 
     def test_stem_fault_on_primary_input(self):
@@ -376,8 +377,8 @@ class TestBatchedWaferTester:
 class TestSingleChecksAgainstOracles:
     """``FaultSimulator.detects`` (a one-pattern, one-fault run) and
     ``WaferTester.test_chip`` (a one-chip lot) against the oracles on
-    exhaustive c17, an ad-hoc branch fault outside the universe
-    included."""
+    exhaustive c17; an ad-hoc branch fault outside the universe is
+    rejected."""
 
     # Signal "1" has one sink, so its branch is not a universe site.
     ADHOC = StuckAtFault("1", 1, gate="10", pin=0)
@@ -399,11 +400,13 @@ class TestSingleChecksAgainstOracles:
     def test_detects_matches_oracle(self, net, patterns):
         simulator = FaultSimulator(net)
         oracle = CompiledEngine(net)
-        for fault in [*full_fault_universe(net), self.ADHOC]:
+        for fault in full_fault_universe(net):
             for pattern in patterns:
                 words = pack_patterns(net.inputs, [pattern])
                 (word,) = oracle.detect_block(words, 1, [fault])
                 assert simulator.detects(pattern, fault) == bool(word & 1), fault
+        with pytest.raises(ValueError, match=re.escape(str(self.ADHOC))):
+            simulator.detects(patterns[0], self.ADHOC)
 
     def test_test_chip_matches_oracle(self, net, patterns):
         program = TestProgram.build(net, patterns)
@@ -411,8 +414,6 @@ class TestSingleChecksAgainstOracles:
         machines = [
             (),
             *((fault,) for fault in universe),
-            (self.ADHOC,),
-            (self.ADHOC, universe[5]),
             (universe[0], universe[9], universe[20]),
         ]
         chips = [FabricatedChip(k, (), faults) for k, faults in enumerate(machines)]
@@ -421,6 +422,9 @@ class TestSingleChecksAgainstOracles:
         assert records == lot_records(program, chips)
         assert records[0].passed and records[0].is_good
         assert all(not r.passed for r in records[1 : len(universe) + 1])
+        for faults in [(self.ADHOC,), (self.ADHOC, universe[5])]:
+            with pytest.raises(ValueError, match=re.escape(str(self.ADHOC))):
+                tester.test_chip(FabricatedChip(0, (), faults))
 
 
 class TestPodemFaultDrop:

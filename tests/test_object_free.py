@@ -2,12 +2,12 @@
 
 Lot testing and fault simulation feed the batch circuit injection tables
 gathered from per-site tables — from a lot's ``(site index, polarity)``
-arrays, from fault objects mapped through the universe lookup, and from
-ad-hoc sites outside the universe through the same resolver.  Every one
+arrays and from fault objects encoded as universe indices.  Every one
 of those inputs must give first-fail records (and first-detect vectors)
 identical to the word-level oracles of ``tests/compiled_oracle.py``, at
 one worker and through the pool, on the NumPy kernel and on the numba
-kernel where it is installed.
+kernel where it is installed.  An ad-hoc site outside the universe is
+rejected with a ``ValueError`` naming the fault.
 """
 
 import pickle
@@ -83,24 +83,13 @@ def lot_variants(chip, lot):
     payload = pack_lot_chips(chip, lot.chips)
     decoded = unpack_lot_chips(chip, lot.recipe.chip_area, payload)
     assert all(c._data is None for c in pickled)
-    assert all(c.fault_site_arrays(chip) is not None for c in decoded)
+    assert all(c._data.layout.netlist is chip for c in decoded)
     return {"arrays": lot.chips, "pickled": pickled, "decoded": decoded}
 
 
-def adhoc_chips(chip, lot):
-    """Eager chips mixing universe faults, ad-hoc sites and double forces."""
-    universe = full_fault_universe(chip)
-    branch = next(f for f in universe if f.is_branch)
-    stem = next(f for f in universe if not f.is_branch and f.signal not in chip.inputs)
-    pi = StuckAtFault(chip.inputs[0], 0)
-    extra = [
-        (fanout_one_branch(chip, 1),),
-        (fanout_one_branch(chip, 0), universe[7]),
-        # Two forces on one site: the later one wins, per site kind.
-        (StuckAtFault(pi.signal, 1), pi),
-        (stem, StuckAtFault(stem.signal, 1 - stem.value)),
-        (branch, StuckAtFault(branch.signal, 1 - branch.value, gate=branch.gate, pin=branch.pin)),
-    ]
+def with_extra_faults(lot, extra):
+    """The lot's chips as eager chips, chip ``30 + k`` carrying ``extra[k]``
+    on top of its own faults."""
     chips = list(lot.chips[:30])
     for k, faults in enumerate(extra):
         base = lot.chips[30 + k]
@@ -109,6 +98,34 @@ def adhoc_chips(chip, lot):
         )
     chips.extend(lot.chips[30 + len(extra) :])
     return chips
+
+
+def double_force_chips(chip, lot):
+    """Eager chips with two forces on one site, per site kind: the later
+    one wins."""
+    universe = full_fault_universe(chip)
+    branch = next(f for f in universe if f.is_branch)
+    stem = next(f for f in universe if not f.is_branch and f.signal not in chip.inputs)
+    pi = StuckAtFault(chip.inputs[0], 0)
+    return with_extra_faults(
+        lot,
+        [
+            (StuckAtFault(pi.signal, 1), pi),
+            (stem, StuckAtFault(stem.signal, 1 - stem.value)),
+            (branch, StuckAtFault(branch.signal, 1 - branch.value, gate=branch.gate, pin=branch.pin)),
+        ],
+    )
+
+
+def adhoc_lots(chip, lot):
+    """``(ad-hoc fault, eager chips carrying it)`` pairs: alone on a chip
+    and next to a universe fault."""
+    universe = full_fault_universe(chip)
+    alone, paired = fanout_one_branch(chip, 1), fanout_one_branch(chip, 0)
+    return [
+        (alone, with_extra_faults(lot, [(alone,)])),
+        (paired, with_extra_faults(lot, [(paired, universe[7])])),
+    ]
 
 
 def reference_records(program, chips):
@@ -129,28 +146,32 @@ def test_lot_records_match_compiled(chip, program, lot, pool, engine, variant):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_adhoc_and_double_forces_match_compiled(chip, program, lot, pool, engine, workers):
-    chips = adhoc_chips(chip, lot)
-    reference = reference_records(program, chips)
+    """Double forces match the oracle; an ad-hoc site is rejected."""
     executor = pool if workers == 2 else None
     tester = WaferTester(program, engine=engine, executor=executor)
-    assert tester.test_lot(chips) == reference
+    chips = double_force_chips(chip, lot)
+    assert tester.test_lot(chips) == reference_records(program, chips)
+    for fault, chips in adhoc_lots(chip, lot):
+        with pytest.raises(ValueError, match=re.escape(str(fault))):
+            tester.test_lot(chips)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_objects_payload_matches_soa(chip, program, lot, pool, engine):
-    """One ad-hoc chip sends the whole lot over the pipe as chip objects;
-    the other chips' records equal the SoA run's."""
+    """One ad-hoc chip makes the shard encoder reject the whole lot
+    before anything crosses the pipe; the pool keeps serving SoA runs,
+    which match the oracle."""
     tester = WaferTester(program, engine=engine, executor=pool)
-    soa = tester.test_lot(lot.chips)
+    reference = reference_records(program, lot.chips)
+    assert tester.test_lot(lot.chips) == reference
     base = lot.chips[0]
-    adhoc = FabricatedChip(
-        base.chip_id, base.defects, (fanout_one_branch(chip, 1),)
-    )
-    mixed = [*lot.chips, adhoc]
-    assert _pack_soa_shards(chip, FabricatedLot.of_chips(mixed), [(0, len(mixed))]) is None
-    objects = tester.test_lot(mixed)
-    assert objects[:-1] == soa == reference_records(program, lot.chips)
-    assert objects[-1:] == reference_records(program, [adhoc])
+    fault = fanout_one_branch(chip, 1)
+    mixed = [*lot.chips, FabricatedChip(base.chip_id, base.defects, (fault,))]
+    with pytest.raises(ValueError, match=re.escape(str(fault))):
+        _pack_soa_shards(chip, FabricatedLot.of_chips(mixed), [(0, len(mixed))])
+    with pytest.raises(ValueError, match=re.escape(str(fault))):
+        tester.test_lot(mixed)
+    assert tester.test_lot(lot.chips) == reference
 
 
 @pytest.mark.parametrize(
@@ -181,19 +202,19 @@ def test_bogus_sites_raise_like_compiled(chip, program, lot, engine, bogus):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_fault_sim_universe_and_adhoc_faults(chip, engine, workers):
-    """Universe members travel as indices; a list with an ad-hoc fault
-    keeps objects — both must match the word-level reference."""
+    """Universe members travel as indices and match the word-level
+    reference; a list with an ad-hoc fault is rejected."""
     patterns = random_patterns(chip, 80, seed=4)
     universe = full_fault_universe(chip)
-    mixed = universe[:200] + [fanout_one_branch(chip, 0), fanout_one_branch(chip, 1)]
-    for faults in (universe, mixed):
-        reference = FaultSimulator(chip, engine=CompiledEngine(chip)).run(
-            patterns, faults=faults
-        )
-        result = FaultSimulator(chip, engine=engine, workers=workers).run(
-            patterns, faults=faults
-        )
-        assert result.first_detect == reference.first_detect
+    simulator = FaultSimulator(chip, engine=engine, workers=workers)
+    reference = FaultSimulator(chip, engine=CompiledEngine(chip)).run(
+        patterns, faults=universe
+    )
+    result = simulator.run(patterns, faults=universe)
+    assert result.first_detect == reference.first_detect
+    for fault in (fanout_one_branch(chip, 0), fanout_one_branch(chip, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(fault))):
+            simulator.run(patterns, faults=universe[:200] + [fault])
 
 
 def test_tables_from_sites_match_fault_objects(chip, lot):
@@ -202,8 +223,8 @@ def test_tables_from_sites_match_fault_objects(chip, lot):
     batch = BatchCompiledCircuit(chip)
     chips = [c for c in lot.chips if c.fault_count][:20]
     by_objects = batch.machine_tables([c.faults for c in chips])
-    sites = np.concatenate([c.fault_site_arrays(chip)[0] for c in chips])
-    pols = np.concatenate([c.fault_site_arrays(chip)[1] for c in chips])
+    sites = np.concatenate([c._data.site_indices for c in chips])
+    pols = np.concatenate([c._data.polarities for c in chips])
     rows = np.repeat(np.arange(1, len(chips) + 1), [c.fault_count for c in chips])
     gathered = InjectionTables.from_sites(
         len(chips) + 1, rows, sites, pols, batch.site_table

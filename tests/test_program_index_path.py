@@ -14,6 +14,7 @@ and diff the product's batch sessions against them.
 """
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -176,9 +177,8 @@ class TestIndexRun:
         assert by_index.detects.dtype == np.int64
 
     def test_object_shards_match_index_shards(self):
-        """A fault outside the universe sends the whole run over the pipe
-        as fault objects; the universe members' first detects equal the
-        index-shard run's."""
+        """Fault objects become index shards: at two workers they match
+        the index run, and a fault outside the universe is rejected."""
         netlist = array_multiplier(3)
         patterns = random_patterns(netlist, 70, seed=2)
         universe = full_fault_universe(netlist)
@@ -192,10 +192,10 @@ class TestIndexRun:
         )
         adhoc = StuckAtFault(signal, 1, gate=gate, pin=pin)
         assert adhoc not in universe
-        by_object = simulator.run(
-            patterns, faults=[universe[i] for i in reps] + [adhoc]
-        )
-        assert by_object.first_detect[:-1] == by_index.first_detect
+        by_object = simulator.run(patterns, faults=[universe[i] for i in reps])
+        assert by_object.first_detect == by_index.first_detect
+        with pytest.raises(ValueError, match=re.escape(str(adhoc))):
+            simulator.run(patterns, faults=[universe[i] for i in reps] + [adhoc])
 
     def test_default_universe_is_index_run(self):
         netlist = array_multiplier(3)

@@ -4,8 +4,8 @@ The wire format is an *encoding*, never a semantic: every boundary that
 ships ``(site, polarity)`` arrays instead of pickled object trees — the
 tester's lot shards, the fault simulator's fault shards, the executor's
 zero-copy frames, the server's binary protocol — must produce results
-bit-identical to the object payloads (the fallback for faults outside
-the universe) and to the word-level oracles at any worker count.  These
+bit-identical to the same faults handed in as objects and to the
+word-level oracles at any worker count.  These
 tests pin that down, plus the transport edge cases: shared-memory
 hygiene (``/dev/shm`` holds nothing after a run), recovery when a worker
 is SIGKILLed mid-dispatch with shared-memory frames in flight, and the
@@ -14,6 +14,7 @@ bytes, with base64's ~33% inflation allowed on top for JSON frames).
 """
 
 import os
+import re
 import signal
 import socket
 import threading
@@ -87,11 +88,11 @@ def program(chip):
 
 
 class TestPayloadDifferential:
-    """SoA shard payloads versus the object fallback: bit-identical.
+    """SoA shard payloads versus fault-object inputs: bit-identical.
 
-    Shards travel as ``(site, polarity)`` arrays unless the run carries a
-    fault outside the netlist's universe (an ad-hoc site such as a
-    fanout-1 branch); then the whole run travels as pickled objects.
+    Shards always travel as ``(site, polarity)`` arrays; a fault outside
+    the netlist's universe (an ad-hoc site such as a fanout-1 branch) is
+    rejected with a ``ValueError`` naming it before anything is sent.
     """
 
     # Signal "1" of c17 has one sink, so its branch is not a universe site.
@@ -101,11 +102,11 @@ class TestPayloadDifferential:
     def test_test_lot_identical_across_formats(self, lot, program, workers):
         tester = WaferTester(program)
         soa = tester.test_lot(lot.chips, workers=workers)
+        assert soa == lot_records(program, lot.chips)
         base = lot.chips[0]
         adhoc = FabricatedChip(base.chip_id, base.defects, (self.ADHOC,))
-        objects = tester.test_lot([*lot.chips, adhoc], workers=workers)
-        assert objects[:-1] == soa == lot_records(program, lot.chips)
-        assert objects[-1:] == lot_records(program, [adhoc])
+        with pytest.raises(ValueError, match=re.escape(str(self.ADHOC))):
+            tester.test_lot([*lot.chips, adhoc], workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_fault_sim_identical_across_formats(self, chip, workers):
@@ -113,16 +114,18 @@ class TestPayloadDifferential:
         universe = full_fault_universe(chip)
         simulator = FaultSimulator(chip)
         soa = simulator.run(patterns, workers=workers)
-        objects = simulator.run(
-            patterns, faults=[*universe, self.ADHOC], workers=workers
-        )
-        assert objects.first_detect[:-1] == soa.first_detect
+        objects = simulator.run(patterns, faults=universe, workers=workers)
+        assert objects.first_detect == soa.first_detect
         assert np.array_equal(
             objects.coverage_curve(),
             FaultSimulator(chip, engine=CompiledEngine(chip))
-            .run(patterns, faults=[*universe, self.ADHOC])
+            .run(patterns, faults=universe)
             .coverage_curve(),
         )
+        with pytest.raises(ValueError, match=re.escape(str(self.ADHOC))):
+            simulator.run(
+                patterns, faults=[*universe, self.ADHOC], workers=workers
+            )
 
     def test_eager_chips_take_the_lookup_path(self, lot, program):
         # A lot that crossed a pickle boundary loses its array backing;
