@@ -207,32 +207,30 @@ def _scan_blocks(
     engine: Engine,
     blocks: Iterable[tuple[Mapping[str, int], int]],
     faults: np.ndarray,
-) -> list[int | None]:
+) -> np.ndarray:
     """Pattern-block scan with cross-block fault dropping.
 
     The one copy of the drop loop, shared by the serial path (lazy block
     packing, early exit once every fault is detected) and the sharded
     workers (each scans its own fault shard with per-shard compaction).
-    ``faults`` is an integer array of universe indices.
+    ``faults`` is an integer array of universe indices.  Returns each
+    fault's first detecting pattern as an ``int64`` array, ``-1`` for a
+    miss.
     """
-    first_detect: list[int | None] = [None] * len(faults)
-    remaining = list(range(len(faults)))
+    first_detect = np.full(len(faults), -1, dtype=np.int64)
+    remaining = np.arange(len(faults))
     offset = 0
     for words, block_len in blocks:
-        if not remaining:
+        if not remaining.size:
             break
-        detect_words = engine.detect_block(words, block_len, faults[remaining])
+        bits = first_detecting_bits(
+            engine.detect_block(words, block_len, faults[remaining]), block_len
+        )
         # Compact the batch: only still-undetected faults ride into the
         # next block.
-        still_remaining: list[int] = []
-        for fi, bit in zip(
-            remaining, first_detecting_bits(detect_words, block_len)
-        ):
-            if bit is not None:
-                first_detect[fi] = offset + bit
-            else:
-                still_remaining.append(fi)
-        remaining = still_remaining
+        detected = bits >= 0
+        first_detect[remaining[detected]] = offset + bits[detected]
+        remaining = remaining[~detected]
         offset += block_len
     return first_detect
 
@@ -278,7 +276,7 @@ def engine_context_token(engine: Engine) -> tuple:
 def _simulate_fault_shard(
     context: _FaultShardContext,
     task: "tuple[tuple[tuple[dict[str, int], int], ...], np.ndarray]",
-) -> list[int | None]:
+) -> np.ndarray:
     """Worker: scan the task's pattern blocks against its fault shard,
     an ``int32`` array of fault-universe indices (the SoA wire format)."""
     blocks, faults = task
@@ -399,7 +397,7 @@ class FaultSimulator:
                     shard_detects = executor.map_shards(
                         _simulate_fault_shard, context, tasks
                     )
-            first_detect = plan.merge(shard_detects)
+            detects = np.asarray(plan.merge(shard_detects), dtype=np.int64)
         else:
 
             def lazy_blocks():
@@ -407,10 +405,11 @@ class FaultSimulator:
                     block = patterns[start : start + WORD_BITS]
                     yield pack_patterns(input_names, block), len(block)
 
-            first_detect = _scan_blocks(self.engine, lazy_blocks(), indices)
+            detects = _scan_blocks(self.engine, lazy_blocks(), indices)
 
+        detects.flags.writeable = False
         return FaultSimResult.from_indices(
-            universe, indices, _detect_array(first_detect), len(patterns)
+            universe, indices, detects, len(patterns)
         )
 
     def detects(

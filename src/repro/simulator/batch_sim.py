@@ -10,9 +10,12 @@ of shape ``(num_machines + 1, num_signals)`` where
   stuck-at fault for the fault simulator, or a defective chip's whole
   multi-fault set for the wafer tester.
 
-Each gate is evaluated exactly once per 64-pattern block for *all* rows,
+A gate is evaluated once per 64-pattern block for many rows at a time,
 so the per-fault cost collapses from a full Python resimulation to one
-row of a vectorized reduction.
+row of a vectorized reduction.  The NumPy backend evaluates a group of
+rows only on the union of their faults' fanout cones (see
+:mod:`~repro.simulator.kernels.numpy_exec`); the accelerated backends
+evaluate every gate for every row.
 
 :class:`BatchCompiledCircuit` lowers the netlist once into a flat,
 levelized :class:`~repro.simulator.kernels.ir.KernelProgram` and runs
@@ -59,8 +62,10 @@ from repro.simulator.kernels.backends import (
 )
 from repro.simulator.kernels.gpu_exec import execute_gpu
 from repro.simulator.kernels.ir import (
+    ConeTable,
     InjectionTables,
     SiteTable,
+    cone_table,
     lower_program,
     resolve_sites,
 )
@@ -97,6 +102,7 @@ class BatchCompiledCircuit:
         }
         self.program = lower_program(netlist, self._index)
         self._site_table: SiteTable | None = None
+        self._cones: ConeTable | None = None
 
     @property
     def num_signals(self) -> int:
@@ -123,6 +129,13 @@ class BatchCompiledCircuit:
                 full_fault_universe(self.netlist),
             )
         return self._site_table
+
+    @property
+    def cones(self) -> ConeTable:
+        """Fanout cones of the lowered program, built on first use."""
+        if self._cones is None:
+            self._cones = cone_table(self.program)
+        return self._cones
 
     def machine_tables(self, machines: Sequence[Sequence]) -> InjectionTables:
         """Injection tables for fault-object machines (one row each); a
@@ -153,18 +166,28 @@ class BatchCompiledCircuit:
 
     # ------------------------------------------------------------ evaluation
 
+    def _input_values(self, input_words: Mapping[str, int]) -> list[int]:
+        """One masked word per primary input, in program order."""
+        values = []
+        for name in self.program.input_names:
+            try:
+                values.append(input_words[name] & WORD_MASK)
+            except KeyError:
+                raise ValueError(f"missing input word for {name!r}") from None
+        return values
+
     def _prefill(
         self,
         input_words: Mapping[str, int],
         tables: InjectionTables,
         transposed: bool,
     ) -> np.ndarray:
-        """A fresh value matrix with inputs and PI stems loaded.
+        """A fresh full value matrix with inputs and PI stems loaded, for
+        the dense JIT/GPU executors.
 
         ``np.empty`` is safe: every column is either an input (filled
         here) or a gate output (written by its gate in schedule order).
-        Transposed is ``(num_signals, num_rows)``, for the column-major
-        executors.
+        Transposed is ``(num_signals, num_rows)``.
         """
         if transposed:
             values = np.empty((self.num_signals, tables.num_rows), dtype=_U64)
@@ -172,14 +195,9 @@ class BatchCompiledCircuit:
         else:
             values = np.empty((tables.num_rows, self.num_signals), dtype=_U64)
             view = values.T
-        for name, col in zip(
-            self.program.input_names, self.program.input_cols.tolist()
-        ):
-            try:
-                word = input_words[name]
-            except KeyError:
-                raise ValueError(f"missing input word for {name!r}") from None
-            view[col] = _U64(word & WORD_MASK)
+        view[self.program.input_cols] = np.array(
+            self._input_values(input_words), dtype=_U64
+        )[:, None]
         if tables.pi_row.size:
             view[tables.pi_col, tables.pi_row] = tables.pi_word
         return values
@@ -189,25 +207,35 @@ class BatchCompiledCircuit:
         backend: str,
         input_words: Mapping[str, int],
         tables: InjectionTables,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Run one block on a concrete backend; returns the value matrix
-        in the canonical ``(num_rows, num_signals)`` orientation (a
-        transposed view for the column-major executors)."""
+        """Run one block on a concrete backend; returns the ``columns``
+        (default: every signal) of every row, ``(num_rows,
+        len(columns))``, possibly as a transposed view."""
+        if backend == "numpy":
+            if columns is None:
+                columns = np.arange(self.num_signals)
+            return execute_numpy(
+                self.program,
+                self.cones,
+                self._input_values(input_words),
+                tables,
+                columns,
+            )
         if backend == "jit":
             values = self._prefill(input_words, tables, False)
             execute_jit(self.program, values, tables)
-            return values
-        values_t = self._prefill(input_words, tables, True)
-        if backend == "gpu":
-            execute_gpu(self.program, values_t, tables)
         else:
-            execute_numpy(self.program, values_t, tables)
-        return values_t.T
+            values_t = self._prefill(input_words, tables, True)
+            execute_gpu(self.program, values_t, tables)
+            values = values_t.T
+        return values if columns is None else values[:, columns]
 
     def run_batch(
         self,
         input_words: Mapping[str, int],
         machines: Sequence[Sequence] | InjectionTables,
+        columns: np.ndarray | None = None,
     ) -> np.ndarray:
         """Evaluate row 0 (good) plus one row per machine.
 
@@ -216,8 +244,8 @@ class BatchCompiledCircuit:
         ``machines`` is either prebuilt :class:`InjectionTables` or a
         sequence of fault sets (fault-universe members, see
         :meth:`machine_tables`), each injected *simultaneously* into its
-        own row.  Returns the full ``(num_rows, num_signals)`` value
-        matrix.
+        own row.  Returns the ``(num_rows, num_signals)`` value matrix,
+        or only its signal ``columns`` (an index array) when given.
         """
         if isinstance(machines, InjectionTables):
             tables = machines
@@ -232,7 +260,7 @@ class BatchCompiledCircuit:
                     (
                         name,
                         lambda name=name: self._execute(
-                            name, input_words, tables
+                            name, input_words, tables, columns
                         ),
                     )
                     for name in available_backends()
@@ -242,7 +270,7 @@ class BatchCompiledCircuit:
                 )
                 autotune.note_block(backend)
                 return values
-        values = self._execute(backend, input_words, tables)
+        values = self._execute(backend, input_words, tables, columns)
         autotune.note_block(backend)
         return values
 
@@ -254,9 +282,11 @@ class BatchCompiledCircuit:
         """One 64-bit detect word per machine: bit ``k`` set iff pattern
         ``k`` of the block distinguishes that machine from the good one at
         some primary output."""
-        values = self.run_batch(input_words, machines)
-        outputs = values[:, self.program.output_cols]  # (rows, num_outputs)
-        diff = outputs[1:] ^ outputs[0]
+        outputs = self.run_batch(
+            input_words, machines, columns=self.program.output_cols
+        )  # (rows, num_outputs), a fresh array
+        diff = outputs[1:]
+        diff ^= outputs[0]
         return np.bitwise_or.reduce(diff, axis=1)
 
     def output_words(self, values: np.ndarray, row: int = 0) -> dict[str, int]:
@@ -267,11 +297,13 @@ class BatchCompiledCircuit:
         }
 
     def __getstate__(self):
-        # Ship the IR, not the site table: it rebuilds (and revalidates)
-        # in the receiving process on first use; numba/CuPy state is
-        # module-global and recreated per process.
+        # Ship the IR, not the site table or the cones: they rebuild
+        # (the site table revalidates) in the receiving process on first
+        # use; numba/CuPy state is module-global and recreated per
+        # process.
         state = self.__dict__.copy()
         state["_site_table"] = None
+        state["_cones"] = None
         return state
 
 

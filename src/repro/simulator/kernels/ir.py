@@ -23,11 +23,16 @@ injection target of every fault site once per circuit (PI column, stem
 ``(gate position, column)`` or pin ``(gate position, pin)``), resolved
 and validated by :func:`resolve_sites`; :class:`InjectionTables` carries
 one call's stem forces and pin overrides, gathered from it, as flat
-arrays in two layouts: grouped by row (the per-machine walk a
-row-parallel JIT kernel wants) and grouped by gate (the scatter a
-vectorized NumPy/GPU executor wants).  Both layouts preserve insertion
-order among duplicates, so a doubly-forced site resolves last-wins,
-as in the word-level reference simulator the test suite keeps.
+arrays in machine order, plus the row-CSR layout the row-parallel
+JIT/GPU kernels walk.  The NumPy executor sorts them into its own row
+groups.  Every layout preserves insertion order among duplicates, so a
+doubly-forced site resolves last-wins, as in the word-level reference
+simulator the test suite keeps.
+
+A :class:`ConeTable` (:func:`cone_table`) gives every signal's fanout
+cone over the schedule: the gates a force on that signal can change.
+The NumPy executor evaluates each row group on the union of its rows'
+cones only.
 
 The program's :attr:`~KernelProgram.fingerprint` is a content hash of
 the lowered arrays.  JIT compilation caches and the autotuner's
@@ -49,9 +54,11 @@ from repro.circuit.netlist import Netlist
 from repro.simulator.sites import validate_fault_site
 
 __all__ = [
+    "ConeTable",
     "KernelProgram",
     "InjectionTables",
     "SiteTable",
+    "cone_table",
     "lower_program",
     "resolve_sites",
     "SITE_PI",
@@ -200,6 +207,67 @@ def lower_program(netlist: Netlist, index: dict[str, int]) -> KernelProgram:
     )
 
 
+@dataclass(frozen=True)
+class ConeTable:
+    """A program's fanout cones, and its schedule as Python tuples.
+
+    ``bits[c]`` is a packed little-endian bitset over schedule
+    positions: bit ``g`` is set iff gate ``g`` can change when signal
+    column ``c`` is forced.  That is every gate reading ``c``
+    transitively and, for a gate output, its own driver (a stem or pin
+    force on gate ``g`` re-evaluates ``g``).  Rows are padded to whole
+    64-bit words, so the union of many cones is one
+    ``np.bitwise_or.reduce`` over a ``uint64`` view.
+
+    ``gates[g]`` is gate ``g`` as ``(opcode, invert, operand columns,
+    output column)`` in Python ints, for per-gate loops, plus its
+    operand columns again as an ``int64`` array.
+    """
+
+    bits: np.ndarray  # uint8 (num_signals, 8 * ceil(num_gates / 64))
+    gates: tuple
+
+
+def cone_table(program: KernelProgram) -> ConeTable:
+    """The :class:`ConeTable` of ``program``.
+
+    One reverse walk of the schedule: every reader of a column comes
+    later in it, so when gate ``g`` is reached its output column's cone
+    is complete and is pushed into each of its operands' cones.
+    """
+    op_idx = program.op_idx.tolist()
+    op_ptr = program.op_ptr.tolist()
+    gates = tuple(
+        (
+            op,
+            inv,
+            tuple(op_idx[op_ptr[g] : op_ptr[g + 1]]),
+            out,
+            program.op_idx[op_ptr[g] : op_ptr[g + 1]],
+        )
+        for g, (op, inv, out) in enumerate(
+            zip(
+                program.opcodes.tolist(),
+                program.invert.tolist(),
+                program.out_cols.tolist(),
+            )
+        )
+    )
+    cones = [0] * program.num_signals
+    for g in range(len(gates) - 1, -1, -1):
+        _, _, operands, out, _ = gates[g]
+        cone = cones[out] | (1 << g)
+        cones[out] = cone
+        for col in operands:
+            cones[col] |= cone
+    num_bytes = 8 * ((len(gates) + 63) // 64)
+    packed = b"".join(cone.to_bytes(num_bytes, "little") for cone in cones)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(
+        program.num_signals, num_bytes
+    )
+    return ConeTable(bits, gates)
+
+
 # Site kinds: where a stuck-at site's force lands in the schedule.
 SITE_PI = 0  # primary-input stem: forced when the value matrix loads
 SITE_STEM = 1  # gate-output stem: forced after its gate evaluates
@@ -294,7 +362,7 @@ class InjectionTables:
         "pi_row", "pi_col", "pi_word",
         "stem_row", "stem_gate", "stem_col", "stem_word",
         "pin_row", "pin_gate", "pin_pin", "pin_word",
-        "_row_views", "_gate_views",
+        "_row_views",
     )
 
     def __init__(self, num_rows: int, pi, stems, pins):
@@ -314,7 +382,6 @@ class InjectionTables:
         self.pin_pin = np.asarray(pin_pin, dtype=np.int64)
         self.pin_word = np.asarray(pin_word, dtype=_U64)
         self._row_views = None
-        self._gate_views = None
 
     @classmethod
     def from_sites(
@@ -357,7 +424,7 @@ class InjectionTables:
         with ``*_ptr[r]:*_ptr[r + 1]`` slicing row ``r``'s entries.  The
         sort is stable, so duplicate forces keep machine order and a
         sequential walk resolves them last-wins, identical to the NumPy
-        scatter.
+        executor's fancy assignments.
         """
         if self._row_views is None:
             s_order = np.lexsort((self.stem_gate, self.stem_row))
@@ -380,41 +447,3 @@ class InjectionTables:
                 self.pin_word[p_order],
             )
         return self._row_views
-
-    def by_gate(self):
-        """Per-gate scatter layout for vectorized executors.
-
-        Returns ``(stem_by_gate, pin_by_gate)`` dicts keyed by gate
-        position: ``stem_by_gate[g] = (rows, words)`` forces gate
-        ``g``'s output column after it evaluates; ``pin_by_gate[g] =
-        (rows, pins, words)`` patches its gathered operands first.
-        Entry order within a gate is machine order, so a vectorized
-        fancy assignment resolves duplicates last-wins like the
-        reference engine.
-        """
-        if self._gate_views is None:
-            stem_by_gate: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            if self.stem_row.size:
-                order = np.argsort(self.stem_gate, kind="stable")
-                gates = self.stem_gate[order]
-                bounds = np.flatnonzero(np.diff(gates)) + 1
-                for chunk in np.split(order, bounds):
-                    stem_by_gate[int(self.stem_gate[chunk[0]])] = (
-                        self.stem_row[chunk],
-                        self.stem_word[chunk],
-                    )
-            pin_by_gate: dict[
-                int, tuple[np.ndarray, np.ndarray, np.ndarray]
-            ] = {}
-            if self.pin_row.size:
-                order = np.argsort(self.pin_gate, kind="stable")
-                gates = self.pin_gate[order]
-                bounds = np.flatnonzero(np.diff(gates)) + 1
-                for chunk in np.split(order, bounds):
-                    pin_by_gate[int(self.pin_gate[chunk[0]])] = (
-                        self.pin_row[chunk],
-                        self.pin_pin[chunk],
-                        self.pin_word[chunk],
-                    )
-            self._gate_views = (stem_by_gate, pin_by_gate)
-        return self._gate_views

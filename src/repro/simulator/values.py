@@ -7,7 +7,11 @@ inputs.  The parallel simulator processes patterns in words of 64: bit
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = ["WORD_BITS", "pack_patterns", "unpack_outputs", "first_detecting_bits"]
 
@@ -15,24 +19,25 @@ WORD_BITS = 64
 
 
 def first_detecting_bits(
-    detect_words: Sequence[int], num_patterns: int
-) -> list[int | None]:
-    """Lowest set bit of each detect word within the block, or ``None``.
+    detect_words: Sequence[int] | np.ndarray, num_patterns: int
+) -> np.ndarray:
+    """Lowest set bit of each detect word within the block, or ``-1``.
 
     The one place the first-detect idiom lives: bits at or above
     ``num_patterns`` are masked off (they belong to zero-filled pad
     patterns), and the surviving word's lowest set bit is the block-local
-    index of the first detecting pattern.  Used by the fault simulator's
+    index of the first detecting pattern.  Returns an ``int64`` array,
+    ``-1`` for a word with no such bit.  Used by the fault simulator's
     drop loop and the wafer tester's first-fail scan alike.
     """
     if not 1 <= num_patterns <= WORD_BITS:
         raise ValueError(f"num_patterns must be in [1, {WORD_BITS}]")
-    mask = (1 << num_patterns) - 1
-    bits: list[int | None] = []
-    for word in detect_words:
-        word = int(word) & mask
-        bits.append((word & -word).bit_length() - 1 if word else None)
-    return bits
+    words = np.asarray(detect_words, dtype=np.uint64)
+    words = words & np.uint64((1 << num_patterns) - 1)
+    lowest = words & (~words + np.uint64(1))
+    # frexp(2**k) is exactly (0.5, k + 1), and frexp(0) is (0, 0).
+    _, exponent = np.frexp(lowest.astype(np.float64))
+    return exponent.astype(np.int64) - 1
 
 
 def pack_patterns(
@@ -55,6 +60,58 @@ def pack_patterns(
         raise ValueError("need at least one pattern")
     if len(patterns) > WORD_BITS:
         raise ValueError(f"at most {WORD_BITS} patterns per word, got {len(patterns)}")
+    bits = _pattern_bits(input_names, patterns)
+    if bits is None:
+        return _pack_checked(input_names, patterns)
+    padded = np.zeros((WORD_BITS, len(input_names)), dtype=np.uint8)
+    padded[: len(patterns)] = bits
+    packed = np.packbits(padded, axis=0, bitorder="little")  # (8, inputs)
+    words = np.ascontiguousarray(packed.T).view("<u8").reshape(-1)
+    return dict(zip(input_names, words.tolist()))
+
+
+def _pattern_bits(
+    input_names: Sequence[str],
+    patterns: Sequence[Mapping[str, int] | Sequence[int]],
+) -> np.ndarray | None:
+    """The patterns as a ``(patterns, inputs)`` 0/1 ``uint8`` matrix, one
+    gather per block, or ``None`` when they are not all well-formed (the
+    checked loop then names the first fault)."""
+    num_inputs = len(input_names)
+    if not num_inputs:
+        return None
+    if all(isinstance(pattern, Mapping) for pattern in patterns):
+        num_keys = len(set(input_names))
+        if any(len(pattern) != num_keys for pattern in patterns):
+            return None
+        gather = itemgetter(*input_names)
+        try:
+            rows = [gather(pattern) for pattern in patterns]
+        except KeyError:
+            return None
+        if num_inputs == 1:
+            rows = [(value,) for value in rows]
+    elif any(isinstance(pattern, Mapping) for pattern in patterns):
+        return None
+    elif any(len(pattern) != num_inputs for pattern in patterns):
+        return None
+    else:
+        rows = patterns
+    try:  # integers in range(256) only
+        flat = bytes(chain.from_iterable(rows))
+    except (TypeError, ValueError):
+        return None
+    if len(flat) != len(patterns) * num_inputs or flat.translate(None, b"\x00\x01"):
+        return None
+    return np.frombuffer(flat, dtype=np.uint8).reshape(len(patterns), num_inputs)
+
+
+def _pack_checked(
+    input_names: Sequence[str],
+    patterns: Sequence[Mapping[str, int] | Sequence[int]],
+) -> dict[str, int]:
+    """:func:`pack_patterns` one value at a time, raising on the first
+    malformed pattern."""
     words = {name: 0 for name in input_names}
     for k, pattern in enumerate(patterns):
         if isinstance(pattern, Mapping):

@@ -136,16 +136,10 @@ def _first_fail_codes(
             lot.polarities[entries],
             batch.site_table,
         )
-        fail_words = batch.detect_words(words, tables)
-        passing: list[int] = []
-        for i, first_bit in zip(
-            remaining.tolist(), first_detecting_bits(fail_words, block_len)
-        ):
-            if first_bit is None:
-                passing.append(i)
-            else:
-                first_fail[i] = offset + first_bit
-        remaining = np.array(passing, dtype=np.intp)
+        bits = first_detecting_bits(batch.detect_words(words, tables), block_len)
+        failed = bits >= 0
+        first_fail[remaining[failed]] = offset + bits[failed]
+        remaining = remaining[~failed]
         offset += block_len
     return first_fail
 

@@ -286,8 +286,8 @@ def first_fail(
         fail_word = 0
         for name, good_word in good_words.items():
             fail_word |= good_word ^ observed[name]
-        (first_bit,) = first_detecting_bits([fail_word], block_len)
-        if first_bit is not None:
+        (first_bit,) = first_detecting_bits([fail_word], block_len).tolist()
+        if first_bit >= 0:
             return offset + first_bit
         offset += block_len
     return None

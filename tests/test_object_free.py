@@ -229,5 +229,7 @@ def test_tables_from_sites_match_fault_objects(chip, lot):
     gathered = InjectionTables.from_sites(
         len(chips) + 1, rows, sites, pols, batch.site_table
     )
-    for field in InjectionTables.__slots__[:-2]:
+    for field in InjectionTables.__slots__:
+        if field.startswith("_"):  # lazily built layouts
+            continue
         assert np.array_equal(getattr(by_objects, field), getattr(gathered, field)), field
