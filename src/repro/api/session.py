@@ -165,17 +165,8 @@ class Session:
         max_bytes: int | None = None,
         dispatch_timeout: float | None = None,
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; choose from {sorted(ENGINES)}"
-            )
-        for name, bound in (("max_contexts", max_contexts), ("max_bytes", max_bytes)):
-            if bound is not None and (
-                isinstance(bound, bool) or not isinstance(bound, int) or bound < 1
-            ):
-                raise ValueError(f"{name} must be a positive integer or None, got {bound!r}")
         self.engine = engine
-        self.num_workers = resolve_workers(workers)
+        self.num_workers = self.check_args(engine, workers, max_contexts, max_bytes)
         self.max_contexts = max_contexts
         self.max_bytes = max_bytes
         self._executor = ParallelExecutor(
@@ -190,6 +181,20 @@ class Session:
         self._engine_compiles = 0
         self._evictions = 0
         self._closed = False
+
+    @staticmethod
+    def check_args(engine: str, workers, max_contexts=None, max_bytes=None) -> int:
+        """The constructor's argument checks (and resolved worker count), run alone."""
+        if engine not in ENGINES:
+            raise ValueError(
+                f"unknown engine {engine!r}; choose from {sorted(ENGINES)}"
+            )
+        for name, bound in (("max_contexts", max_contexts), ("max_bytes", max_bytes)):
+            if bound is not None and (
+                isinstance(bound, bool) or not isinstance(bound, int) or bound < 1
+            ):
+                raise ValueError(f"{name} must be a positive integer or None, got {bound!r}")
+        return resolve_workers(workers)
 
     # ------------------------------------------------------------ lifecycle
 

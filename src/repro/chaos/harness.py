@@ -41,14 +41,14 @@ point              where it fires                          typical actions
 ``executor.shard`` pool worker, about to run shard         ``kill``, ``hang``,
                    ``index``                               ``fail``
 ``wire.shm_attach`` attaching a shared-memory segment      ``fail``
-``server.job``     server exec thread, about to run a      ``delay``
-                   pipeline job
+``server.job``     scheduler lane thread (server and       ``delay``
+                   gateway), about to run a pipeline job
 ``server.reply``   server event loop, about to write a     ``truncate``,
                    reply frame                             ``reset``, ``delay``
 ``client.send``    client, about to send a request frame   ``reset``
 ``router.forward`` router, about to forward a request to   ``reset``, ``fail``,
                    backend ``index``                       ``delay``
-``router.backend`` backend exec thread (``backend_id`` =   ``kill``, ``hang``,
+``router.backend`` backend lane thread (``backend_id`` =   ``kill``, ``hang``,
                    ``index``), about to run a routed job   ``fail``
 =================  ======================================  =================
 

@@ -6,10 +6,10 @@ The production-shaped network layer on top of :mod:`repro.server`:
   op surface as REST resources with safe JSON payloads (no pickle off
   the wire), optional TLS and bearer-token auth, and a Prometheus-text
   ``/metrics`` endpoint.
-* :class:`SessionScheduler` — one :class:`~repro.api.Session` per
-  netlist group (bounded, LRU-idle evicted) so distinct netlists
-  execute concurrently where the TCP server's single shared session
-  serializes them.
+* :class:`SessionScheduler` (from :mod:`repro.server.scheduler`) — one
+  :class:`~repro.api.Session` per netlist group (bounded, LRU-idle
+  evicted) so distinct netlists execute concurrently where the TCP
+  server's one lane serializes them.
 * :class:`AsyncClient` — pipelines many requests on one connection with
   the TCP client's retry/backoff/replay semantics;
   :class:`GatewayClient` is its blocking facade.
@@ -20,7 +20,7 @@ Start one from the CLI with ``repro-gateway``, or in-process via
 
 from repro.gateway.client import AsyncClient, GatewayClient, parse_url
 from repro.gateway.gateway import Gateway
-from repro.gateway.scheduler import SessionScheduler
+from repro.server.scheduler import SessionScheduler
 
 __all__ = [
     "AsyncClient",

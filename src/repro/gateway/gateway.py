@@ -22,10 +22,13 @@ GET       ``/v1/stats``                 scheduler + HTTP stats as JSON
 POST      ``/v1/shutdown``              graceful drain and exit
 ========  ============================  =====================================
 
-Requests that touch the pipeline are queued per netlist and executed by
-the :class:`~repro.gateway.scheduler.SessionScheduler` — one session
-per netlist group, so distinct netlists genuinely overlap in wall-clock
-where the TCP server's single shared session serializes them.
+The pipeline ops are the TCP server's too, written once in
+:class:`~repro.server.app.PipelineApp`; this module keeps only the JSON
+codec.  Jobs are queued per netlist on a
+:class:`~repro.server.scheduler.SessionScheduler` with up to
+``max_sessions`` lanes — one session per netlist group, so distinct
+netlists genuinely overlap in wall-clock where the TCP server's one
+lane serializes them.
 
 Responses on one connection are written in **request order** while the
 handlers themselves run concurrently — that is what makes client-side
@@ -49,23 +52,10 @@ import logging
 import re
 import ssl
 
-from repro.api import Session
-from repro.circuit.netlist import Netlist
 from repro.gateway import codec, http
 from repro.gateway.metrics import render_metrics
-from repro.gateway.scheduler import SessionScheduler
-from repro.server.app import ServingApp
-from repro.server.core import (
-    EXPERIMENT_QUEUE,
-    HandleRegistry,
-    ReplayCache,
-    RequestError,
-    error_body,
-    experiment_job,
-    lot_summary,
-    param,
-    program_summary,
-)
+from repro.server.app import PipelineApp
+from repro.server.core import RequestError, error_body, lot_summary, param, program_summary
 from repro.server.protocol import (
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
@@ -78,7 +68,6 @@ from repro.server.protocol import (
     ERR_UNKNOWN_OP,
     ERR_USER,
     ERR_WORKER_CRASH,
-    netlist_fingerprint,
 )
 
 __all__ = ["Gateway"]
@@ -116,18 +105,20 @@ def _refusal(status: int, code: str, message: str) -> tuple[int, dict, bool]:
 
 
 class _Route:
-    __slots__ = ("method", "pattern", "handler", "name", "auth_exempt", "replayable")
+    """One REST route; ``op`` names the pipeline op it runs, if any."""
 
-    def __init__(self, method, pattern, handler, name, auth_exempt=False, replayable=False):
+    __slots__ = ("method", "pattern", "handler", "name", "op", "auth_exempt")
+
+    def __init__(self, method, pattern, handler, name, op=None, auth_exempt=False):
         self.method = method
         self.pattern = re.compile(pattern)
         self.handler = handler
         self.name = name
+        self.op = op
         self.auth_exempt = auth_exempt
-        self.replayable = replayable
 
 
-class Gateway(ServingApp):
+class Gateway(PipelineApp):
     """Serve the lot-testing pipeline over HTTP/JSON.
 
     Parameters
@@ -160,6 +151,7 @@ class Gateway(ServingApp):
 
     _kind = "gateway"
     _log = logging.getLogger("repro.gateway")
+    _REGISTER_HINT = "POST /v1/netlists first"
 
     def __init__(
         self,
@@ -187,13 +179,10 @@ class Gateway(ServingApp):
                 f"refusing to bind non-loopback host {host!r} without "
                 f"auth_token (pass allow_insecure=True to override)"
             )
-        super().__init__(drain_timeout, request_timeout, ReplayCache())
-        self._host = host
-        self._port = port
-        self._tls_cert = tls_cert
-        self._tls_key = tls_key
-        self._auth_token = auth_token
-        self._scheduler = SessionScheduler(
+        super().__init__(
+            drain_timeout,
+            request_timeout,
+            max_handles,
             max_sessions=max_sessions,
             max_queue_depth=max_queue_depth,
             engine=engine,
@@ -202,10 +191,11 @@ class Gateway(ServingApp):
             max_bytes=max_bytes,
             dispatch_timeout=dispatch_timeout,
         )
-        self._netlists: dict[str, Netlist] = {}
-        handle_counter = [0]
-        self._lots = HandleRegistry("lot", max_handles, handle_counter)
-        self._programs = HandleRegistry("prog", max_handles, handle_counter)
+        self._host = host
+        self._port = port
+        self._tls_cert = tls_cert
+        self._tls_key = tls_key
+        self._auth_token = auth_token
         self._requests_total = 0
         self._auth_failures = 0
         self._bad_requests = 0
@@ -214,14 +204,14 @@ class Gateway(ServingApp):
             _Route("GET", r"^/metrics$", self._r_metrics, "metrics"),
             _Route("GET", r"^/v1/stats$", self._r_stats, "stats"),
             _Route("POST", r"^/v1/netlists$", self._r_netlists, "netlists",
-                   replayable=True),
-            _Route("POST", r"^/v1/lots$", self._r_lots, "lots", replayable=True),
+                   "register_netlist"),
+            _Route("POST", r"^/v1/lots$", self._r_lots, "lots", "fabricate"),
             _Route("POST", r"^/v1/programs$", self._r_programs, "programs",
-                   replayable=True),
+                   "build_program"),
             _Route("POST", r"^/v1/lots/([^/]+)/test$", self._r_test, "test",
-                   replayable=True),
+                   "test_lot"),
             _Route("POST", r"^/v1/experiments/([^/]+)$", self._r_experiment,
-                   "experiments", replayable=True),
+                   "experiments", "run_experiment"),
             _Route("POST", r"^/v1/shutdown$", self._r_shutdown, "shutdown"),
         ]
 
@@ -239,12 +229,6 @@ class Gateway(ServingApp):
         scheme = "https" if self._tls_cert is not None else "http"
         self.address = f"{scheme}://{bound[0]}:{bound[1]}"
         return [server]
-
-    def _pending(self) -> int:
-        return self._scheduler.total_pending()
-
-    async def _close(self) -> None:
-        await self._scheduler.aclose()
 
     # --------------------------------------------------------- connections
 
@@ -382,12 +366,12 @@ class Gateway(ServingApp):
             return _refusal(401, ERR_UNAUTHORIZED, "missing or invalid bearer token")
         cid = request.headers.get("x-repro-client-id")
         rid = request.headers.get("x-repro-request-id")
-        replayable = route.replayable and cid is not None and rid is not None
+        replays = route.op in self._REPLAY_OPS and cid is not None and rid is not None
         args = route.pattern.match(request.path).groups()
         result, error = await self._execute(
             route.name,
             lambda: route.handler(self._json_params(request), *args),
-            (cid, rid) if replayable else None,
+            (cid, rid) if replays else None,
         )
         if error is not None:
             return _STATUS_BY_CODE.get(error["code"], 500), {"ok": False, "error": error}, False
@@ -408,17 +392,6 @@ class Gateway(ServingApp):
         return params
 
     # ---------------------------------------------------------------- ops
-
-    def _netlist_for(self, params: dict) -> tuple[str, Netlist]:
-        netlist_id = param(params, "netlist_id", str)
-        netlist = self._netlists.get(netlist_id)
-        if netlist is None:
-            raise RequestError(
-                ERR_UNKNOWN_NETLIST,
-                f"netlist {netlist_id!r} is not registered; "
-                f"POST /v1/netlists first",
-            )
-        return netlist_id, netlist
 
     async def _r_healthz(self, params: dict) -> dict:
         return {
@@ -453,81 +426,41 @@ class Gateway(ServingApp):
         return {"scheduler": self._scheduler.stats(), "http": self._http_stats()}
 
     async def _r_netlists(self, params: dict) -> dict:
-        netlist = codec.netlist_from_json(param(params, "netlist", dict))
-        fingerprint = netlist_fingerprint(netlist)
-        known = fingerprint in self._netlists
-        if not known:
-            self._netlists[fingerprint] = netlist
-        return {"netlist_id": fingerprint, "known": known}
+        return self._register(codec.netlist_from_json(param(params, "netlist", dict)))
 
     async def _r_lots(self, params: dict) -> dict:
-        netlist_id, netlist = self._netlist_for(params)
         if "lot" in params:
             # Upload: register a client-built lot under a handle.
+            netlist_id, netlist = self._netlist_for(params)
             lot = codec.lot_from_json(netlist, param(params, "lot", dict))
             return lot_summary(self._lots.add((netlist_id, lot)), lot)
-        recipe = codec.recipe_from_json(param(params, "recipe", dict))
-        num_chips = param(params, "num_chips", int)
-        dies_per_wafer = param(params, "dies_per_wafer", int, default=100)
-        seed = param(params, "seed", (int, str, type(None)), default=None)
-        return_lot = param(params, "return_lot", bool, default=True)
-
-        def job(session: Session) -> dict:
-            lot = session.fabricate(
-                netlist, recipe, num_chips,
-                dies_per_wafer=dies_per_wafer, seed=seed,
-            )
-            result = lot_summary(self._lots.add((netlist_id, lot)), lot)
-            if return_lot:
-                result["lot"] = codec.lot_to_json(netlist, lot)
-            return result
-
-        return await self._scheduler.submit(netlist_id, job)
+        return await self._fabricate(
+            params,
+            lambda p: codec.recipe_from_json(param(p, "recipe", dict)),
+            codec.lot_to_json,
+        )
 
     async def _r_programs(self, params: dict) -> dict:
-        netlist_id, netlist = self._netlist_for(params)
         if "program" in params:
             # Upload: register a client-built program under a handle.
-            program = codec.program_from_json(
-                netlist, param(params, "program", dict)
-            )
+            netlist_id, netlist = self._netlist_for(params)
+            program = codec.program_from_json(netlist, param(params, "program", dict))
             return program_summary(self._programs.add((netlist_id, program)), program)
-        patterns = codec.patterns_from_json(param(params, "patterns", list))
-        collapse = param(params, "collapse", bool, default=True)
-        return_program = param(params, "return_program", bool, default=True)
-
-        def job(session: Session) -> dict:
-            program = session.build_program(netlist, patterns, collapse=collapse)
-            result = program_summary(self._programs.add((netlist_id, program)), program)
-            if return_program:
-                result["program"] = codec.program_to_json(program)
-            return result
-
-        return await self._scheduler.submit(netlist_id, job)
+        return await self._build(
+            params,
+            lambda p: codec.patterns_from_json(param(p, "patterns", list)),
+            codec.program_to_json,
+        )
 
     async def _r_test(self, params: dict, lot_id: str) -> dict:
-        entry = self._lots.get(lot_id)
-        if entry is None:
-            raise RequestError(
-                ERR_UNKNOWN_HANDLE, f"unknown or expired lot handle {lot_id!r}"
-            )
-        _lot_netlist_id, lot = entry
-        handle = param(params, "program_id", str)
-        program_entry = self._programs.get(handle)
-        if program_entry is None:
-            raise RequestError(
-                ERR_UNKNOWN_HANDLE, f"unknown or expired program handle {handle!r}"
-            )
-        netlist_id, program = program_entry
-
-        def job(session: Session) -> dict:
-            result = session.test(lot, program)
-            return codec.result_to_json(result)
-
-        return await self._scheduler.submit(netlist_id, job)
+        lot_netlist_id, lot = self._entry(self._lots, "lot", lot_id)
+        program_entry = self._entry(
+            self._programs, "program", param(params, "program_id", str)
+        )
+        return await self._test(lot_netlist_id, lot, program_entry, codec.result_to_json)
 
     async def _r_experiment(self, params: dict, name: str) -> dict:
-        return await self._scheduler.submit(EXPERIMENT_QUEUE, experiment_job(name))
+        return await self._experiment(name)
 
     async def _r_shutdown(self, params: dict) -> dict:
         return {"stopping": True}

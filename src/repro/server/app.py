@@ -1,9 +1,15 @@
-"""The serving core the three front ends share: :class:`ServingApp`.
+"""The serving core the three front ends share.
 
-:class:`~repro.server.LotServer`, :class:`~repro.gateway.Gateway` and
-:class:`~repro.router.Router` differ in their ops and transports only;
-their lifecycle, request-execution path and (for the two framed-TCP
-front ends) connection loop are defined here, once.
+:class:`ServingApp`
+    :class:`~repro.server.LotServer`, :class:`~repro.gateway.Gateway`
+    and :class:`~repro.router.Router` differ in their ops and transports
+    only; their lifecycle, request-execution path and (for the two
+    framed-TCP front ends) connection loop are defined here, once.
+:class:`PipelineApp`
+    The pipeline ops the server and the gateway both serve (register,
+    fabricate, build, test, experiment), their netlist and
+    handle registries and the :class:`SessionScheduler` they run on.
+    The two front ends keep only their wire codecs.
 """
 
 from __future__ import annotations
@@ -18,20 +24,36 @@ from contextlib import asynccontextmanager
 from typing import Any, Awaitable, Callable
 
 from repro import chaos
-from repro.server.core import ReplayCache, RequestError, error_body, error_payload
+from repro.circuit.netlist import Netlist
+from repro.server.core import (
+    EXPERIMENT_QUEUE,
+    HandleRegistry,
+    ReplayCache,
+    RequestError,
+    error_body,
+    error_payload,
+    experiment_job,
+    lot_summary,
+    param,
+    program_summary,
+)
 from repro.server.protocol import (
     ERR_BAD_FRAME,
     ERR_BAD_REQUEST,
     ERR_DEADLINE,
     ERR_SHUTTING_DOWN,
+    ERR_UNKNOWN_HANDLE,
+    ERR_UNKNOWN_NETLIST,
     ERR_UNKNOWN_OP,
     FrameDecodeError,
     ProtocolError,
     encode_frame,
+    netlist_fingerprint,
     read_frame_info,
 )
+from repro.server.scheduler import SessionScheduler
 
-__all__ = ["ServingApp", "error_response"]
+__all__ = ["PipelineApp", "ServingApp", "error_response"]
 
 # Environment default for the graceful-drain window (seconds): how long
 # shutdown waits for in-flight requests before closing anyway.
@@ -69,15 +91,15 @@ class ServingApp:
     CLI summary) and implements :meth:`_listen`, :meth:`_pending` and,
     if it owns resources, :meth:`_close`.  Framed-TCP front ends also
     set ``_OPS`` (op name -> ``handler(self, params, binary)``) and may
-    override :meth:`_unknown_op`; ops in ``_REPLAY_OPS`` are answered
-    from the replay cache on a retried ``(cid, rid)``.
+    override :meth:`_unknown_op`.  An app built with a replay cache
+    declares the ops it covers in ``_REPLAY_OPS`` (:class:`PipelineApp`
+    does); those are answered from the cache on a retried ``(cid, rid)``.
     """
 
     _kind = "server"
     _log = logging.getLogger("repro.server")
     # Chaos seam fired before every framed reply (None: no seam).
     _REPLY_SEAM: str | None = None
-    _REPLAY_OPS: frozenset = frozenset()
     _OPS: dict[str, Callable[..., Awaitable[Any]]] = {}
 
     def __init__(
@@ -212,10 +234,15 @@ class ServingApp:
             self.drained_requests = in_flight - self._pending()
             if in_flight:
                 await asyncio.sleep(_DRAIN_TICK)  # let those replies flush
-            for task in list(self._tasks):
-                task.cancel()
-            if self._tasks:
-                await asyncio.gather(*self._tasks, return_exceptions=True)
+            # Cancel until every task is done: on Python 3.11 a cancel
+            # that lands as an inner asyncio.wait_for completes is
+            # swallowed, and the task (a router health probe) runs on.
+            tasks = set(self._tasks)
+            while tasks:
+                for task in tasks:
+                    task.cancel()
+                done, tasks = await asyncio.wait(tasks, timeout=_DRAIN_TICK)
+                await asyncio.gather(*done, return_exceptions=True)
             for listener in listeners:
                 try:
                     await listener.wait_closed()
@@ -365,7 +392,8 @@ class ServingApp:
         # succeeded (its reply died on the wire), answer from the cache
         # instead of running the pipeline work — and its handles — twice.
         cid = request.get("cid")
-        replay = (cid, rid) if isinstance(cid, str) and op in self._REPLAY_OPS else None
+        replays = self._replay is not None and op in self._REPLAY_OPS
+        replay = (cid, rid) if isinstance(cid, str) and replays else None
         result, error = await self._execute(
             op, lambda: self._call_op(op, params, request, binary), replay
         )
@@ -389,3 +417,127 @@ class ServingApp:
         raise RequestError(
             ERR_UNKNOWN_OP, f"unknown op {op!r}; choose from {sorted(self._OPS)}"
         )
+
+
+class PipelineApp(ServingApp):
+    """The pipeline ops of the TCP server and the gateway, written once.
+
+    Owns the registered netlists (by structural fingerprint), the lot
+    and program handle registries (one shared counter; entries are
+    ``(netlist_id, obj)``) and the :class:`SessionScheduler` every job
+    runs on.  A front end decodes its wire format, calls these ops and
+    passes the encoders of their results.
+    """
+
+    # Ops whose successes enter the replay cache, on either transport;
+    # ping/stats/shutdown always re-execute.
+    _REPLAY_OPS = frozenset(
+        {"register_netlist", "fabricate", "build_program", "test_lot", "run_experiment"}
+    )
+    _REGISTER_HINT = "call register_netlist first"  # the unknown-netlist hint
+
+    def __init__(self, drain_timeout, request_timeout, max_handles: int, **scheduler_kwargs):
+        super().__init__(drain_timeout, request_timeout, ReplayCache())
+        self._netlists: dict[str, Netlist] = {}
+        handle_counter = [0]
+        self._lots = HandleRegistry("lot", max_handles, handle_counter)
+        self._programs = HandleRegistry("prog", max_handles, handle_counter)
+        self._scheduler = SessionScheduler(**scheduler_kwargs)
+
+    def _pending(self) -> int:
+        return self._scheduler.total_pending()
+
+    async def _close(self) -> None:
+        await self._scheduler.aclose()
+
+    def _submit(self, key: str, job: Callable[[Any], Any]) -> Awaitable[Any]:
+        """Queue ``job(session)`` under ``key`` on the scheduler."""
+        return self._scheduler.submit(key, job)
+
+    def _netlist_for(self, params: dict) -> tuple[str, Netlist]:
+        netlist_id = param(params, "netlist_id", str)
+        netlist = self._netlists.get(netlist_id)
+        if netlist is None:
+            raise RequestError(
+                ERR_UNKNOWN_NETLIST,
+                f"netlist {netlist_id!r} is not registered; {self._REGISTER_HINT}",
+            )
+        return netlist_id, netlist
+
+    @staticmethod
+    def _entry(registry: HandleRegistry, kind: str, handle: str) -> tuple[str, Any]:
+        """A retained ``(netlist_id, obj)``; ``unknown-handle`` if gone."""
+        entry = registry.get(handle)
+        if entry is None:
+            raise RequestError(
+                ERR_UNKNOWN_HANDLE, f"unknown or expired {kind} handle {handle!r}"
+            )
+        return entry
+
+    # ------------------------------------------------------------------ ops
+
+    def _register(self, netlist: Netlist) -> dict:
+        fingerprint = netlist_fingerprint(netlist)
+        known = fingerprint in self._netlists
+        self._netlists.setdefault(fingerprint, netlist)
+        return {"netlist_id": fingerprint, "known": known}
+
+    async def _fabricate(
+        self, params: dict, decode_recipe: Callable, encode_lot: Callable
+    ) -> dict:
+        netlist_id, netlist = self._netlist_for(params)
+        recipe = decode_recipe(params)
+        num_chips = param(params, "num_chips", int)
+        dies_per_wafer = param(params, "dies_per_wafer", int, default=100)
+        seed = param(params, "seed", (int, str, type(None)), default=None)
+        return_lot = param(params, "return_lot", bool, default=True)
+
+        def job(session) -> dict:
+            lot = session.fabricate(
+                netlist, recipe, num_chips, dies_per_wafer=dies_per_wafer, seed=seed
+            )
+            result = lot_summary(self._lots.add((netlist_id, lot)), lot)
+            if return_lot:
+                result["lot"] = encode_lot(netlist, lot)
+            return result
+
+        return await self._submit(netlist_id, job)
+
+    async def _build(
+        self, params: dict, decode_patterns: Callable, encode_program: Callable
+    ) -> dict:
+        netlist_id, netlist = self._netlist_for(params)
+        patterns = decode_patterns(params)
+        collapse = param(params, "collapse", bool, default=True)
+        return_program = param(params, "return_program", bool, default=True)
+
+        def job(session) -> dict:
+            program = session.build_program(netlist, patterns, collapse=collapse)
+            result = program_summary(self._programs.add((netlist_id, program)), program)
+            if return_program:
+                result["program"] = encode_program(program)
+            return result
+
+        return await self._submit(netlist_id, job)
+
+    async def _test(
+        self, lot_netlist_id: str | None, chips, program_entry: tuple, encode_result: Callable
+    ) -> dict:
+        """Test ``chips``, drawn on ``lot_netlist_id`` if known, against a program.
+
+        A lot drawn on another netlist than the program's is refused:
+        its faults would be re-read by signal name on the wrong circuit.
+        """
+        netlist_id, program = program_entry
+        if lot_netlist_id is not None and lot_netlist_id != netlist_id:
+            raise RequestError(
+                ERR_BAD_REQUEST,
+                f"the lot was drawn on netlist {lot_netlist_id!r}, "
+                f"the program tests netlist {netlist_id!r}",
+            )
+        return await self._submit(
+            netlist_id, lambda session: encode_result(session.test(chips, program))
+        )
+
+    async def _experiment(self, name: str) -> dict:
+        return await self._submit(EXPERIMENT_QUEUE, experiment_job(name))

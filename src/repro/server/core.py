@@ -23,16 +23,15 @@ built from them live in :mod:`repro.server.app`):
 :class:`JobQueues`
     Per-key FIFO request queues with queued+in-flight accounting and
     immediate ``overloaded`` rejection past a high-water mark.  *How* a
-    dequeued job runs is injected (``runner``): the TCP server drains
-    every queue onto one shared-session thread, the gateway's
-    :class:`~repro.gateway.SessionScheduler` fans keys out across a
-    bounded fleet of sessions.
+    dequeued job runs is injected (``runner``); its one runner is the
+    :class:`~repro.server.scheduler.SessionScheduler` that both the TCP
+    server (one lane) and the gateway (a bounded fleet) run on.
 :func:`error_payload`
     The one exception -> protocol error mapping.
 :func:`render_metrics`
     Table-driven Prometheus text exposition.
 :func:`experiment_job`, :func:`lot_summary`, :func:`program_summary`
-    The op results the server and gateway build alike.
+    The op results the pipeline front ends build.
 :class:`RetryPolicy`, :class:`IdentityMap`, :func:`reply_result`
     The client side: the retry budget, capped exponential backoff with
     seeded jitter and resilience counters of both client families; the
@@ -200,8 +199,7 @@ class JobQueues:
     once per dequeued job, exactly one at a time *per key* (each key has
     its own consumer task), and its result/exception resolves the
     submitter's future.  Fairness across keys is the runner's problem —
-    the TCP server funnels every key onto one session thread's FIFO,
-    the gateway scheduler routes keys to per-group session lanes.
+    the scheduler routes keys to session lanes, each a one-thread FIFO.
 
     ``pending(key)`` counts queued **plus in-flight** jobs (a queue's
     ``qsize()`` is 0 while its consumer holds the one dequeued job, so

@@ -1,25 +1,25 @@
-"""Multi-session scheduling for the gateway: :class:`SessionScheduler`.
+"""Session lanes behind the pipeline front ends: :class:`SessionScheduler`.
 
-The framed-TCP :class:`~repro.server.LotServer` drains every netlist
-queue onto **one** exec thread over one shared
-:class:`~repro.api.Session` — correct, but two clients hammering
-*different* netlists serialize needlessly.  The scheduler keeps the
-same per-key FIFO queues (:class:`~repro.server.core.JobQueues`) and
-fans the keys out across a bounded fleet of sessions instead:
+Every pipeline job of the framed-TCP :class:`~repro.server.LotServer`
+and the HTTP :class:`~repro.gateway.Gateway` runs here.  The scheduler
+keeps per-key FIFO queues (:class:`~repro.server.core.JobQueues`) and
+fans the keys out across a bounded fleet of sessions:
 
 * Each distinct key (netlist fingerprint, or the experiments group)
   gets its own **lane** — a ``Session`` plus a dedicated
   single-thread executor — up to ``max_sessions`` lanes.
 * At capacity, the least-recently-used **idle** lane is evicted through
   the ordinary ``Session.close()`` machinery (its final stats are
-  folded into the retired totals first).  If every lane is busy, the
-  new key shares the least-loaded existing lane — bounded resources,
-  never an error.
+  folded into the retired totals first) — never the last open lane,
+  whose compiled caches every key would otherwise rebuild.  If no lane
+  can be evicted, the new key shares the least-loaded existing lane —
+  bounded resources, never an error.  So ``max_sessions=1`` (the TCP
+  server) is one session and one thread for every key.
 * Jobs for one key still run strictly FIFO (JobQueues guarantees it);
   jobs for different keys on different lanes genuinely overlap in
   wall-clock, which is the concurrency the gateway exists to provide.
 
-Results are bit-identical to the single-session path: a ``Session``
+Results are bit-identical whatever the lane count: a ``Session``
 computes the same bytes regardless of which process or lane hosts it.
 
 ``stats()`` aggregates every lane's ``Session.stats()`` (live and
@@ -61,7 +61,7 @@ class _Lane:
         self.group = group
         self.session = session
         self.exec = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-gw-{group}"
+            max_workers=1, thread_name_prefix=f"repro-lane-{group}"
         )
         self.pending = 0
         self.last_used = time.monotonic()
@@ -94,6 +94,8 @@ class SessionScheduler:
     ):
         if max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
+        # Lanes open lazily; bad session arguments fail here, not per request.
+        Session.check_args(engine, workers, max_contexts, max_bytes)
         self._max_sessions = max_sessions
         self._session_kwargs = dict(
             engine=engine,
@@ -141,7 +143,10 @@ class SessionScheduler:
         """The lane serving ``key``, creating or evicting as needed."""
         lane = self._routes.get(key)
         if lane is None:
-            if len(self._lanes) >= self._max_sessions:
+            # Never evict the last open lane: with one lane that would
+            # close the session, and its compiled caches, on every
+            # netlist switch.
+            if len(self._lanes) >= self._max_sessions > 1:
                 self._evict_lru_idle()
             if len(self._lanes) < self._max_sessions:
                 self._group_counter += 1
@@ -150,9 +155,10 @@ class SessionScheduler:
                 self._lanes[group] = lane
                 self._sessions_opened += 1
             else:
-                # Every lane is busy: share the least-loaded one rather
-                # than fail.  The alias sticks (so the lane's compiled
-                # caches keep paying off) until that lane is evicted.
+                # No lane to evict (all busy, or the last one): share
+                # the least-loaded one rather than fail.  The alias
+                # sticks (so the lane's compiled caches keep paying off)
+                # until that lane is evicted.
                 lane = min(self._lanes.values(), key=lambda ln: ln.pending)
             self._routes[key] = lane
             lane.keys.add(key)
@@ -184,8 +190,8 @@ class SessionScheduler:
 
     @staticmethod
     def _run_job(lane: _Lane, fn: Callable[[Session], Any]) -> Any:
-        # Same chaos seam as the TCP server's exec thread: delay faults
-        # sleep here, fail faults raise, both off the event loop.
+        # The pipeline-job chaos seam: delay faults sleep here, fail
+        # faults raise, both off the event loop.
         chaos.fire("server.job")
         return fn(lane.session)
 

@@ -9,13 +9,15 @@ Execution model
 ---------------
 
 * The event loop owns all sockets and never runs pipeline work.
-* Requests that touch the pipeline (``fabricate``, ``build_program``,
-  ``test_lot``, ``run_experiment``) are enqueued **per netlist** (FIFO
-  order per netlist, round-robin fairness across netlists via queue
-  consumers) and executed one at a time on a dedicated worker thread
-  against the shared session.  Parallelism lives *below* that thread,
-  in the session's process pool — so two clients hammering different
-  netlists contend for the pool, not for locks.
+* The pipeline ops are the gateway's too, written once in
+  :class:`~repro.server.app.PipelineApp`; this module keeps only the
+  framed protocol's pickle/binary codec.  Their jobs are enqueued **per
+  netlist** (FIFO per netlist, round-robin fairness across netlists) on
+  a one-lane :class:`~repro.server.scheduler.SessionScheduler`: one
+  thread runs them one at a time against the shared session.
+  Parallelism lives *below* that thread, in the session's process pool
+  — so two clients hammering different netlists contend for the pool,
+  not for locks.
 * Because the session is shared, its compile-once caches are shared:
   any number of clients uploading the same netlist (same
   :func:`~repro.server.protocol.netlist_fingerprint`) compile its
@@ -42,26 +44,13 @@ import os
 from typing import Any, Awaitable, Callable
 
 from repro import chaos
-from repro.api import Session
 from repro.circuit.netlist import Netlist
 from repro.manufacturing.lot import FabricatedLot
 from repro.manufacturing.process import ProcessRecipe
-from repro.server.app import ServingApp
-from repro.server.core import (
-    EXPERIMENT_QUEUE,
-    MISSING,
-    HandleRegistry,
-    JobQueues,
-    ReplayCache,
-    RequestError,
-    experiment_job,
-    lot_summary,
-    param,
-    program_summary,
-)
+from repro.server.app import PipelineApp, ServingApp
+from repro.server.core import EXPERIMENT_QUEUE, RequestError, param
 from repro.server.protocol import (
     ERR_BAD_REQUEST,
-    ERR_UNKNOWN_HANDLE,
     ERR_UNKNOWN_NETLIST,
     PROTOCOL_VERSION,
     LotArrays,
@@ -76,12 +65,8 @@ from repro.tester.program import TestProgram
 
 __all__ = ["LotServer"]
 
-# The session-group label prefixed onto queue keys in stats: the TCP
-# server runs every queue against its one shared session.
-_SESSION_GROUP = "shared"
 
-
-class LotServer(ServingApp):
+class LotServer(PipelineApp):
     """Serve lot-testing requests from many clients over one session.
 
     Parameters
@@ -121,7 +106,7 @@ class LotServer(ServingApp):
         Set when this server runs as one backend of a
         :class:`repro.router.Router` federation.  Purely
         observability + chaos plumbing: the id rides the ``ping``
-        banner and ``stats``, and the exec thread arms the
+        banner and ``stats``, and every pipeline job arms the
         ``router.backend`` injection point with it — which is how the
         chaos suite SIGKILLs *a specific backend* mid-request.
 
@@ -151,41 +136,27 @@ class LotServer(ServingApp):
     ):
         if socket_path is not None and port:
             raise ValueError("pass either port or socket_path, not both")
-        super().__init__(drain_timeout, request_timeout, ReplayCache())
-        self._host = host
-        self._port = port
-        self._socket_path = socket_path
-        self._backend_id = backend_id
-        self._netlists: dict[str, Netlist] = {}
-        # Lot and program handles share one counter (preserves the
-        # historical numbering where handles never collide across kinds).
-        handle_counter = [0]
-        self._lots = HandleRegistry("lot", max_handles, handle_counter)
-        # handle -> (netlist fingerprint, program); the fingerprint is
-        # stored so test_lot-by-handle never re-hashes the netlist.
-        self._programs = HandleRegistry("prog", max_handles, handle_counter)
-        # Per-netlist FIFO queues with backpressure; every queue drains
-        # onto the one exec thread via _exec_runner.
-        self._jobs = JobQueues(self._exec_runner, max_queue_depth)
-        self._session = Session(
+        # One lane: every netlist queue drains onto one session thread.
+        super().__init__(
+            drain_timeout,
+            request_timeout,
+            max_handles,
+            max_sessions=1,
+            max_queue_depth=max_queue_depth,
             engine=engine,
             workers=workers,
             max_contexts=max_contexts,
             max_bytes=max_bytes,
             dispatch_timeout=dispatch_timeout,
         )
-        # The one thread that touches the shared session; its FIFO queue
-        # is what serializes pipeline work across netlist queues.
-        self._exec: Any = None
+        self._host = host
+        self._port = port
+        self._socket_path = socket_path
+        self._backend_id = backend_id
 
     # ----------------------------------------------------------- lifecycle
 
     async def _listen(self) -> list:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self._exec = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-server-exec"
-        )
         if self._socket_path is not None:
             server = await asyncio.start_unix_server(
                 self._serve_frames, path=self._socket_path
@@ -199,66 +170,48 @@ class LotServer(ServingApp):
             self.address = f"{bound[0]}:{bound[1]}"
         return [server]
 
-    def _pending(self) -> int:
-        return self._jobs.total_pending()
-
     async def _close(self) -> None:
-        await self._jobs.aclose()
         # Let an in-flight pipeline call finish, then release the pool.
-        self._exec.shutdown(wait=True)
-        self._session.close()
+        await super()._close()
         if self._socket_path is not None:
             try:
                 os.unlink(self._socket_path)
             except OSError:
                 pass
 
-    # ------------------------------------------------------ queued execution
+    def _submit(self, key: str, job: Callable[[Any], Any]) -> Awaitable[Any]:
+        if self._backend_id is None:
+            return super()._submit(key, job)
 
-    async def _exec_runner(self, key: str, fn: Callable[[], Any]) -> Any:
-        """Run one dequeued job on the single exec thread.
-
-        All queue consumers submit to the same single-thread executor,
-        whose FIFO run queue interleaves ready requests from different
-        netlists fairly while keeping the shared session single-threaded.
-        Backpressure lives in :class:`~repro.server.core.JobQueues`.
-        """
-        return await self._loop.run_in_executor(  # type: ignore[union-attr]
-            self._exec, self._run_job, fn
-        )
-
-    def _run_job(self, fn: Callable[[], Any]) -> Any:
-        """Run one pipeline job on the exec thread (chaos-instrumented)."""
-        chaos.fire("server.job")  # delay faults sleep here, off the loop
-        if self._backend_id is not None:
-            # Federation seam: lets a schedule SIGKILL *this* backend
-            # (by id) mid-request, which the router must absorb by
-            # rerouting to the ring's next node.
+        def backend_job(session) -> Any:
+            # Federation seam, after the scheduler's server.job seam: a
+            # schedule SIGKILLs *this* backend mid-request, and the
+            # router must reroute to the ring's next node.
             chaos.fire("router.backend", index=self._backend_id)
-        return fn()
+            return job(session)
 
-    def _netlist_for(self, params: dict) -> tuple[str, Netlist]:
-        netlist_id = param(params, "netlist_id", str)
-        netlist = self._netlists.get(netlist_id)
-        if netlist is None:
-            raise RequestError(
-                ERR_UNKNOWN_NETLIST,
-                f"netlist {netlist_id!r} is not registered; call register_netlist first",
-            )
-        return netlist_id, netlist
+        return super()._submit(key, backend_job)
+
+    # ---------------------------------------------------------------- codec
 
     @staticmethod
-    def _obj_param(params: dict, name: str, default=MISSING):
+    def _obj_param(params: dict, name: str, kind: type | None = None):
         """Fetch a domain-object parameter in either wire format.
 
         JSON-frame clients send base64 pickle strings; binary-frame
         clients send the object itself (already decoded from the frame's
         buffer section).  Both are accepted on every request, regardless
-        of which format the *envelope* used.
+        of which format the *envelope* used.  With ``kind`` set, any
+        other type is a ``bad-request``.
         """
-        value = param(params, name, None, default=default)
+        value = param(params, name, None)
         if isinstance(value, str):
-            return unpack_obj(value)
+            value = unpack_obj(value)
+        if kind is not None and not isinstance(value, kind):
+            raise RequestError(
+                ERR_BAD_REQUEST,
+                f"{name} payload must be a {kind.__name__}, got {type(value).__name__}",
+            )
         return value
 
     # ------------------------------------------------------------------ ops
@@ -274,68 +227,23 @@ class LotServer(ServingApp):
         return banner
 
     async def _op_register_netlist(self, params: dict, binary: bool) -> dict:
-        netlist = self._obj_param(params, "netlist")
-        if not isinstance(netlist, Netlist):
-            raise RequestError(
-                ERR_BAD_REQUEST,
-                f"netlist payload must be a Netlist, got {type(netlist).__name__}",
-            )
-        fingerprint = netlist_fingerprint(netlist)
-        known = fingerprint in self._netlists
-        if not known:
-            self._netlists[fingerprint] = netlist
-        return {"netlist_id": fingerprint, "known": known}
+        return self._register(self._obj_param(params, "netlist", Netlist))
 
     async def _op_fabricate(self, params: dict, binary: bool) -> dict:
-        netlist_id, netlist = self._netlist_for(params)
-        recipe = self._obj_param(params, "recipe")
-        if not isinstance(recipe, ProcessRecipe):
-            raise RequestError(
-                ERR_BAD_REQUEST,
-                f"recipe payload must be a ProcessRecipe, got {type(recipe).__name__}",
-            )
-        num_chips = param(params, "num_chips", int)
-        dies_per_wafer = param(params, "dies_per_wafer", int, default=100)
-        seed = param(params, "seed", (int, str, type(None)), default=None)
-        return_lot = param(params, "return_lot", bool, default=True)
+        def encode_lot(netlist: Netlist, lot: FabricatedLot) -> Any:
+            return WireObj(pack_lot(netlist, lot)) if binary else pack_obj(lot)
 
-        def job() -> dict:
-            lot = self._session.fabricate(
-                netlist,
-                recipe,
-                num_chips,
-                dies_per_wafer=dies_per_wafer,
-                seed=seed,
-            )
-            result = lot_summary(self._lots.add(lot), lot)
-            if return_lot:
-                if binary:
-                    result["lot"] = WireObj(pack_lot(netlist, lot))
-                else:
-                    result["lot"] = pack_obj(lot)
-            return result
-
-        return await self._jobs.submit(netlist_id, job)
+        return await self._fabricate(
+            params, lambda p: self._obj_param(p, "recipe", ProcessRecipe), encode_lot
+        )
 
     async def _op_build_program(self, params: dict, binary: bool) -> dict:
-        netlist_id, netlist = self._netlist_for(params)
-        patterns = self._obj_param(params, "patterns")
-        collapse = param(params, "collapse", bool, default=True)
-        return_program = param(params, "return_program", bool, default=True)
-
-        def job() -> dict:
-            program = self._session.build_program(netlist, patterns, collapse=collapse)
-            result = program_summary(self._programs.add((netlist_id, program)), program)
-            if return_program:
-                result["program"] = (
-                    WireObj(program) if binary else pack_obj(program)
-                )
-            return result
-
-        return await self._jobs.submit(netlist_id, job)
+        return await self._build(
+            params, lambda p: self._obj_param(p, "patterns"), WireObj if binary else pack_obj
+        )
 
     def _resolve_program(self, params: dict) -> tuple[str, TestProgram]:
-        """The request's program and its netlist queue key.
+        """The request's ``(netlist_id, program)``.
 
         Accepts a server handle (``program_id``) or an uploaded pickled
         program; uploads are canonicalized onto the server's registered
@@ -343,36 +251,18 @@ class LotServer(ServingApp):
         register their netlist implicitly when it is new.
         """
         if "program_id" in params:
-            handle = param(params, "program_id", str)
-            entry = self._programs.get(handle)
-            if entry is None:
-                raise RequestError(
-                    ERR_UNKNOWN_HANDLE, f"unknown or expired program handle {handle!r}"
-                )
-            return entry
-        program = self._obj_param(params, "program")
-        if not isinstance(program, TestProgram):
-            raise RequestError(
-                ERR_BAD_REQUEST,
-                f"program payload must be a TestProgram, got {type(program).__name__}",
-            )
+            return self._entry(self._programs, "program", param(params, "program_id", str))
+        program = self._obj_param(params, "program", TestProgram)
         fingerprint = netlist_fingerprint(program.netlist)
-        canonical = self._netlists.get(fingerprint)
-        if canonical is None:
-            self._netlists[fingerprint] = program.netlist
-        elif canonical is not program.netlist:
+        canonical = self._netlists.setdefault(fingerprint, program.netlist)
+        if canonical is not program.netlist:
             program = dataclasses.replace(program, netlist=canonical)
         return fingerprint, program
 
-    def _resolve_chips(self, params: dict):
+    def _resolve_chips(self, params: dict) -> tuple[str | None, Any]:
+        """The request's chips and the netlist they were drawn on, if known."""
         if "lot_id" in params:
-            handle = param(params, "lot_id", str)
-            lot = self._lots.get(handle)
-            if lot is None:
-                raise RequestError(
-                    ERR_UNKNOWN_HANDLE, f"unknown or expired lot handle {handle!r}"
-                )
-            return lot
+            return self._entry(self._lots, "lot", param(params, "lot_id", str))
         chips = self._obj_param(params, "chips")
         if isinstance(chips, LotArrays):
             netlist = self._netlists.get(chips.fingerprint)
@@ -380,43 +270,41 @@ class LotServer(ServingApp):
                 raise RequestError(
                     ERR_UNKNOWN_NETLIST,
                     f"lot arrays reference unregistered netlist "
-                    f"{chips.fingerprint!r}; call register_netlist first",
+                    f"{chips.fingerprint!r}; {self._REGISTER_HINT}",
                 )
-            return lot_from_arrays(netlist, chips)
-        if isinstance(chips, FabricatedLot):
-            return chips
-        return tuple(chips)
+            return chips.fingerprint, lot_from_arrays(netlist, chips)
+        return None, chips if isinstance(chips, FabricatedLot) else tuple(chips)
 
     async def _op_test_lot(self, params: dict, binary: bool) -> dict:
         # Program first: an uploaded program registers its netlist, so a
         # LotArrays chips payload drawn on it resolves by fingerprint.
-        netlist_id, program = self._resolve_program(params)
-        chips = self._resolve_chips(params)
+        program_entry = self._resolve_program(params)
+        lot_netlist_id, chips = self._resolve_chips(params)
+        encode = WireObj if binary else pack_obj
 
-        def job() -> dict:
-            result = self._session.test(chips, program)
+        def encode_result(result) -> dict:
             return {
-                "result": WireObj(result) if binary else pack_obj(result),
+                "result": encode(result),
                 "num_records": result.lot_size,
                 "fraction_rejected": result.fraction_rejected(),
             }
 
-        return await self._jobs.submit(netlist_id, job)
+        return await self._test(lot_netlist_id, chips, program_entry, encode_result)
 
     async def _op_run_experiment(self, params: dict, binary: bool) -> dict:
-        job = experiment_job(param(params, "name", str))
-        return await self._jobs.submit(EXPERIMENT_QUEUE, lambda: job(self._session))
+        return await self._experiment(param(params, "name", str))
 
     async def _op_stats(self, params: dict, binary: bool) -> dict:
-        def job() -> dict:
-            # Runs on the exec thread so the worker_stats pool broadcast
-            # never interleaves with a pipeline map on the shared pool.
+        def job(session) -> dict:
+            # Runs on the lane's thread so the worker_stats pool
+            # broadcast never interleaves with a pipeline map on the
+            # shared pool.
             return {
-                "session": self._session.stats(),
-                "workers": self._session.executor.worker_stats(),
+                "session": session.stats(),
+                "workers": session.executor.worker_stats(),
             }
 
-        stats = await self._jobs.submit(EXPERIMENT_QUEUE, job)
+        stats = await self._submit(EXPERIMENT_QUEUE, job)
         stats["server"] = {
             "protocol": PROTOCOL_VERSION,
             "backend_id": self._backend_id,
@@ -426,31 +314,17 @@ class LotServer(ServingApp):
             "registered_netlists": len(self._netlists),
             "lots_retained": len(self._lots),
             "programs_retained": len(self._programs),
-            # Queue keys carry the session-group prefix ("shared/" —
-            # the TCP server has exactly one session group), so the
-            # labels line up with the gateway's multi-group metrics.
-            "queue_depths": {
-                f"{_SESSION_GROUP}/{key}": depth
-                for key, depth in self._jobs.queue_depths().items()
-            },
-            "pending_by_queue": {
-                f"{_SESSION_GROUP}/{key}": count
-                for key, count in self._jobs.pending_by_queue().items()
-            },
-            "overload_rejections": self._jobs.overload_rejections,
+            # Queue keys carry the session-group prefix (the one lane,
+            # "s1/"), so the labels line up with the gateway's metrics.
+            "queue_depths": self._scheduler.queue_depths(),
+            "pending_by_queue": self._scheduler.pending_by_queue(),
+            "overload_rejections": self._scheduler.overload_rejections,
             "bad_frames": self._bad_frames,
             "deadline_expirations": self._deadline_expirations,
             "replay_hits": self._replay.hits,
             "draining": self._stopping,
         }
         return stats
-
-    # Ops whose successful responses enter the idempotent replay cache.
-    # ping/stats/shutdown are cheap or stateful-by-design and always
-    # re-execute.
-    _REPLAY_OPS = frozenset(
-        {"register_netlist", "fabricate", "build_program", "test_lot", "run_experiment"}
-    )
 
     _OPS: dict[str, Callable[["LotServer", dict, bool], Awaitable[dict]]] = {
         "ping": _op_ping,

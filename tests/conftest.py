@@ -2,8 +2,8 @@
 
 Two things live here:
 
-* The shared serving-tier fixtures (``chip`` / ``alu`` / ``recipe`` /
-  ``patterns`` / ``reference``) used by the server, gateway, and
+* The shared serving-tier fixtures (``chip`` / ``twin`` / ``alu`` /
+  ``recipe`` / ``patterns`` / ``reference``) used by the server, gateway, and
   router suites — one definition instead of three copies, and the
   expensive ``reference`` pipeline (the direct-:class:`Session` run
   every front end must match bit-for-bit) is built once per session.
@@ -30,12 +30,28 @@ import pytest
 from repro.api import Session
 from repro.atpg.random_gen import random_patterns
 from repro.circuit.generators import c17, simple_alu
+from repro.circuit.gates import GateType
+from repro.circuit.netlist import Netlist
 from repro.manufacturing.process import ProcessRecipe
 
 
 @pytest.fixture(scope="session")
 def chip():
     return c17()
+
+
+@pytest.fixture(scope="session")
+def twin(chip):
+    """c17 with ``22 = NAND(10, 16)`` made a NOR: same signal names, another circuit."""
+    netlist = Netlist(chip.name)
+    for name in chip.inputs:
+        netlist.add_input(name)
+    for gate in chip:
+        if gate.gate_type is not GateType.INPUT:
+            kind = GateType.NOR if gate.name == "22" else gate.gate_type
+            netlist.add_gate(gate.name, kind, gate.inputs)
+    netlist.set_outputs(chip.outputs)
+    return netlist
 
 
 @pytest.fixture(scope="session")

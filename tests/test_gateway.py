@@ -271,6 +271,41 @@ class TestSessionScheduler:
         # Evicted sessions' counters stay in the aggregate.
         assert stats["session"]["dispatches"] == 0  # no pool work ran
 
+    def test_single_lane_is_shared_never_evicted(self, chip, alu):
+        netlists = {"fp-a": chip, "fp-b": alu}
+
+        async def main():
+            scheduler = SessionScheduler(max_sessions=1, workers=1)
+            compiles = []
+            try:
+                for key in ("fp-a", "fp-b", "fp-a", "fp-b"):
+                    netlist = netlists[key]
+                    await scheduler.submit(
+                        key,
+                        lambda session, n=netlist: session.build_program(
+                            n, random_patterns(n, 8, seed=1)
+                        ),
+                    )
+                    compiles.append(scheduler.stats()["session"]["engine_compiles"])
+                return scheduler.stats(), compiles
+            finally:
+                await scheduler.aclose()
+
+        stats, compiles = asyncio.run(main())
+        assert stats["sessions_opened"] == 1
+        assert stats["sessions_evicted"] == 0
+        # Each netlist compiles once; coming back reuses the lane's cache.
+        assert compiles == [1, 2, 2, 2]
+
+    def test_bad_session_arguments_fail_at_construction(self):
+        from repro.gateway import Gateway
+
+        for kwargs in ({"engine": "bogus"}, {"max_contexts": 0}, {"workers": 0}):
+            with pytest.raises(ValueError):
+                SessionScheduler(**kwargs)
+            with pytest.raises(ValueError):
+                Gateway(**kwargs)
+
     def test_aggregate_stats_sums_counters(self):
         assert aggregate_stats([{"a": 1, "b": 2}, {"a": 3}]) == {"a": 4, "b": 2}
         assert aggregate_stats([]) == {}
@@ -301,6 +336,30 @@ class TestHttpProtocol:
             assert err.value.code == 400
             body = json.loads(err.value.read())
             assert body["error"]["code"] == "bad-request"
+
+    def test_lot_and_program_of_different_netlists_are_refused(
+        self, chip, twin, recipe, patterns
+    ):
+        with running_gateway(workers=1) as gateway:
+            with GatewayClient(gateway.address) as client:
+                lot = client.fabricate(chip, recipe, 200, seed=1)
+                program = client.build_program(twin, patterns)
+                with pytest.raises(RemoteError) as err:
+                    client.test(lot, program)
+                assert err.value.code == "bad-request"
+                handles = client._client._handles
+                request = urllib.request.Request(
+                    f"{gateway.address}/v1/lots/{handles.get(lot)}/test",
+                    data=json.dumps({"program_id": handles.get(program)}).encode(),
+                    method="POST",
+                )
+                with pytest.raises(urllib.error.HTTPError) as http_err:
+                    urllib.request.urlopen(request)
+                assert http_err.value.code == 400
+                own = client.build_program(chip, patterns)
+                with Session(workers=1) as session:
+                    expected = session.test(lot, own).records
+                assert client.test(lot, own).records == expected
 
     def test_replay_dedup_answers_from_cache(self, chip):
         with running_gateway(workers=1) as gateway:

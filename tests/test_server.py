@@ -29,7 +29,7 @@ from repro.atpg.random_gen import random_patterns
 from repro.circuit.generators import c17, simple_alu
 from repro.manufacturing.process import ProcessRecipe
 from repro.server import Client, RemoteError, netlist_fingerprint, parse_address
-from repro.server.protocol import encode_frame, recv_frame
+from repro.server.protocol import encode_frame, pack_lot, recv_frame
 from repro.server.testing import running_server
 from repro.testing import spawn_server
 
@@ -154,8 +154,9 @@ class TestServerRuntime:
                 before = client.test(lot, program)
                 # Simulate a test-floor casualty: SIGKILL the session's
                 # pool workers between requests.
-                for pid in server._session.executor.worker_pids:
-                    os.kill(pid, signal.SIGKILL)
+                for lane in server._scheduler._lanes.values():
+                    for pid in lane.session.executor.worker_pids:
+                        os.kill(pid, signal.SIGKILL)
                 # A *different* client's in-flight traffic never fails.
                 with Client(server.address) as other:
                     after = other.test(lot, program)
@@ -199,6 +200,38 @@ class TestProtocol:
                         num_chips=0,
                     )
                 assert err.value.code == "user-error"
+
+    def test_lot_and_program_of_different_netlists_are_refused(
+        self, chip, twin, recipe, patterns
+    ):
+        # twin shares every signal name with chip, so testing chip's
+        # lot against twin's program would silently re-read its faults
+        # on the wrong circuit.
+        with running_server(workers=1) as server:
+            with Client(server.address) as client:
+                lot = client.fabricate(chip, recipe, 200, seed=1)
+                program = client.build_program(twin, patterns)
+                with pytest.raises(RemoteError) as err:
+                    client.test(lot, program)  # both by handle
+                assert err.value.code == "bad-request"
+                with pytest.raises(RemoteError) as err:
+                    client.request(
+                        "test_lot",
+                        program_id=client._handles.get(program),
+                        chips=client._pack(pack_lot(chip, lot)),
+                    )
+                assert err.value.code == "bad-request"
+                own = client.build_program(chip, patterns)
+                with Session(workers=1) as session:
+                    expected = session.test(lot, own).records
+                assert client.test(lot, own).records == expected
+
+    def test_bad_session_arguments_fail_at_construction(self):
+        from repro.server import LotServer
+
+        for kwargs in ({"engine": "bogus"}, {"max_contexts": 0}, {"workers": 0}):
+            with pytest.raises(ValueError):
+                LotServer(**kwargs)
 
     def test_shutdown_completes_with_idle_client_connected(self):
         # Regression guard for Python >= 3.12.1, where Server.wait_closed
