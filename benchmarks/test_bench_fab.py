@@ -17,6 +17,8 @@ full-workload snapshot.
 
 import json
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,10 @@ from bench_utils import BENCH_DIR, available_cpus, time_best_of, write_bench_rec
 from repro.experiments import config
 from repro.manufacturing.lot import _cached_wafer, fabricate_lot
 from repro.utils.rng import make_rng, spawn_rngs
+
+# The scalar mapper lives with the tests it serves as an oracle for.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from fab_oracle import faults_for_chip_scalar  # noqa: E402
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 # Scaled canonical chip: same recipe, denser die -> higher fault
@@ -60,7 +66,7 @@ def fabricate_lot_scalar(netlist, recipe, num_chips, dies_per_wafer, seed):
             defects = wafer._generator.chip_defects(
                 recipe.chip_area, rng=die_rng, density_value=density
             )
-            faults = wafer._mapper.faults_for_chip_scalar(defects, rng=die_rng)
+            faults = faults_for_chip_scalar(wafer._mapper, defects, rng=die_rng)
             chips.append((index * dies_per_wafer + die, tuple(defects), tuple(faults)))
     return chips[:num_chips]
 
@@ -92,7 +98,7 @@ def test_bench_fab_array_path(request):
     )
 
     # Bit-identity: the array path must reproduce the scalar reference
-    # chip for chip (ids, defects, faults, polarities).
+    # chip for chip (ids, defects, faults).
     assert len(lot.chips) == len(scalar_chips) == LOT_CHIPS
     for array_chip, (chip_id, defects, faults) in zip(lot.chips, scalar_chips):
         assert array_chip.chip_id == chip_id

@@ -15,9 +15,10 @@ package models that bridge:
 
 The hot path is array-native: the layout carries a cell-binned spatial
 grid index answering whole defect arrays in one CSR-batched query, and
-the mapper samples all of a chip's defects into ``(site, polarity)``
-arrays while consuming random draws in the exact per-defect order of
-the scalar reference path (see ``docs/fabrication.md``).
+the mapper samples all of a chip's defects into an array of fault
+(universe) indices while consuming random draws in the exact
+per-defect order of the scalar reference path (see
+``docs/fabrication.md``).
 """
 
 from repro.defects.layout import ChipLayout

@@ -22,11 +22,7 @@ import math
 import numpy as np
 
 from repro.circuit.netlist import Netlist
-from repro.faults.model import (
-    StuckAtFault,
-    full_fault_universe,
-    materialize_site_faults,
-)
+from repro.faults.model import StuckAtFault, full_fault_universe
 
 __all__ = ["ChipLayout"]
 
@@ -80,17 +76,6 @@ class ChipLayout:
             )
         self.coordinates = coords
         self.cell_size = cell
-
-        # Electrical identity of each site: two sites sharing
-        # (signal, gate, pin) — the s-a-0 and s-a-1 placements of one
-        # net/branch — get the same key id.  The defect-to-fault mapper
-        # dedups on this (one net carries one DC state).
-        key_ids = np.empty(len(self.sites), dtype=np.intp)
-        seen: dict[tuple, int] = {}
-        for i, site in enumerate(self.sites):
-            key = (site.signal, site.gate, site.pin)
-            key_ids[i] = seen.setdefault(key, len(seen))
-        self.site_key_ids = key_ids
 
         # Spatial grid index: cell-sized square bins over the die,
         # CSR-packed (sites sorted by bin id; within a bin, ascending
@@ -229,37 +214,10 @@ class ChipLayout:
         )
         return list(indices)
 
-    def _sites_within_scan(self, x: float, y: float, radius: float) -> list[int]:
-        """Reference full-die distance scan (the pre-grid implementation).
-
-        Retained for the differential tests and the fab benchmark's
-        serial-object baseline; must stay bit-identical to
-        :meth:`sites_within`.
-        """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
-        d2 = (self.coordinates[:, 0] - x) ** 2 + (self.coordinates[:, 1] - y) ** 2
-        return list(np.nonzero(d2 <= radius * radius)[0])
-
     def site_faults(self, indices) -> list[StuckAtFault]:
-        """Map site indices back to fault objects."""
-        return [self.sites[i] for i in indices]
-
-    def materialize_faults(
-        self, site_indices: np.ndarray, polarities: np.ndarray
-    ) -> list[StuckAtFault]:
-        """Fault objects for aligned ``(site index, drawn polarity)`` arrays.
-
-        The single construction point for turning sampled hits back into
-        :class:`StuckAtFault` objects — delegates to
-        :func:`repro.faults.model.materialize_site_faults`, shared by the
-        mapper's API boundary, lazy ``FabricatedChip`` materialization,
-        and the wire-format decoders so the site-identity mapping cannot
-        diverge between them.
-        """
-        return materialize_site_faults(
-            self.sites, site_indices.tolist(), polarities.tolist()
-        )
+        """Map fault (universe) indices back to fault objects."""
+        sites = self.sites
+        return [sites[i] for i in np.asarray(indices).tolist()]
 
     def __repr__(self) -> str:
         return (

@@ -11,11 +11,13 @@ expected faults per killing defect grows with ``(radius / cell)^2``.
 
 The hot path is array-native and lot-wide:
 :meth:`DefectToFaultMapper.draw_hits` maps a whole lot's covered-site CSR
-to per-die ``(site index, polarity)`` arrays in one vectorized pass,
-drawing each die's random numbers from its own generator in the exact
-per-defect order of the scalar reference path, so fabricated chips are
-bit-identical to it.  Fault *objects* are materialized only at the API
-boundary (:meth:`DefectToFaultMapper.faults_for_chip`,
+to per-die fault arrays in one vectorized pass, drawing each die's
+random numbers from its own generator in the exact per-defect order of
+the scalar reference path, so fabricated chips are bit-identical to it.
+A drawn stuck level is folded into the fault's universe index where the
+hit is kept (:func:`_first_hits`), so every layer below reads one
+``int32`` fault index per hit.  Fault *objects* are materialized only
+at the API boundary (:meth:`DefectToFaultMapper.faults_for_chip`,
 :attr:`repro.manufacturing.wafer.FabricatedChip.faults`).
 """
 
@@ -332,6 +334,27 @@ def _sample_hits_generic(
     return np.concatenate(kept_chunks), np.concatenate(polarity_chunks)
 
 
+def _first_hits(
+    num_dies: int, hit_die, sites, polarities
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the drawn polarities into fault indices and keep each die's
+    first hit per site, in hit order — as a per-die CSR.
+
+    The universe lists both stuck levels of a site next to each other,
+    stuck-at-0 first (see :func:`~repro.faults.model.full_fault_universe`),
+    so the drawn polarity picks the fault ``(site & ~1) | polarity`` and
+    ``fault >> 1`` names the electrical site: first polarity wins, as
+    one net carries one DC state.
+    """
+    faults = (sites.astype(np.int32) & ~np.int32(1)) | polarities
+    keys = (hit_die.astype(np.int64) << 31) | (faults >> 1)
+    _, first = np.unique(keys, return_index=True)
+    first.sort()
+    hit_offsets = np.zeros(num_dies + 1, dtype=np.int64)
+    np.cumsum(np.bincount(hit_die[first], minlength=num_dies), out=hit_offsets[1:])
+    return hit_offsets, faults[first]
+
+
 class DefectToFaultMapper:
     """Maps defect sets to stuck-at fault sets on a fixed layout.
 
@@ -355,23 +378,20 @@ class DefectToFaultMapper:
         self.layout = layout
         self.activation_probability = activation_probability
 
-    def site_hits_for_chip(
-        self, xs, ys, radii, rng=None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """All of one chip's defects -> deduplicated ``(site, polarity)`` arrays.
+    def site_hits_for_chip(self, xs, ys, radii, rng=None) -> np.ndarray:
+        """All of one chip's defects -> its deduplicated fault indices.
 
         The single-chip form of :meth:`draw_hits`: one batched grid
         query covers every defect, then the lot sampler runs on this
-        one die.  Random draws are consumed in the exact order of the
-        scalar reference path (:meth:`faults_for_chip_scalar`): per
-        defect, one uniform per covered site in ascending site order,
-        one bounded integer iff no site activated, then one polarity bit
-        per kept site — so results are bit-identical to it for the same
-        generator state, and ``rng`` is left exactly where that path
-        leaves it.
+        one die.  Random draws are consumed in the exact per-defect
+        order of the scalar reference path: one uniform per covered site
+        in ascending site order, one bounded integer iff no site
+        activated, then one polarity bit per kept site — so results are
+        bit-identical to it for the same generator state, and ``rng`` is
+        left exactly where that path leaves it.
 
-        Returns ``(site_indices, polarities)``: aligned arrays, one entry
-        per distinct faulted site, in first-hit order.
+        Returns one :func:`~repro.faults.model.full_fault_universe`
+        index per distinct faulted site, in first-hit order.
         """
         site_idx, offsets = self.layout.sites_within_many(xs, ys, radii)
         hits = _lot_draws(
@@ -383,8 +403,7 @@ class DefectToFaultMapper:
             vectorize=_word_stream_verified(),
             restore=True,
         )
-        _, sites, polarities = self._first_hits(1, *hits)
-        return sites, polarities
+        return _first_hits(1, *hits)[1]
 
     def draw_hits(
         self,
@@ -392,8 +411,8 @@ class DefectToFaultMapper:
         offsets: np.ndarray,
         rngs: Sequence[np.random.Generator],
         die_bounds: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A whole lot's covered-site CSR -> per-die faulted sites.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """A whole lot's covered-site CSR -> per-die faults.
 
         ``site_indices[offsets[j]:offsets[j + 1]]`` are the sites defect
         ``j`` covers (as :meth:`~repro.defects.layout.ChipLayout.
@@ -404,10 +423,9 @@ class DefectToFaultMapper:
         each die's generator is consumed (its position afterwards is
         unspecified).
 
-        Returns the CSR ``(hit_offsets, site_indices, polarities)``: die
-        ``d``'s distinct faulted sites are
-        ``site_indices[hit_offsets[d]:hit_offsets[d + 1]]``, in first-hit
-        order, with their stuck levels.
+        Returns the CSR ``(hit_offsets, faults)``: die ``d``'s faults
+        are ``faults[hit_offsets[d]:hit_offsets[d + 1]]``, one universe
+        index per distinct faulted site, in first-hit order.
         """
         die_bounds = np.asarray(die_bounds)
         hits = _lot_draws(
@@ -418,25 +436,7 @@ class DefectToFaultMapper:
             self.activation_probability,
             vectorize=_word_stream_verified(),
         )
-        return self._first_hits(die_bounds.size - 1, *hits)
-
-    def _first_hits(
-        self, num_dies: int, hit_die, sites, polarities
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First polarity wins: keep each die's first hit per electrical
-        key, in hit order — as a per-die CSR."""
-        keys = hit_die * self.layout.site_key_ids.size + self.layout.site_key_ids[sites]
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
-        hit_offsets = np.zeros(num_dies + 1, dtype=np.int64)
-        np.cumsum(np.bincount(hit_die[first], minlength=num_dies), out=hit_offsets[1:])
-        return hit_offsets, sites[first], polarities[first]
-
-    def _materialize(
-        self, site_indices: np.ndarray, polarities: np.ndarray
-    ) -> list[StuckAtFault]:
-        """Fault objects for ``(site, polarity)`` arrays (API boundary)."""
-        return self.layout.materialize_faults(site_indices, polarities)
+        return _first_hits(die_bounds.size - 1, *hits)
 
     def faults_for_defect(self, defect: Defect, rng=None) -> list[StuckAtFault]:
         """Stuck-at faults induced by one defect (possibly empty)."""
@@ -466,46 +466,12 @@ class DefectToFaultMapper:
         Two defects can hit the same site; a site cannot be stuck at both
         values, so the first polarity drawn wins — mirroring the physical
         reality that one net carries one DC state.  Runs on the array
-        path (:meth:`site_hits_for_chip`), bit-identical to
-        :meth:`faults_for_chip_scalar`.
+        path (:meth:`site_hits_for_chip`).
         """
         xs = np.array([defect.x for defect in defects], dtype=float)
         ys = np.array([defect.y for defect in defects], dtype=float)
         radii = np.array([defect.radius for defect in defects], dtype=float)
-        return self._materialize(*self.site_hits_for_chip(xs, ys, radii, rng=rng))
-
-    def faults_for_chip_scalar(
-        self, defects: Sequence[Defect], rng=None
-    ) -> list[StuckAtFault]:
-        """Reference per-object implementation of :meth:`faults_for_chip`.
-
-        Walks defects one at a time, each with a full-die distance scan
-        and per-site scalar draws — the pre-grid hot path, retained as
-        the ground truth for the differential test suite and the fab
-        benchmark's serial-object baseline.
-        """
-        rng = make_rng(rng)
-        chosen: dict[tuple, StuckAtFault] = {}
-        for defect in defects:
-            covered = self.layout._sites_within_scan(
-                defect.x, defect.y, defect.radius
-            )
-            if not covered:
-                continue
-            keep = [
-                i for i in covered if rng.random() < self.activation_probability
-            ]
-            if not keep:
-                keep = [covered[int(rng.integers(len(covered)))]]
-            for idx in keep:
-                site = self.layout.sites[idx]
-                value = int(rng.integers(2))
-                key = (site.signal, site.gate, site.pin)
-                if key not in chosen:
-                    chosen[key] = StuckAtFault(
-                        site.signal, value, gate=site.gate, pin=site.pin
-                    )
-        return list(chosen.values())
+        return self.layout.site_faults(self.site_hits_for_chip(xs, ys, radii, rng=rng))
 
     def expected_sites_per_defect(self, radius: float) -> float:
         """Mean fault sites covered by a defect of the given radius.

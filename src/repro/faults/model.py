@@ -26,7 +26,6 @@ __all__ = [
     "fault_site_lookup",
     "universe_indices",
     "netlist_memo",
-    "materialize_site_faults",
     "checkpoint_faults",
 ]
 
@@ -138,7 +137,7 @@ def fault_site_lookup(netlist: Netlist) -> dict[StuckAtFault, int]:
 
     The inverse of :func:`full_fault_universe`'s enumeration — the
     encoder side of the site-index wire representation.  Both stuck
-    polarities of a site are distinct entries.  The returned dict is
+    levels of a site are distinct entries.  The returned dict is
     shared and must be treated as immutable.
     """
     return netlist_memo(
@@ -169,26 +168,6 @@ def universe_indices(
         raise ValueError(
             f"fault {fault} is not in the fault universe of {netlist.name!r}"
         ) from None
-
-
-def materialize_site_faults(
-    sites: list[StuckAtFault], site_indices, polarities
-) -> list[StuckAtFault]:
-    """Fault objects for aligned ``(site index, polarity)`` sequences.
-
-    ``sites`` is a fault-universe enumeration (``sites[i]`` names the
-    signal/gate/pin of site ``i``); the drawn polarity replaces the
-    site's stuck value.  The single construction point shared by
-    :meth:`repro.defects.layout.ChipLayout.materialize_faults` and the
-    wire-format decoders, so the site-identity mapping cannot diverge
-    between process boundaries.
-    """
-    return [
-        StuckAtFault(
-            sites[i].signal, int(v), gate=sites[i].gate, pin=sites[i].pin
-        )
-        for i, v in zip(site_indices, polarities)
-    ]
 
 
 def checkpoint_faults(netlist: Netlist) -> list[StuckAtFault]:

@@ -394,12 +394,18 @@ class AsyncClient:
             netlist_id = await self.register(program.netlist)
             lot_handle = self._handles.get(lot)
             if lot_handle is None:
+                # A column-backed lot goes up under the netlist it was
+                # drawn on, so the gateway refuses it against a program
+                # for another circuit.
+                lot_netlist = (
+                    program.netlist if lot.layout is None else lot.layout.netlist
+                )
                 uploaded = await self.request(
                     "POST",
                     "/v1/lots",
                     {
-                        "netlist_id": netlist_id,
-                        "lot": codec.lot_to_json(program.netlist, lot),
+                        "netlist_id": await self.register(lot_netlist),
+                        "lot": codec.lot_to_json(lot_netlist, lot),
                     },
                 )
                 lot_handle = uploaded["lot_id"]

@@ -8,7 +8,7 @@ returns crosses the wire as plain JSON:
   the decoded circuit hashes to the **same structural fingerprint** as
   the sender's — compile-once dedup keeps working across the codec);
 * recipes as a flat field map;
-* lots in the SoA wire form (the eight :class:`LotColumns` arrays),
+* lots in the SoA wire form (the seven :class:`LotColumns` arrays),
   each array as base64 bytes plus a whitelisted dtype;
 * programs as patterns + coverage curve + universe size;
 * test results as ``[chip_id, is_good, first_fail]`` rows.
@@ -55,7 +55,7 @@ __all__ = [
     "result_from_json",
 ]
 
-# The payload's eight arrays, in dataclass field order.
+# The payload's seven arrays, in dataclass field order.
 _PAYLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(LotColumns))
 
 _RECIPE_FIELDS = tuple(f.name for f in dataclasses.fields(ProcessRecipe))
@@ -235,7 +235,7 @@ def patterns_from_json(obj: Any) -> list[dict[str, int]]:
 
 
 def lot_to_json(netlist: Netlist, lot: FabricatedLot) -> dict:
-    """A fabricated lot in SoA form: eight base64 arrays + the recipe.
+    """A fabricated lot in SoA form: seven base64 arrays + the recipe.
 
     A fault outside the netlist's fault universe raises ``ValueError``
     (see :func:`~repro.manufacturing.lot.pack_lot_chips`).

@@ -430,9 +430,18 @@ class Gateway(PipelineApp):
 
     async def _r_lots(self, params: dict) -> dict:
         if "lot" in params:
-            # Upload: register a client-built lot under a handle.
+            # Upload: register a client-built lot under a handle.  Its
+            # fault indices only mean something on the netlist it was
+            # drawn on, which must be the one it is registered under.
             netlist_id, netlist = self._netlist_for(params)
-            lot = codec.lot_from_json(netlist, param(params, "lot", dict))
+            payload = param(params, "lot", dict)
+            if payload.get("fingerprint") != netlist_id:
+                raise RequestError(
+                    ERR_BAD_REQUEST,
+                    f"the lot was drawn on netlist {payload.get('fingerprint')!r}, "
+                    f"not {netlist_id!r}",
+                )
+            lot = codec.lot_from_json(netlist, payload)
             return lot_summary(self._lots.add((netlist_id, lot)), lot)
         return await self._fabricate(
             params,

@@ -117,9 +117,9 @@ class FabricatedLot:
         return self._chips
 
     def columns_for(self, netlist: Netlist) -> LotColumns | None:
-        """The lot's columns if its site indices refer to ``netlist``.
+        """The lot's columns if its fault indices refer to ``netlist``.
 
-        A site index is only meaningful relative to one netlist's fault
+        A fault index is only meaningful relative to one netlist's fault
         universe; ``None`` for chip-built lots and for lots laid out
         against a different netlist object.
         """
@@ -233,7 +233,7 @@ def _cached_layout(netlist: Netlist, chip_area: float) -> ChipLayout:
     """The fault-site placement for (netlist, area), built at most once.
 
     Shared by wafer construction and the wire-format decoders (a lot
-    shipped as arrays is rebuilt against this layout), so a site index
+    shipped as arrays is rebuilt against this layout), so a fault index
     always resolves against the same placement object per process.
     """
     return _fab_memo(
@@ -308,7 +308,7 @@ def pack_lot_chips(
         if columns is not None:
             return columns
         lot = lot.chips
-    xs, ys, radii, sites, pols = [], [], [], [], []
+    xs, ys, radii, faults = [], [], [], []
     eager: list[tuple[int, FabricatedChip]] = []
     for k, chip in enumerate(lot):
         data = chip._data
@@ -316,19 +316,16 @@ def pack_lot_chips(
             xs.append(data.xs)
             ys.append(data.ys)
             radii.append(data.radii)
-            sites.append(data.site_indices)
-            pols.append(data.polarities)
+            faults.append(data.fault_indices)
         else:
             eager.append((k, chip))
-            for chunks in (xs, ys, radii, sites, pols):
+            for chunks in (xs, ys, radii, faults):
                 chunks.append(None)  # filled in below
     if eager:
         # Eager chips' faults and defects are encoded in one pass each,
         # then split per chip.
-        faults = [fault for _, chip in eager for fault in chip.faults]
-        codes = universe_indices(netlist, faults)
-        values = np.fromiter(
-            (fault.value for fault in faults), dtype=np.uint8, count=len(faults)
+        codes = universe_indices(
+            netlist, [fault for _, chip in eager for fault in chip.faults]
         )
         coords = np.array(
             [(d.x, d.y, d.radius) for _, chip in eager for d in chip.defects],
@@ -338,8 +335,7 @@ def pack_lot_chips(
         for k, chip in eager:
             fault_stop = fault_start + len(chip.faults)
             defect_stop = defect_start + len(chip.defects)
-            sites[k] = codes[fault_start:fault_stop]
-            pols[k] = values[fault_start:fault_stop]
+            faults[k] = codes[fault_start:fault_stop]
             xs[k], ys[k], radii[k] = coords[defect_start:defect_stop].T
             fault_start, defect_start = fault_stop, defect_stop
 
@@ -354,9 +350,8 @@ def pack_lot_chips(
         xs=_concat(xs, float),
         ys=_concat(ys, float),
         radii=_concat(radii, float),
-        hit_offsets=offsets(sites),
-        site_indices=_concat(sites, np.int32).astype(np.int32),
-        polarities=_concat(pols, np.uint8).astype(np.uint8),
+        hit_offsets=offsets(faults),
+        fault_indices=_concat(faults, np.int32).astype(np.int32),
     )
 
 
@@ -392,7 +387,7 @@ def _fabricate_wafer_shard(
 ) -> LotColumns:
     """Worker: fabricate ``(wafer_index, wafer_seed, die_limit)`` tasks.
 
-    Returns the shard's :class:`LotColumns` — eight flat arrays over the
+    Returns the shard's :class:`LotColumns` — seven flat arrays over the
     pool pipe, not a pickled object tree per die.
     """
     return context.wafer.fabricate_columns(

@@ -38,13 +38,12 @@ def _concat(chunks: list[np.ndarray], dtype) -> np.ndarray:
 class ChipFabData:
     """Array backing of one die: its slice of the lot's columns.
 
-    ``xs``/``ys``/``radii`` are the die's spot defects;
-    ``site_indices``/``polarities`` the deduplicated faulted sites with
-    their stuck levels — views into die ``index`` of ``columns`` (a
-    :class:`LotColumns`), sliced on access, so a lot's chip views cost
-    no array work until a chip is read.  ``layout`` maps site indices
-    back to :class:`~repro.faults.model.StuckAtFault` identities on
-    demand.
+    ``xs``/``ys``/``radii`` are the die's spot defects and
+    ``fault_indices`` its faults, one universe index per faulted site —
+    views into die ``index`` of ``columns`` (a :class:`LotColumns`),
+    sliced on access, so a lot's chip views cost no array work until a
+    chip is read.  ``layout`` maps fault indices back to
+    :class:`~repro.faults.model.StuckAtFault` objects on demand.
     """
 
     __slots__ = ("columns", "index", "layout")
@@ -70,12 +69,8 @@ class ChipFabData:
         return self.columns.radii[self._slice(self.columns.defect_offsets)]
 
     @property
-    def site_indices(self) -> np.ndarray:
-        return self.columns.site_indices[self._slice(self.columns.hit_offsets)]
-
-    @property
-    def polarities(self) -> np.ndarray:
-        return self.columns.polarities[self._slice(self.columns.hit_offsets)]
+    def fault_indices(self) -> np.ndarray:
+        return self.columns.fault_indices[self._slice(self.columns.hit_offsets)]
 
 
 class FabricatedChip:
@@ -147,9 +142,7 @@ class FabricatedChip:
         """The die's stuck-at faults (materialized from arrays on first use)."""
         if self._faults is None:
             data = self._data
-            self._faults = tuple(
-                data.layout.materialize_faults(data.site_indices, data.polarities)
-            )
+            self._faults = tuple(data.layout.site_faults(data.fault_indices))
         return self._faults
 
     @property
@@ -157,7 +150,7 @@ class FabricatedChip:
         """Logical-fault count — O(1), no materialization."""
         if self._faults is not None:
             return len(self._faults)
-        return int(self._data.site_indices.size)
+        return int(self._data.fault_indices.size)
 
     @property
     def defect_count(self) -> int:
@@ -205,15 +198,15 @@ class FabricatedChip:
 
 @dataclass(frozen=True)
 class LotColumns:
-    """A lot's dies as eight flat arrays — the fab pipeline's output.
+    """A lot's dies as seven flat arrays — the fab pipeline's output.
 
     Per die a chip id plus CSR slices into the concatenated defect
-    arrays (``defect_offsets``) and fault-hit arrays (``hit_offsets``):
-    die ``k``'s defects are ``xs/ys/radii[defect_offsets[k]:
-    defect_offsets[k + 1]]`` and its faults ``site_indices/polarities[
-    hit_offsets[k]:hit_offsets[k + 1]]``.  Hit arrays use compact dtypes
-    — ``int32`` site indices, ``uint8`` polarities.  The same arrays are
-    what pool workers return, what a column-backed
+    arrays (``defect_offsets``) and fault array (``hit_offsets``): die
+    ``k``'s defects are ``xs/ys/radii[defect_offsets[k]:
+    defect_offsets[k + 1]]`` and its faults ``fault_indices[
+    hit_offsets[k]:hit_offsets[k + 1]]``, ``int32`` indices into the
+    netlist's :func:`~repro.faults.model.full_fault_universe`.  The
+    same arrays are what pool workers return, what a column-backed
     :class:`~repro.manufacturing.lot.FabricatedLot` holds, what the
     tester reads, and (wrapped) what travels over the socket and HTTP
     wire formats.
@@ -225,8 +218,7 @@ class LotColumns:
     ys: np.ndarray
     radii: np.ndarray
     hit_offsets: np.ndarray
-    site_indices: np.ndarray
-    polarities: np.ndarray
+    fault_indices: np.ndarray
 
     @property
     def num_dies(self) -> int:
@@ -253,18 +245,18 @@ class LotColumns:
             ys=np.concatenate([p.ys for p in parts]),
             radii=np.concatenate([p.radii for p in parts]),
             hit_offsets=offsets("hit_offsets"),
-            site_indices=np.concatenate([p.site_indices for p in parts]),
-            polarities=np.concatenate([p.polarities for p in parts]),
+            fault_indices=np.concatenate([p.fault_indices for p in parts]),
         )
 
-    def validate(self, num_sites: int) -> None:
-        """Reject columns that do not describe a lot on ``num_sites`` sites.
+    def validate(self, num_faults: int) -> None:
+        """Reject columns that do not describe a lot on a universe of
+        ``num_faults`` faults.
 
         The wire decoders' one gate: every array 1-D with the right
         dtype kind, ``len(chip_ids) + 1`` offsets per CSR starting at 0,
-        never decreasing and ending at its arrays' length, every site in
-        ``[0, num_sites)`` and every polarity 0 or 1.  Raises
-        ``ValueError`` naming the first violation.
+        never decreasing and ending at its arrays' length, and every
+        fault index in ``[0, num_faults)``.  Raises ``ValueError`` naming
+        the first violation.
         """
 
         def reject(problem: str):
@@ -280,7 +272,7 @@ class LotColumns:
                 reject(f"{field.name} has dtype {array.dtype.str!r}, not {expected}")
         for name, columns in (
             ("defect_offsets", ("xs", "ys", "radii")),
-            ("hit_offsets", ("site_indices", "polarities")),
+            ("hit_offsets", ("fault_indices",)),
         ):
             offsets = getattr(self, name)
             if offsets.size != self.chip_ids.size + 1:
@@ -293,13 +285,12 @@ class LotColumns:
                         f"{name} end at {offsets[-1]} but {column} has "
                         f"{getattr(self, column).size} entries"
                     )
-        sites = self.site_indices
-        if sites.size and (sites.min() < 0 or sites.max() >= num_sites):
-            reject(f"site indices {sites.min()}..{sites.max()} outside [0, {num_sites})")
-        if self.polarities.size and (
-            self.polarities.min() < 0 or self.polarities.max() > 1
-        ):
-            reject("polarities must be 0 or 1")
+        faults = self.fault_indices
+        if faults.size and (faults.min() < 0 or faults.max() >= num_faults):
+            reject(
+                f"fault indices {faults.min()}..{faults.max()} outside "
+                f"[0, {num_faults})"
+            )
 
     def chips(self, layout: ChipLayout) -> tuple[FabricatedChip, ...]:
         """Lazy array-backed chips, one :class:`ChipFabData` view per die."""
@@ -337,9 +328,7 @@ def fabricate_dies(
     ys = _concat([die[1] for die in per_die], float)
     radii = _concat([die[2] for die in per_die], float)
     covered, offsets = mapper.layout.sites_within_many(xs, ys, radii)
-    hit_offsets, sites, polarities = mapper.draw_hits(
-        covered, offsets, die_rngs, defect_offsets
-    )
+    hit_offsets, faults = mapper.draw_hits(covered, offsets, die_rngs, defect_offsets)
     return LotColumns(
         chip_ids=np.asarray(chip_ids, dtype=np.int64),
         defect_offsets=defect_offsets,
@@ -347,8 +336,7 @@ def fabricate_dies(
         ys=ys,
         radii=radii,
         hit_offsets=hit_offsets,
-        site_indices=sites.astype(np.int32),
-        polarities=polarities.astype(np.uint8),
+        fault_indices=faults,
     )
 
 

@@ -435,7 +435,8 @@ class Client:
 
         Server-built lots and programs are referenced by handle (no
         re-upload); locally built ones — and any whose handle the
-        server no longer recognizes — are pickled up transparently.
+        server no longer recognizes — are uploaded transparently, a
+        column-backed lot as arrays under the netlist it was drawn on.
         """
 
         def build_params() -> dict:
@@ -450,11 +451,17 @@ class Client:
                 params["lot_id"] = lot_handle
             else:
                 chips = lot if isinstance(lot, FabricatedLot) else tuple(lot)
-                if self._binary and isinstance(chips, FabricatedLot):
-                    # Whole lots go up as SoA arrays keyed on the
-                    # program's netlist (the server resolves the program
-                    # — registering its netlist if uploaded — before
-                    # the chips).
+                if isinstance(chips, FabricatedLot) and chips.layout is not None:
+                    # A column-backed lot goes up as SoA arrays under the
+                    # netlist it was drawn on, so the server refuses it
+                    # against a program for another circuit.
+                    self.register(chips.layout.netlist)
+                    chips = pack_lot(chips.layout.netlist, chips)
+                elif self._binary and isinstance(chips, FabricatedLot):
+                    # A chip-built lot names no netlist: its arrays are
+                    # keyed on the program's (the server resolves the
+                    # program — registering its netlist if uploaded —
+                    # before the chips).
                     chips = pack_lot(program.netlist, chips)
                 params["chips"] = self._pack(chips)
             return params

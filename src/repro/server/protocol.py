@@ -39,7 +39,7 @@ same bytes the in-process runtime already ships to its pool workers,
 which is what keeps server-mediated results bit-identical to direct
 :class:`repro.api.Session` calls.  Whole lots additionally have an
 array form (:class:`LotArrays`): chip ids, CSR offsets, defect and
-``(site, polarity)`` arrays plus a netlist fingerprint, rebuilt
+fault-index arrays plus a netlist fingerprint, rebuilt
 losslessly on the receiver against its registered netlist — the SoA
 wire format end-to-end.  Pickle is a code-execution vector, so the
 server trusts its clients by design — bind it to localhost or a
@@ -482,7 +482,7 @@ class LotArrays:
 
     ``payload`` is the same array bundle the fabrication pipeline ships
     between pool workers (chip ids, CSR offsets, defect coordinates and
-    ``(site, polarity)`` fault arrays); ``fingerprint`` names the
+    fault (universe) indices); ``fingerprint`` names the
     netlist it was drawn against, so the receiver rebuilds chips on its
     *own* registered copy of the circuit instead of unpickling a second
     netlist object graph off the wire.
@@ -516,7 +516,7 @@ def lot_from_arrays(netlist: Netlist, arrays: LotArrays) -> Any:
 
     The payload is validated against the netlist's fault universe first;
     a malformed one (wrong dtypes, offsets that do not partition the
-    arrays, sites outside the universe, polarities other than 0/1) is a
+    arrays, fault indices outside the universe) is a
     :class:`ProtocolError`, never a lot whose faults silently differ.
     """
     from repro.manufacturing.lot import unpack_lot

@@ -35,8 +35,8 @@ Injections travel as :class:`~repro.simulator.kernels.ir.InjectionTables`
 gathered from the circuit's per-site
 :class:`~repro.simulator.kernels.ir.SiteTable` — built once, indexed by
 :func:`~repro.faults.model.full_fault_universe` position, with every
-site validated when the table is built.  Callers holding ``(row, site
-index, polarity)`` arrays (the wafer tester, the fault simulator) build
+site validated when the table is built.  Callers holding ``(row, fault
+index)`` arrays (the wafer tester, the fault simulator) build
 tables with no per-fault Python work; fault-object machines are encoded
 by :func:`~repro.faults.model.universe_indices` and gather from the
 same table, so a fault outside the universe is a ``ValueError``.
@@ -148,20 +148,13 @@ class BatchCompiledCircuit:
             len(machines) + 1,
             np.repeat(np.arange(1, len(machines) + 1), counts),
             universe_indices(self.netlist, faults),
-            [fault.value for fault in faults],
             self.site_table,
         )
 
     def single_fault_tables(self, sites: np.ndarray) -> InjectionTables:
-        """One single-fault machine per universe index in ``sites``, each
-        stuck at its universe entry's own level."""
-        table = self.site_table
+        """One single-fault machine per universe index in ``sites``."""
         return InjectionTables.from_sites(
-            len(sites) + 1,
-            np.arange(1, len(sites) + 1),
-            sites,
-            table.value[sites],
-            table,
+            len(sites) + 1, np.arange(1, len(sites) + 1), sites, self.site_table
         )
 
     # ------------------------------------------------------------ evaluation

@@ -287,8 +287,8 @@ class SiteTable:
     * ``b[i]`` — the stem's column, or the pin index (0 for a PI);
     * ``value[i]`` — the listed fault's stuck level.
 
-    A force's polarity is supplied per injection, so one entry serves
-    both stuck levels of its site.
+    A circuit's table lists both stuck levels of a site as two entries,
+    so a fault's universe index names its force completely.
     """
 
     kind: np.ndarray  # int8
@@ -388,22 +388,22 @@ class InjectionTables:
         cls,
         num_rows: int,
         rows,
-        sites,
-        polarities,
+        faults,
         table: SiteTable,
     ) -> "InjectionTables":
-        """Tables for aligned ``(row, site index, polarity)`` arrays.
+        """Tables for aligned ``(row, fault index)`` arrays.
 
-        ``rows`` must be non-decreasing (machine order); ``sites`` index
-        ``table``; ``polarities`` are the stuck levels.  No Python work
-        per fault: every field is a gather from ``table`` split by kind.
+        ``rows`` must be non-decreasing (machine order); ``faults``
+        index ``table``, whose entries carry the stuck levels.  No
+        Python work per fault: every field is a gather from ``table``
+        split by kind.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        sites = np.asarray(sites, dtype=np.intp)
-        kind = table.kind[sites]
-        a = table.a[sites]
-        b = table.b[sites]
-        words = np.where(np.asarray(polarities) != 0, _ONES, _ZERO)
+        faults = np.asarray(faults, dtype=np.intp)
+        kind = table.kind[faults]
+        a = table.a[faults]
+        b = table.b[faults]
+        words = np.where(table.value[faults] != 0, _ONES, _ZERO)
         pi = kind == SITE_PI
         stem = kind == SITE_STEM
         pin = kind == SITE_PIN

@@ -10,7 +10,7 @@ still-passing defective chip is one row of a
 :class:`~repro.simulator.batch_sim.BatchCompiledCircuit` batch, so one
 vectorized pass per 64-pattern block tests the whole lot at once, and
 chips drop out of the batch as soon as they fail.  The lot enters as a
-``(site index, polarity)`` CSR: the hit arrays of
+CSR of fault (universe) indices: the hit arrays of
 :func:`~repro.manufacturing.lot.pack_lot_chips`, the lot encoder the
 server and gateway put on the wire (a column-backed lot's arrays as
 they are, eager chips' faults through
@@ -23,7 +23,7 @@ chip object) is built on the test path.  The engine name (``"batch"``,
 Above the engine sits the process axis: ``workers > 1`` cuts the chip
 list into contiguous shards and tests each shard in a worker process
 (carrying the pre-compiled circuit, so workers never re-levelize).
-Shards travel as packed ``(site index, polarity)`` arrays.  Chips are
+Shards travel as slices of the lot's fault CSR.  Chips are
 independent machines, so the merged records are bit-identical
 to the serial run at every worker count (see :mod:`repro.runtime`).
 """
@@ -76,31 +76,32 @@ class ChipTestRecord:
 
 @dataclass(frozen=True)
 class _LotSites:
-    """A chip list as a ``(site index, polarity)`` CSR against one circuit.
+    """A chip list as a CSR of fault indices against one circuit.
 
-    Chip ``k``'s faults are ``sites[offsets[k]:offsets[k + 1]]`` (with
-    the matching ``polarities``), indexing the circuit's fault universe
-    and so its :attr:`~BatchCompiledCircuit.site_table`.
+    Chip ``k``'s faults are ``faults[offsets[k]:offsets[k + 1]]``,
+    indexing the circuit's fault universe and so its
+    :attr:`~BatchCompiledCircuit.site_table`.  A pool shard is a slice
+    (:meth:`shard`): two flat arrays, 2-4 bytes per fault, that a worker
+    gathers its injection tables from directly.
     """
 
     offsets: np.ndarray
-    sites: np.ndarray
-    polarities: np.ndarray
+    faults: np.ndarray
 
     @classmethod
     def of_lot(cls, netlist, lot: FabricatedLot) -> "_LotSites":
         """The hit arrays of :func:`pack_lot_chips`, the wire encoder."""
         columns = pack_lot_chips(netlist, lot)
-        return cls(columns.hit_offsets, columns.site_indices, columns.polarities)
+        return cls(columns.hit_offsets, columns.fault_indices)
 
-    @classmethod
-    def of_shard(cls, shard: "_SoAChipShard") -> "_LotSites":
-        """Decode a shard payload's coded sites (no fault objects)."""
-        return cls(
-            offsets=shard.fault_offsets,
-            sites=shard.coded_sites >> 1,
-            polarities=shard.coded_sites & 1,
-        )
+    def shard(self, start: int, stop: int) -> "_LotSites":
+        """Chips ``start:stop`` as their own CSR, for the pool pipe: the
+        fault indices travel as ``uint16`` when they fit (half the bytes)."""
+        offsets = self.offsets[start : stop + 1]
+        faults = self.faults[offsets[0] : offsets[-1]]
+        if faults.size and faults.max() <= np.iinfo(np.uint16).max:
+            faults = faults.astype(np.uint16)
+        return _LotSites(offsets - offsets[0], faults)
 
 
 def _first_fail_codes(
@@ -132,8 +133,7 @@ def _first_fail_codes(
         tables = InjectionTables.from_sites(
             remaining.size + 1,
             np.repeat(np.arange(1, remaining.size + 1), row_counts),
-            lot.sites[entries],
-            lot.polarities[entries],
+            lot.faults[entries],
             batch.site_table,
         )
         bits = first_detecting_bits(batch.detect_words(words, tables), block_len)
@@ -170,51 +170,13 @@ class _LotShardContext:
     batch: BatchCompiledCircuit
 
 
-@dataclass(frozen=True)
-class _SoAChipShard:
-    """One chip shard as two flat arrays — the SoA wire payload.
-
-    ``coded_sites`` packs one fault per element as
-    ``(universe_index << 1) | polarity`` (``int32``, ~4 bytes per fault
-    vs ~hundreds for a pickled :class:`StuckAtFault`); ``fault_offsets``
-    is the per-chip CSR into it.  A site index is meaningful only
-    relative to the shard context's netlist, whose fault universe is a
-    deterministic enumeration in every process; a batch worker gathers
-    its injection tables straight from these arrays.
-    """
-
-    fault_offsets: np.ndarray
-    coded_sites: np.ndarray
-
-
-def _pack_soa_shards(netlist, lot: FabricatedLot, bounds) -> list[_SoAChipShard]:
-    """Encode a lot as one :class:`_SoAChipShard` per ``(start, stop)``.
-
-    The lot is encoded once by :meth:`_LotSites.of_lot` and cut into
-    shards by slicing.
-    """
-    lot_sites = _LotSites.of_lot(netlist, lot)
-    offsets = lot_sites.offsets
-    coded = (lot_sites.sites.astype(np.int32) << np.int32(1)) | (
-        lot_sites.polarities.astype(np.int32)
-    )
-    return [
-        _SoAChipShard(
-            fault_offsets=offsets[start : stop + 1] - offsets[start],
-            coded_sites=coded[offsets[start] : offsets[stop]],
-        )
-        for start, stop in bounds
-    ]
-
-
-def _test_lot_shard(context: _LotShardContext, shard: _SoAChipShard) -> np.ndarray:
+def _test_lot_shard(context: _LotShardContext, shard: _LotSites) -> np.ndarray:
     """Worker: first-fail test one chip shard with the shipped circuit.
 
     Returns the shard's first-fail codes (``-1`` = passed) — one small
     array back over the pipe.
     """
-    lot = _LotSites.of_shard(shard)
-    return _first_fail_codes(context.batch, context.blocks, lot)
+    return _first_fail_codes(context.batch, context.blocks, shard)
 
 
 class WaferTester:
@@ -304,7 +266,8 @@ class WaferTester:
         plan = ShardPlan.balanced(len(lot), num_workers)
         if plan.num_shards > 1:
             context = self._lot_shard_context()
-            tasks = _pack_soa_shards(self.program.netlist, lot, plan.bounds())
+            lot_sites = _LotSites.of_lot(self.program.netlist, lot)
+            tasks = [lot_sites.shard(start, stop) for start, stop in plan.bounds()]
             if use_injected:
                 codes = self.executor.map_shards(
                     _test_lot_shard,

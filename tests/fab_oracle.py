@@ -1,10 +1,16 @@
-"""Differential oracle: the per-chip Python word-stream sampler.
+"""Differential oracles of the fab: scalar per-object references.
 
-Parses one chip's raw PCG64 words defect by defect in plain Python —
-the sampler the fab hot path used before it became lot-wide.  The
-product samples every die of a lot at once
-(:meth:`repro.defects.mapping.DefectToFaultMapper.draw_hits`); this
-straightforward loop is what the lot-sampler suite compares it against,
+* :func:`sites_within_scan` — the full-die distance scan the layout's
+  grid index replaced;
+* :func:`faults_for_chip_scalar` — the per-defect, per-site scalar
+  defect -> fault mapping, the ground truth of the fab suites and the
+  fab benchmark's serial-object baseline;
+* :func:`sample_hits_words` — the per-chip Python word-stream sampler
+  the fab hot path used before it became lot-wide.
+
+The product samples every die of a lot at once
+(:meth:`repro.defects.mapping.DefectToFaultMapper.draw_hits`); these
+straightforward loops are what the fab suites compare it against,
 alongside the product's generic per-call sampler.
 """
 
@@ -12,7 +18,53 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_hits_words"]
+from repro.faults.model import StuckAtFault
+from repro.utils.rng import make_rng
+
+__all__ = ["faults_for_chip_scalar", "sample_hits_words", "sites_within_scan"]
+
+
+def sites_within_scan(layout, x: float, y: float, radius: float) -> list[int]:
+    """Reference full-die distance scan (the pre-grid implementation).
+
+    Must stay bit-identical to
+    :meth:`repro.defects.layout.ChipLayout.sites_within`.
+    """
+    if radius < 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+    coordinates = layout.coordinates
+    d2 = (coordinates[:, 0] - x) ** 2 + (coordinates[:, 1] - y) ** 2
+    return list(np.nonzero(d2 <= radius * radius)[0])
+
+
+def faults_for_chip_scalar(mapper, defects, rng=None) -> list[StuckAtFault]:
+    """Reference per-object implementation of
+    :meth:`repro.defects.mapping.DefectToFaultMapper.faults_for_chip`.
+
+    Walks defects one at a time, each with a full-die distance scan and
+    per-site scalar draws: per defect one uniform per covered site, one
+    bounded integer iff none activated, one polarity per kept site.  The
+    first polarity drawn for a site wins.
+    """
+    rng = make_rng(rng)
+    layout = mapper.layout
+    chosen: dict[tuple, StuckAtFault] = {}
+    for defect in defects:
+        covered = sites_within_scan(layout, defect.x, defect.y, defect.radius)
+        if not covered:
+            continue
+        keep = [i for i in covered if rng.random() < mapper.activation_probability]
+        if not keep:
+            keep = [covered[int(rng.integers(len(covered)))]]
+        for idx in keep:
+            site = layout.sites[idx]
+            value = int(rng.integers(2))
+            key = (site.signal, site.gate, site.pin)
+            if key not in chosen:
+                chosen[key] = StuckAtFault(
+                    site.signal, value, gate=site.gate, pin=site.pin
+                )
+    return list(chosen.values())
 
 # (word >> 11) * 2^-53 is how a 64-bit generator word becomes a uniform
 # double in [0, 1) — numpy's standard transformation.

@@ -4,7 +4,7 @@ The refactor's contract is *bit-identity*: the grid-indexed batched
 geometry, the vectorized defect-to-fault sampling (word-stream or
 generic), and the SoA wafer/lot path must reproduce the scalar
 per-object reference implementation draw for draw — same seeds, same
-chips, same defects, same faults, same polarities — across radius laws,
+chips, same defects, same faults (stuck levels included) — across radius laws,
 zero-defect chips, truncated lots, and worker counts.
 """
 
@@ -12,6 +12,8 @@ import pickle
 
 import numpy as np
 import pytest
+
+from fab_oracle import faults_for_chip_scalar, sites_within_scan
 
 from repro.circuit.generators import c17, synthetic_chip
 from repro.defects import mapping
@@ -40,7 +42,7 @@ def fabricate_wafer_scalar(wafer, seed, first_chip_id=0):
         defects = wafer._generator.chip_defects(
             wafer.recipe.chip_area, rng=die_rng, density_value=density
         )
-        faults = wafer._mapper.faults_for_chip_scalar(defects, rng=die_rng)
+        faults = faults_for_chip_scalar(wafer._mapper, defects, rng=die_rng)
         chips.append(
             FabricatedChip(
                 chip_id=first_chip_id + die,
@@ -73,12 +75,12 @@ class TestGridIndex:
         assert offsets[0] == 0 and offsets[-1] == indices.size
         for d in range(xs.size):
             got = list(indices[offsets[d] : offsets[d + 1]])
-            assert got == layout._sites_within_scan(xs[d], ys[d], radii[d]), d
+            assert got == sites_within_scan(layout, xs[d], ys[d], radii[d]), d
 
     def test_wrapper_matches_scan(self):
         layout = ChipLayout(c17())
         for x, y, r in [(0.2, 0.3, 0.15), (layout.side / 2, layout.side / 2, 10.0), (-5.0, -5.0, 0.01)]:
-            assert layout.sites_within(x, y, r) == layout._sites_within_scan(x, y, r)
+            assert layout.sites_within(x, y, r) == sites_within_scan(layout, x, y, r)
 
     def test_empty_query(self):
         layout = ChipLayout(c17())
@@ -102,15 +104,19 @@ class TestGridIndex:
                 np.array([0.5, 0.6]), np.array([0.5]), np.array([0.1])
             )
 
-    def test_site_key_ids_group_polarity_pairs(self):
+    def test_fault_pairs_share_a_site(self):
+        # The fab folds a drawn polarity into ``(site & ~1) | polarity``
+        # and dedups on ``fault >> 1``: the universe must list both
+        # levels of each electrical site next to each other, s-a-0 first.
         layout = ChipLayout(c17())
         by_key = {}
         for i, site in enumerate(layout.sites):
             by_key.setdefault((site.signal, site.gate, site.pin), []).append(i)
+            assert site.value == i & 1, site
         for key, members in by_key.items():
-            ids = {int(layout.site_key_ids[i]) for i in members}
-            assert len(ids) == 1, key
-        assert len(by_key) == len(set(layout.site_key_ids.tolist()))
+            assert {i >> 1 for i in members} == {members[0] >> 1}, key
+            assert len(members) == 2, key
+        assert len(by_key) == layout.num_sites // 2
 
 
 # ------------------------------------------------------ mapper bit-identity
@@ -137,7 +143,7 @@ class TestMapperDifferential:
         for seed in range(8):
             defects = self._defects(seed)
             fast = self.mapper.faults_for_chip(defects, rng=make_rng(seed))
-            slow = self.mapper.faults_for_chip_scalar(defects, rng=make_rng(seed))
+            slow = faults_for_chip_scalar(self.mapper, defects, rng=make_rng(seed))
             assert fast == slow
 
     def test_low_activation_fallback_matches(self):
@@ -145,7 +151,7 @@ class TestMapperDifferential:
         for seed in range(8):
             defects = self._defects(seed, big=True)
             fast = mapper.faults_for_chip(defects, rng=make_rng(seed))
-            slow = mapper.faults_for_chip_scalar(defects, rng=make_rng(seed))
+            slow = faults_for_chip_scalar(mapper, defects, rng=make_rng(seed))
             assert fast == slow
 
     def test_generator_state_matches_scalar_after_call(self):
@@ -155,7 +161,7 @@ class TestMapperDifferential:
         defects = self._defects(3)
         a, b = make_rng(9), make_rng(9)
         self.mapper.faults_for_chip(defects, rng=a)
-        self.mapper.faults_for_chip_scalar(defects, rng=b)
+        faults_for_chip_scalar(self.mapper, defects, rng=b)
         assert a.random(5).tolist() == b.random(5).tolist()
         assert a.integers(1000, size=5).tolist() == b.integers(1000, size=5).tolist()
 
@@ -164,8 +170,8 @@ class TestMapperDifferential:
         fast = self.mapper.faults_for_chip(
             defects, rng=np.random.Generator(np.random.MT19937(5))
         )
-        slow = self.mapper.faults_for_chip_scalar(
-            defects, rng=np.random.Generator(np.random.MT19937(5))
+        slow = faults_for_chip_scalar(
+            self.mapper, defects, rng=np.random.Generator(np.random.MT19937(5))
         )
         assert fast == slow
 
@@ -173,10 +179,10 @@ class TestMapperDifferential:
         assert mapping._word_stream_verified() is True
 
     def test_empty_defect_set(self):
-        sites, pols = self.mapper.site_hits_for_chip(
+        faults = self.mapper.site_hits_for_chip(
             np.empty(0), np.empty(0), np.empty(0), rng=make_rng(0)
         )
-        assert sites.size == 0 and pols.size == 0
+        assert faults.size == 0
         assert self.mapper.faults_for_chip([], rng=make_rng(0)) == []
 
     def test_custom_sizes_distribution_matches(self):
@@ -187,11 +193,11 @@ class TestMapperDifferential:
         )
         for seed in range(5):
             xs, ys, radii = generator.chip_defect_arrays(1.0, rng=make_rng(seed))
-            fast = self.mapper._materialize(
-                *self.mapper.site_hits_for_chip(xs, ys, radii, rng=make_rng(seed + 100))
+            fast = self.layout.site_faults(
+                self.mapper.site_hits_for_chip(xs, ys, radii, rng=make_rng(seed + 100))
             )
             defects = generator.chip_defects(1.0, rng=make_rng(seed))
-            slow = self.mapper.faults_for_chip_scalar(defects, rng=make_rng(seed + 100))
+            slow = faults_for_chip_scalar(self.mapper, defects, rng=make_rng(seed + 100))
             assert fast == slow
 
     def test_counted_sites_per_defect(self):
@@ -305,7 +311,7 @@ class TestFabricatedChip:
     def test_counts_without_materialization(self):
         chip = self._array_chip()
         assert chip._defects is None and chip._faults is None
-        assert chip.fault_count == len(chip._data.site_indices)
+        assert chip.fault_count == len(chip._data.fault_indices)
         assert chip.defect_count == len(chip._data.xs)
         # counts alone must not have materialized the tuples
         assert chip._defects is None and chip._faults is None

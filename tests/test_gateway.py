@@ -361,6 +361,25 @@ class TestHttpProtocol:
                     expected = session.test(lot, own).records
                 assert client.test(lot, own).records == expected
 
+    def test_upload_under_another_netlist_is_refused(self, chip, twin, recipe):
+        # c17 and its NOR twin have universes of one size, so the lot's
+        # columns would validate on the twin: the fingerprint must match.
+        with Session(workers=1) as session:
+            lot = session.fabricate(chip, recipe, 20, dies_per_wafer=8, seed=4)
+        with running_gateway(workers=1) as gateway:
+            with GatewayClient(gateway.address) as client:
+                twin_id = client.register(twin)
+                with pytest.raises(RemoteError) as err:
+                    client._call(
+                        client._client.request(
+                            "POST",
+                            "/v1/lots",
+                            {"netlist_id": twin_id, "lot": codec.lot_to_json(chip, lot)},
+                        )
+                    )
+                assert err.value.code == "bad-request"
+                assert netlist_fingerprint(chip) in str(err.value)
+
     def test_replay_dedup_answers_from_cache(self, chip):
         with running_gateway(workers=1) as gateway:
             url = gateway.address + "/v1/netlists"

@@ -1,12 +1,12 @@
 """Hostile lot payloads are rejected on both wire paths.
 
-A lot crosses the wire as eight CSR arrays (:class:`LotColumns`): as
+A lot crosses the wire as seven CSR arrays (:class:`LotColumns`): as
 base64 JSON through the HTTP gateway (``codec.lot_from_json``) and as a
 ``LotArrays`` object on the TCP server's binary frames
 (``protocol.lot_from_arrays``).  Each decoder must validate the columns
-against the receiver's fault universe — a negative or out-of-range site,
-offsets that decrease, chip ids that do not match the offsets, a
-polarity other than 0/1, or a non-integer offset dtype is a typed error
+against the receiver's fault universe — a negative or out-of-range fault
+index, offsets that decrease, chip ids that do not match the offsets, a
+missing fault column, or a non-integer offset dtype is a typed error
 (``ValueError`` answered as HTTP 400, ``ProtocolError`` answered as
 ``bad-request``), never a lot whose faults silently differ.
 """
@@ -40,11 +40,10 @@ def _swap_offsets(offsets):
 
 
 MUTATIONS = {
-    "negative-site": lambda c, n: {"site_indices": _set(c.site_indices, 0, -1)},
-    "out-of-range-site": lambda c, n: {"site_indices": _set(c.site_indices, 0, n)},
+    "negative-site": lambda c, n: {"fault_indices": _set(c.fault_indices, 0, -1)},
+    "out-of-range-site": lambda c, n: {"fault_indices": _set(c.fault_indices, 0, n)},
     "swapped-hit-offsets": lambda c, n: {"hit_offsets": _swap_offsets(c.hit_offsets)},
     "short-chip-ids": lambda c, n: {"chip_ids": c.chip_ids[:-1]},
-    "polarity-two": lambda c, n: {"polarities": _set(c.polarities, 0, 2)},
     "float-offsets": lambda c, n: {"defect_offsets": c.defect_offsets.astype(float)},
 }
 
@@ -85,6 +84,16 @@ def test_binary_decoder_rejects(chip, lot, name):
     arrays = dataclasses.replace(pack_lot(chip, lot), payload=mutated(lot, chip, name))
     with pytest.raises(ProtocolError):
         lot_from_arrays(chip, arrays)
+
+
+def test_json_decoder_rejects_a_payload_without_the_fault_column(chip, lot):
+    # The pre-folding layout: site indices plus a polarity column.
+    payload = codec.lot_to_json(chip, lot)
+    faults = lot.columns.fault_indices
+    payload["arrays"]["site_indices"] = payload["arrays"].pop("fault_indices")
+    payload["arrays"]["polarities"] = codec.encode_array((faults & 1).astype(np.uint8))
+    with pytest.raises(ValueError, match="fault_indices"):
+        codec.lot_from_json(chip, payload)
 
 
 def test_binary_decoder_rejects_foreign_payload(chip, lot):

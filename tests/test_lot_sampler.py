@@ -4,9 +4,10 @@
 vectorized pass over the dies' raw PCG64 words.  Its contract is
 bit-identity with sampling each die alone: the per-call generic sampler
 (``_sample_hits_generic``) and the per-chip Python word parse kept as
-``fab_oracle.sample_hits_words`` must give the same sites, the same
-polarities and — where the caller keeps drawing — the same generator
-continuation, over random covered-site CSRs, zero-defect dies, dies that
+``fab_oracle.sample_hits_words`` must give the same faults (each hit
+site with its drawn polarity folded in) and — where the caller keeps
+drawing — the same generator continuation, over random covered-site
+CSRs, zero-defect dies, dies that
 start with a buffered half-word, truncated wafers, worker counts, and
 the Lemire-rejection dies that are rewound and re-drawn exactly.
 """
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fab_oracle import sample_hits_words
+from fab_oracle import sample_hits_words, sites_within_scan
 from test_fab_array import fabricate_wafer_scalar
 
 from repro.circuit.generators import c17, synthetic_chip
@@ -40,23 +41,24 @@ _MASK128 = (1 << 128) - 1
 
 
 def first_hits(sites, polarities):
-    """First polarity wins per electrical key, in hit order."""
+    """Folded fault indices, first polarity winning per site, in hit order.
+
+    Both levels of a site are universe entries ``2k`` (s-a-0) and
+    ``2k + 1`` (s-a-1), so a hit on entry ``site`` drawn at ``polarity``
+    is the fault ``(site & ~1) | polarity``.
+    """
     seen, kept = set(), []
     for site, polarity in zip(np.asarray(sites).tolist(), np.asarray(polarities).tolist()):
-        key = int(LAYOUT.site_key_ids[site])
-        if key not in seen:
-            seen.add(key)
-            kept.append((site, polarity))
+        if site >> 1 not in seen:
+            seen.add(site >> 1)
+            kept.append((site & ~1) | polarity)
     return kept
 
 
-def per_die(hit_offsets, sites, polarities):
-    """A hit CSR as one ``[(site, polarity), ...]`` list per die."""
+def per_die(hit_offsets, faults):
+    """A hit CSR as one list of fault indices per die."""
     bounds = hit_offsets.tolist()
-    return [
-        list(zip(sites[a:b].tolist(), polarities[a:b].tolist()))
-        for a, b in zip(bounds, bounds[1:])
-    ]
+    return [faults[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 @st.composite
@@ -288,7 +290,7 @@ def test_lot_sized_geometry_query_matches_scan():
     assert offsets.size == count + 1 and offsets[-1] == sites.size
     for d in range(count):
         assert sites[offsets[d] : offsets[d + 1]].tolist() == [
-            int(i) for i in LAYOUT._sites_within_scan(xs[d], ys[d], radii[d])
+            int(i) for i in sites_within_scan(LAYOUT, xs[d], ys[d], radii[d])
         ], d
 
 

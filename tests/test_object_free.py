@@ -1,8 +1,8 @@
 """The object-free batch path must match the word-level reference exactly.
 
 Lot testing and fault simulation feed the batch circuit injection tables
-gathered from per-site tables — from a lot's ``(site index, polarity)``
-arrays and from fault objects encoded as universe indices.  Every one
+gathered from per-site tables — from a lot's fault-index arrays and
+from fault objects encoded as universe indices.  Every one
 of those inputs must give first-fail records (and first-detect vectors)
 identical to the word-level oracles of ``tests/compiled_oracle.py``, at
 one worker and through the pool, on the NumPy kernel and on the numba
@@ -31,7 +31,7 @@ from repro.manufacturing.wafer import FabricatedChip
 from repro.runtime import ParallelExecutor
 from repro.simulator import BatchCompiledCircuit
 from repro.simulator.kernels import InjectionTables
-from repro.tester.tester import WaferTester, _pack_soa_shards
+from repro.tester.tester import WaferTester, _LotSites
 
 from compiled_oracle import CompiledEngine, lot_records
 
@@ -168,7 +168,7 @@ def test_objects_payload_matches_soa(chip, program, lot, pool, engine):
     fault = fanout_one_branch(chip, 1)
     mixed = [*lot.chips, FabricatedChip(base.chip_id, base.defects, (fault,))]
     with pytest.raises(ValueError, match=re.escape(str(fault))):
-        _pack_soa_shards(chip, FabricatedLot.of_chips(mixed), [(0, len(mixed))])
+        _LotSites.of_lot(chip, FabricatedLot.of_chips(mixed))
     with pytest.raises(ValueError, match=re.escape(str(fault))):
         tester.test_lot(mixed)
     assert tester.test_lot(lot.chips) == reference
@@ -223,12 +223,9 @@ def test_tables_from_sites_match_fault_objects(chip, lot):
     batch = BatchCompiledCircuit(chip)
     chips = [c for c in lot.chips if c.fault_count][:20]
     by_objects = batch.machine_tables([c.faults for c in chips])
-    sites = np.concatenate([c._data.site_indices for c in chips])
-    pols = np.concatenate([c._data.polarities for c in chips])
+    faults = np.concatenate([c._data.fault_indices for c in chips])
     rows = np.repeat(np.arange(1, len(chips) + 1), [c.fault_count for c in chips])
-    gathered = InjectionTables.from_sites(
-        len(chips) + 1, rows, sites, pols, batch.site_table
-    )
+    gathered = InjectionTables.from_sites(len(chips) + 1, rows, faults, batch.site_table)
     for field in InjectionTables.__slots__:
         if field.startswith("_"):  # lazily built layouts
             continue

@@ -1,7 +1,7 @@
 """Differential tests of the SoA wire format, end to end.
 
 The wire format is an *encoding*, never a semantic: every boundary that
-ships ``(site, polarity)`` arrays instead of pickled object trees — the
+ships fault-index arrays instead of pickled object trees — the
 tester's lot shards, the fault simulator's fault shards, the executor's
 zero-copy frames, the server's binary protocol — must produce results
 bit-identical to the same faults handed in as objects and to the
@@ -90,7 +90,7 @@ def program(chip):
 class TestPayloadDifferential:
     """SoA shard payloads versus fault-object inputs: bit-identical.
 
-    Shards always travel as ``(site, polarity)`` arrays; a fault outside
+    Shards always travel as fault-index arrays; a fault outside
     the netlist's universe (an ad-hoc site such as a fanout-1 branch) is
     rejected with a ``ValueError`` naming it before anything is sent.
     """
